@@ -20,7 +20,7 @@ from . import evolve as ev
 from . import oracle as orc
 from . import renyi as ry
 from . import serialize as ser
-from .errors import CapacityError, DominanceError, NumericalDriftError
+from .errors import CapacityError, DominanceError, NumericalDriftError, PositivityError
 from .gates import TwoSiteGate, random_gate
 from .linalg import PAULI, make_rng, trace_distance, von_neumann_entropy
 from .mps import MpsTensor, ghz_cluster_family, product_state_mps
@@ -30,6 +30,15 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_CAPACITY = 3
+
+# Checked in order, so the numerical ValueError subclasses come before the
+# configuration errors.
+EXIT_TABLE = (
+    ((NumericalDriftError, DominanceError, PositivityError, np.linalg.LinAlgError),
+     EXIT_FAIL, "numerical error"),
+    ((CapacityError,), EXIT_CAPACITY, "capacity error"),
+    ((ValueError, KeyError, TypeError, OSError), EXIT_CONFIG, "configuration error"),
+)
 
 SCHEMA_VERSIONS = ("1",)
 
@@ -158,6 +167,10 @@ def parse_observable(tag: str, q: int) -> np.ndarray:
 
 def _fmt(x: float) -> str:
     return f"{x:.12e}"
+
+
+def _one_line(exc: BaseException) -> str:
+    return " ".join(str(exc).split())
 
 
 def _write_csv(path: str | None, header: list[str], rows: list[list[str]]):
@@ -289,21 +302,26 @@ def cmd_renyi(args) -> int:
     for n in n_list:
         try:
             lam = ry.dominant_eigenvalue(ry.transfer_matrix(mps, n))
-            v = ry.entanglement_velocity(mps, n)
-            lam_s, v_s = _fmt(lam), _fmt(v)
+            lam_s, v_s = _fmt(lam), _fmt(ry.velocity_from_eigenvalue(lam, n, mps.q))
         except DominanceError as exc:
-            print(f"dominance error at n={n}: {exc}", file=sys.stderr)
+            print(f"dominance error at n={n}: {_one_line(exc)}", file=sys.stderr)
             lam_s, v_s = "nan", "nan"
             failed = True
         for t in t_list:
-            tv = ry.renyi_trace_via_transfer(mps, n, t)
+            try:
+                tv = _fmt(ry.renyi_trace_via_transfer(mps, n, t))
+            except DominanceError as exc:
+                print(f"dominance error at n={n}, t={t}: {_one_line(exc)}",
+                      file=sys.stderr)
+                tv = "nan"
+                failed = True
             if args.oracle:
                 if gate is None:
                     raise ValueError("--oracle requires a gate in the config")
                 ov = _fmt(orc.renyi_trace_chain(gate, mps, n, t, cap=cap))
             else:
                 ov = ""
-            rows.append([str(n), str(t), _fmt(tv), ov, lam_s, v_s])
+            rows.append([str(n), str(t), tv, ov, lam_s, v_s])
     _write_csv(args.out, header, rows)
     return EXIT_FAIL if failed else EXIT_OK
 
@@ -383,12 +401,11 @@ def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CapacityError as exc:
-        print(f"capacity error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except tuple(c for classes, _, _ in EXIT_TABLE for c in classes) as exc:
+        code, label = next((code, label) for classes, code, label in EXIT_TABLE
+                           if isinstance(exc, classes))
+        print(f"{label}: {_one_line(exc)}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

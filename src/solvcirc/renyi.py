@@ -12,6 +12,7 @@ bond chain (squared norm chi).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -52,35 +53,11 @@ def pairing_vector(kind: str, n: int, q: int) -> PairingVector:
         raise ValueError("kind must be 'dot' or 'diamond'")
     if n < 1:
         raise ValueError("n must be >= 1")
-    v = np.zeros((q,) * (2 * n))
-    for idx in np.ndindex(*(q,) * (2 * n)):
-        a = idx[0::2]
-        ap = idx[1::2]
-        if kind == "dot":
-            ok = all(ap[m] == a[m] for m in range(n))
-        else:
-            ok = all(ap[m] == a[(m + 1) % n] for m in range(n))
-        if ok:
-            v[idx] = 1.0
+    legs = np.indices((q,) * (2 * n))
+    a, ap = legs[0::2], legs[1::2]
+    partner = a if kind == "dot" else np.roll(a, -1, axis=0)
+    v = np.all(ap == partner, axis=0).astype(float)
     return PairingVector(kind, n, q, v.reshape(-1))
-
-
-def _pairing_dressed_site(a: MpsTensor, n: int, kind: str) -> np.ndarray:
-    """One folded site with its physical replica legs closed by a pairing."""
-    dim = a.chi ** (2 * n)
-    out = np.zeros((dim, dim), dtype=complex)
-    for tup in np.ndindex(*(a.q,) * n):
-        factors = []
-        for m in range(n):
-            ai = tup[m]
-            api = tup[m] if kind == "dot" else tup[(m + 1) % n]
-            factors.append(a.mats[ai])
-            factors.append(a.mats[api].conj())
-        term = factors[0]
-        for f in factors[1:]:
-            term = np.kron(term, f)
-        out += term
-    return out
 
 
 def _require_both_canonical(a: MpsTensor):
@@ -96,17 +73,29 @@ def transfer_matrix(a: MpsTensor, n: int) -> ReplicaTransferMatrix:
 
     M_P carries one folded tensor with physical legs closed by the pairing P;
     the diamond-dressed site precedes (left factor), matching the boundary
-    contraction <dot| T^{2t} |diamond> pinned by the chain oracle.
+    contraction <dot| T^{2t} |diamond> pinned by the chain oracle.  Both
+    factors are built from E = sum_a A^(a) (x) A^(a)*: M_dot = E^(x)n, and
+    M_diamond is G = E* on each leg pair (a'_m, a_{m+1}), i.e. G^(x)n after
+    shifting the 2n row legs cyclically by one place.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     _require_both_canonical(a)
-    if a.chi ** (2 * n) > TRANSFER_DIM_CAP:
-        raise CapacityError(f"transfer dimension chi^(2n) = {a.chi ** (2 * n)} "
+    chi, dim = a.chi, a.chi ** (2 * n)
+    if dim > TRANSFER_DIM_CAP:
+        raise CapacityError(f"transfer dimension chi^(2n) = {dim} "
                             f"exceeds cap {TRANSFER_DIM_CAP}")
-    m_dia = _pairing_dressed_site(a, n, "diamond")
-    m_dot = _pairing_dressed_site(a, n, "dot")
-    return ReplicaTransferMatrix(n, a.chi, a.q, m_dia @ m_dot)
+    d2 = chi * chi
+    e = np.einsum('aij,akl->ikjl', a.mats, a.mats.conj()).reshape(d2, d2)
+    # M_dot = E^(x)n, its row legs (a_1, a'_1, ..., a'_n) moved to
+    # (a'_1, a_2, ..., a'_n, a_1) so that G acts on adjacent pairs
+    x = reduce(np.kron, [e] * n).reshape(chi, -1, dim)
+    x = np.ascontiguousarray(x.swapaxes(0, 1))
+    g = e.conj()
+    for k in range(n):
+        x = np.matmul(g, x.reshape(d2 ** k, d2, -1))
+    x = x.reshape(-1, chi, dim).swapaxes(0, 1).reshape(dim, dim)
+    return ReplicaTransferMatrix(n, chi, a.q, x)
 
 
 def _bond_pairings(a: MpsTensor, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -152,12 +141,16 @@ def dominant_eigenvalue(tm: ReplicaTransferMatrix) -> float:
     return float(lam.real)
 
 
-def entanglement_velocity(a: MpsTensor, n: int) -> float:
-    """v_E^(n) = 2 ln(lambda_n) / ((1 - n) ln q) from the dominant eigenvalue."""
+def velocity_from_eigenvalue(lam: float, n: int, q: int) -> float:
+    """v_E^(n) = 2 ln(lambda_n) / ((1 - n) ln q)."""
     if n < 2:
         raise ValueError("entanglement velocity requires n >= 2")
-    lam = dominant_eigenvalue(transfer_matrix(a, n))
-    return 2.0 * np.log(lam) / ((1 - n) * np.log(a.q))
+    return 2.0 * np.log(lam) / ((1 - n) * np.log(q))
+
+
+def entanglement_velocity(a: MpsTensor, n: int) -> float:
+    """v_E^(n) from the dominant eigenvalue of the replica transfer matrix."""
+    return velocity_from_eigenvalue(dominant_eigenvalue(transfer_matrix(a, n)), n, a.q)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from solvcirc import cli
+from solvcirc import renyi as ry
 from solvcirc.cli import main
+from solvcirc.errors import (CapacityError, DominanceError, NumericalDriftError,
+                             PositivityError)
 
 
 def write_config(path, **overrides):
@@ -159,6 +163,59 @@ class TestRenyi:
             f = line.split(",")
             assert abs(float(f[2]) - float(f[3])) < 1e-8
             assert 0.0 <= float(f[5]) <= 2.0
+
+
+    def test_trace_dominance_error_writes_nan(self, tmp_path, capsys, monkeypatch):
+        def ambiguous(mps, n, t):
+            raise DominanceError("transfer overlap has imaginary part 1.00e-03")
+
+        monkeypatch.setattr(ry, "renyi_trace_via_transfer", ambiguous)
+        cfg = write_config(tmp_path / "c.json",
+                           mps={"family": "ghz_cluster", "q": 2, "theta": np.pi / 4},
+                           n_list=[2], t_list=[1, 2])
+        out = tmp_path / "r.csv"
+        assert main(["renyi", "--config", str(cfg), "--out", str(out)]) == 1
+        rows = [l.split(",") for l in out.read_text().strip().split("\n")[1:]]
+        assert [r[2] for r in rows] == ["nan", "nan"]
+        assert all(abs(float(r[4]) - 0.5) < 1e-12 for r in rows)  # lambda_2 kept
+        err = capsys.readouterr().err.splitlines()
+        assert [e.split(":")[0] for e in err] == ["dominance error at n=2, t=1",
+                                                  "dominance error at n=2, t=2"]
+
+
+class TestExitCodeTable:
+    @pytest.mark.parametrize("exc,code,label", [
+        (PositivityError("eigenvalue -1e-3\nbelow slack"), 1, "numerical error"),
+        (np.linalg.LinAlgError("eigenvalues did not converge"), 1, "numerical error"),
+        (NumericalDriftError("trace drifted\nby 1e-6"), 1, "numerical error"),
+        (DominanceError("distinct eigenvalues [ 0.5\n -0.5]"), 1, "numerical error"),
+        (CapacityError("2^40 amplitudes"), 3, "capacity error"),
+        (ValueError("bad level"), 2, "configuration error"),
+        (KeyError("gate"), 2, "configuration error"),
+        (TypeError("not a dict"), 2, "configuration error"),
+        (OSError("no such file"), 2, "configuration error"),
+        (json.JSONDecodeError("Expecting value", "{x", 1), 2, "configuration error"),
+    ])
+    def test_maps_to_exit_code(self, tmp_path, capsys, monkeypatch, exc, code, label):
+        def failing(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_check", failing)
+        cfg = write_config(tmp_path / "c.json")
+        assert main(["check", "--config", str(cfg)]) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"{label}: ")
+        assert "Traceback" not in err
+
+    def test_unlisted_exception_propagates(self, tmp_path, monkeypatch):
+        def failing(args):
+            raise RuntimeError("a bug, not an input error")
+
+        monkeypatch.setattr(cli, "cmd_check", failing)
+        cfg = write_config(tmp_path / "c.json")
+        with pytest.raises(RuntimeError):
+            main(["check", "--config", str(cfg)])
 
 
 class TestFixedPoint:

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solvcirc.errors import CapacityError, DominanceError
 from solvcirc.evolve import EvolutionConfig, entanglement_entropy, mps_continuation_kets, run
 from solvcirc.gates import TwoSiteGate, random_gate, swap_matrix
-from solvcirc.linalg import make_rng, max_abs
+from solvcirc.linalg import haar_unitary, make_rng, max_abs
 from solvcirc.mps import MpsTensor, ghz_cluster_family, product_state_mps
 from solvcirc.oracle import renyi_trace_chain
-from solvcirc.renyi import (dominant_eigenvalue, entanglement_velocity,
-                            pairing_vector, renyi_trace_via_transfer,
-                            temporal_renyi_trace, temporal_state_entropy,
-                            transfer_matrix)
+from solvcirc.renyi import (TRANSFER_DIM_CAP, dominant_eigenvalue,
+                            entanglement_velocity, pairing_vector,
+                            renyi_trace_via_transfer, temporal_renyi_trace,
+                            temporal_state_entropy, transfer_matrix,
+                            velocity_from_eigenvalue)
 
 
 def swap_gate():
@@ -19,6 +22,58 @@ def swap_gate():
 
 def cluster():
     return ghz_cluster_family(np.pi / 4, 2)
+
+
+def haar_site(chi, q, seed):
+    """A^(a) = U_a / sqrt(q) with Haar U_a: left- and right-canonical."""
+    rng = make_rng(seed)
+    return MpsTensor(q, chi, np.stack([haar_unitary(chi, rng) for _ in range(q)])
+                     / np.sqrt(q))
+
+
+def reference_pairing_vector(kind, n, q):
+    v = np.zeros((q,) * (2 * n))
+    for idx in np.ndindex(*(q,) * (2 * n)):
+        a, ap = idx[0::2], idx[1::2]
+        if kind == "dot":
+            ok = all(ap[m] == a[m] for m in range(n))
+        else:
+            ok = all(ap[m] == a[(m + 1) % n] for m in range(n))
+        if ok:
+            v[idx] = 1.0
+    return v.reshape(-1)
+
+
+def reference_dressed_site(a, n, kind):
+    """One folded site with its physical replica legs closed by a pairing,
+    summed term by term over the physical replica indices.  Levels with
+    A^(a) = 0 contribute zero terms and are skipped."""
+    levels = [x for x in range(a.q) if a.mats[x].any()]
+    dim = a.chi ** (2 * n)
+    out = np.zeros((dim, dim), dtype=complex)
+    for tup in np.ndindex(*(len(levels),) * n):
+        factors = []
+        for m in range(n):
+            ai = levels[tup[m]]
+            api = ai if kind == "dot" else levels[tup[(m + 1) % n]]
+            factors.append(a.mats[ai])
+            factors.append(a.mats[api].conj())
+        term = factors[0]
+        for f in factors[1:]:
+            term = np.kron(term, f)
+        out += term
+    return out
+
+
+def reference_transfer_matrix(a, n):
+    return reference_dressed_site(a, n, "diamond") @ reference_dressed_site(a, n, "dot")
+
+
+def assert_matches_reference(a, n):
+    ref = reference_transfer_matrix(a, n)
+    got = transfer_matrix(a, n).matrix
+    assert got.shape == ref.shape
+    assert max_abs(got - ref) <= 1e-12 * max_abs(ref)
 
 
 class TestPairingVector:
@@ -44,6 +99,15 @@ class TestPairingVector:
     def test_bad_kind(self):
         with pytest.raises(ValueError):
             pairing_vector("star", 2, 2)
+
+    @pytest.mark.parametrize("kind", ["dot", "diamond"])
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_loop_reference(self, kind, q, n):
+        v = pairing_vector(kind, n, q).vector
+        ref = reference_pairing_vector(kind, n, q)
+        assert v.dtype == ref.dtype
+        assert np.array_equal(v, ref)
 
 
 class TestTransferMatrix:
@@ -87,6 +151,44 @@ class TestTransferMatrix:
         mats[0] = np.eye(9)
         with pytest.raises(CapacityError):
             transfer_matrix(MpsTensor(2, 9, mats), 2)
+
+
+class TestFactorisedBuild:
+    """The E / G = E* factorised build against the term-by-term sum, for
+    every n with chi^(2n) <= 1024."""
+
+    @pytest.mark.parametrize("theta", [0.3, 0.6, np.pi / 4])
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_ghz_cluster(self, theta, q):
+        for n in range(1, 5):
+            assert_matches_reference(ghz_cluster_family(theta, q), n)
+
+    @pytest.mark.parametrize("theta,q", [(0.3, 2), (0.6, 3), (np.pi / 4, 4)])
+    def test_ghz_cluster_n5(self, theta, q):
+        assert_matches_reference(ghz_cluster_family(theta, q), 5)
+
+    @pytest.mark.parametrize("chi,q,n_max", [(2, 2, 5), (3, 2, 3), (3, 3, 3)])
+    def test_haar_sites(self, chi, q, n_max):
+        mps = haar_site(chi, q, seed=10 * chi + q)
+        for n in range(1, n_max + 1):
+            assert_matches_reference(mps, n)
+
+    @settings(max_examples=25, deadline=None)
+    @given(theta=st.floats(0.05, np.pi / 4), q=st.sampled_from([2, 3, 4]),
+           seed=st.integers(0, 2 ** 31 - 1), n=st.integers(1, 3))
+    def test_property_sweep(self, theta, q, seed, n):
+        assert_matches_reference(ghz_cluster_family(theta, q), n)
+        assert_matches_reference(haar_site(2, q, seed), n)
+
+    def test_at_the_cap(self):
+        # chi = 2, n = 6: the largest size TRANSFER_DIM_CAP admits
+        mps = cluster()
+        tm = transfer_matrix(mps, 6)
+        assert tm.matrix.shape == (TRANSFER_DIM_CAP, TRANSFER_DIM_CAP)
+        assert abs(dominant_eigenvalue(tm) - 2.0 ** -5) < 1e-12
+        transfer = renyi_trace_via_transfer(mps, 6, 1)
+        temporal = temporal_renyi_trace(mps, 6, 1)
+        assert abs(transfer - temporal) <= 1e-10 * temporal
 
 
 class TestTraceViaTransfer:
@@ -152,6 +254,15 @@ class TestVelocity:
     def test_n_restriction(self):
         with pytest.raises(ValueError):
             entanglement_velocity(cluster(), 1)
+        with pytest.raises(ValueError):
+            velocity_from_eigenvalue(0.5, 1, 2)
+
+    def test_from_eigenvalue(self):
+        mps = ghz_cluster_family(0.5, 4)
+        for n in (2, 3):
+            lam = dominant_eigenvalue(transfer_matrix(mps, n))
+            assert velocity_from_eigenvalue(lam, n, 4) == entanglement_velocity(mps, n)
+        assert abs(velocity_from_eigenvalue(0.5, 2, 2) - 2.0) < 1e-15
 
     def test_dominance_error_on_sign_split(self):
         tm = transfer_matrix(cluster(), 2)
