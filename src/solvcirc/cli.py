@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 quantitative failure, 2 configuration error,
 3 capacity error.  All randomness flows from one config-level seed: the
 gate's generator is child 0 of numpy's SeedSequence(seed) unless the gate
 carries its own seed.  The SOLVCIRC_CAP environment variable overrides the
-amplitude capacity cap.
+capacity caps: the chain oracle's amplitudes and the engine's joint
+density-matrix entries.
 """
 from __future__ import annotations
 
@@ -51,6 +52,8 @@ def _capacity_cap(default: int) -> int:
 def load_config(path: str, seed_override: int | None = None) -> dict:
     with open(path) as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config must be a JSON object, not {type(cfg).__name__}")
     version = str(cfg.get("version", ""))
     if version not in SCHEMA_VERSIONS:
         raise ValueError(f"unrecognized config schema version {version!r}")
@@ -141,6 +144,16 @@ def build_right_kets(cfg: dict, mps, l_r: int) -> np.ndarray:
     raise ValueError("right_state needs 'product', 'kets' or 'mps_continuation'")
 
 
+def build_engine(cfg: dict, gate: TwoSiteGate, mps) -> ev.EvolutionConfig:
+    """The engine config, its size checked against the capacity cap before
+    the q^l_r right kets are built."""
+    l_r = int(cfg["l_r"])
+    cap = _capacity_cap(ev.DENSITY_ENTRY_CAP)
+    ev.joint_dimension(mps.chi, mps.q, l_r, cap)
+    kets = build_right_kets(cfg, mps, l_r)
+    return ev.EvolutionConfig(gate, mps, kets, l_r, int(cfg["tmax"]), cap=cap)
+
+
 def parse_observable(tag: str, q: int) -> np.ndarray:
     kind, _, arg = tag.partition(":")
     if kind == "proj":
@@ -228,10 +241,8 @@ def cmd_evolve(args) -> int:
     cfg = load_config(args.config, args.seed)
     gate = build_gate(cfg)
     mps = build_mps(cfg)
-    l_r = int(cfg["l_r"])
-    tmax = int(cfg["tmax"])
-    kets = build_right_kets(cfg, mps, l_r)
-    econf = ev.EvolutionConfig(gate, mps, kets, l_r, tmax)
+    econf = build_engine(cfg, gate, mps)
+    tmax = econf.tmax
     obs = [(int(o["site"]), o["op"], parse_observable(o["op"], gate.q))
            for o in cfg.get("observables", [])]
     header = ["t", "S_ent", "trace_residual", "min_eig"] + \
@@ -261,16 +272,14 @@ def cmd_oracle(args) -> int:
     mps = build_mps(cfg)
     if not isinstance(mps, MpsTensor):
         raise ValueError("the chain oracle supports one-site MPS left states")
-    l_r = int(cfg["l_r"])
-    tmax = int(cfg["tmax"])
-    kets = build_right_kets(cfg, mps, l_r)
+    econf = build_engine(cfg, gate, mps)
+    tmax = econf.tmax
     layer_order = args.layer_order or cfg.get("layer_order", "even_first")
-    spec = orc.ChainSpec(gate, mps, kets, int(cfg["l_left"]), l_r, tmax,
-                         layer_order=layer_order,
+    spec = orc.ChainSpec(gate, mps, econf.right_kets, int(cfg["l_left"]), econf.l_r,
+                         tmax, layer_order=layer_order,
                          purify=bool(cfg.get("purify", True)),
                          cap=_capacity_cap(orc.DEFAULT_AMPLITUDE_CAP))
     chain = orc.evolve_chain(spec)
-    econf = ev.EvolutionConfig(gate, mps, kets, l_r, tmax)
     header = ["t", "trace_distance", "oracle_entropy", "engine_entropy"]
     rows = []
     worst = 0.0

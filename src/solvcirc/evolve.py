@@ -13,7 +13,7 @@ import numpy as np
 
 from .channel import (BoundaryChannel, apply_channel, kraus_from_lpdo,
                       kraus_from_mps, kraus_from_two_site)
-from .errors import NumericalDriftError
+from .errors import CapacityError, NumericalDriftError
 from .linalg import (dagger, hermiticity_residual, kron, partial_trace,
                      von_neumann_entropy)
 from .mps import Lpdo, MpsTensor, TwoSiteMps
@@ -22,6 +22,9 @@ from .solvable import check_solvable_left
 
 SOLVABLE_GATE_TOL = 1e-8
 DRIFT_TOL = 1e-8
+# Entries of the D x D joint density matrix (D = chi q^L_R) an engine may
+# hold; 2^24 is D = 4096.
+DENSITY_ENTRY_CAP = 2 ** 24
 
 
 @dataclass
@@ -63,7 +66,8 @@ class EvolutionConfig:
 
     ``right_kets`` holds the chi kets |Psi_R^j> as rows (dimension q^{L_R});
     the gate/left-state pair must satisfy the left solvable condition, which
-    is a hard gate on configuration load.
+    is a hard gate on configuration load.  ``cap`` bounds the entries of the
+    joint density matrix (see ``joint_dimension``).
     """
 
     gate: TwoSiteGate
@@ -71,14 +75,15 @@ class EvolutionConfig:
     right_kets: np.ndarray
     l_r: int
     tmax: int
+    cap: int = DENSITY_ENTRY_CAP
     channel: BoundaryChannel = field(init=False)
-    unitary: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.l_r < 2:
-            raise ValueError("l_r must be >= 2")
+        if self.tmax < 0:
+            raise ValueError(f"tmax must be >= 0, got {self.tmax}")
         self.channel = build_channel(self.mps)
         q, chi = self.channel.q, self.channel.chi
+        joint_dimension(chi, q, self.l_r, self.cap)
         if q != self.gate.q:
             raise ValueError(f"gate q={self.gate.q} does not match left state q={q}")
         self.right_kets = np.asarray(self.right_kets, dtype=complex)
@@ -89,7 +94,6 @@ class EvolutionConfig:
             raise ValueError(
                 f"gate/left-state pair violates the solvable condition "
                 f"(residual {resid:.2e}); the Markov embedding would be unsound")
-        self.unitary = kron(np.eye(chi), brickwork_unitary(self.gate, self.l_r))
 
     @property
     def chi(self) -> int:
@@ -100,10 +104,25 @@ class EvolutionConfig:
         return self.channel.q
 
 
+def joint_dimension(chi: int, q: int, l_r: int, cap: int = DENSITY_ENTRY_CAP) -> int:
+    """D = chi q^{L_R}, after checking L_R >= 2 and that the D^2 entries of
+    the joint density matrix fit ``cap`` (CapacityError otherwise)."""
+    if l_r < 2:
+        raise ValueError("l_r must be >= 2")
+    d = chi * q ** l_r
+    if d * d > cap:
+        raise CapacityError(
+            f"joint density matrix would hold {d}^2 = {d * d} entries (cap {cap})")
+    return d
+
+
 def brickwork_unitary(gate: TwoSiteGate, l_r: int) -> np.ndarray:
     """One period of the brickwork restricted to the subsystem, open right
     boundary: odd-bond gates (1,2),(3,4),... composed after even-bond gates
     (0,1),(2,3),...
+
+    Dense q^{L_R} x q^{L_R} reference for ``conjugate_brickwork``; the engine
+    never builds it.
     """
     if l_r < 2:
         raise ValueError("l_r must be >= 2")
@@ -124,6 +143,34 @@ def _embed(u: np.ndarray, q: int, n: int, x: int) -> np.ndarray:
     return kron(left, u, right)
 
 
+def conjugate_brickwork(rho: np.ndarray, gate: TwoSiteGate, l_r: int) -> np.ndarray:
+    """(I_chi (x) U_R) rho (I_chi (x) U_R)^dag, one two-site gate at a time.
+
+    A gate on sites (x, x+1) acts on the row legs as one batched matmul on
+    the no-copy (chi q^x, q^2, rest) view of a C-ordered array; the column
+    legs are the row legs of the conjugate transpose, so the result is
+    (U (U rho)^dag)^dag.  Cost O(L_R q^2 D^2) with two D x D buffers; ``rho``
+    is left as it is.
+    """
+    q2 = gate.q ** 2
+    d = rho.shape[0]
+    batches = []
+    for x in [*range(0, l_r - 1, 2), *range(1, l_r - 1, 2)]:
+        before = d // gate.q ** (l_r - x)
+        # A stride-0 broadcast of the gate drops numpy's matmul off BLAS.
+        batches.append(np.broadcast_to(gate.matrix, (before, q2, q2)).copy())
+    bufs = [np.empty((d, d), dtype=complex), np.empty((d, d), dtype=complex)]
+    m, k = rho, 0
+    for _ in range(2):
+        for ub in batches:
+            shape = (ub.shape[0], q2, -1)
+            np.matmul(ub, m.reshape(shape), out=bufs[k].reshape(shape))
+            m, k = bufs[k], 1 - k
+        np.conjugate(m.T, out=bufs[k])
+        m, k = bufs[k], 1 - k
+    return m
+
+
 def initial_joint_state(cfg: EvolutionConfig) -> JointState:
     """rho(0) = |Psi~><Psi~| with |Psi~> = sum_j |j) (x) |Psi_R^j>, unit trace."""
     psi = cfg.right_kets.reshape(-1)
@@ -138,10 +185,10 @@ def step(s: JointState, cfg: EvolutionConfig) -> JointState:
     """One Floquet period: subsystem brickwork, then the boundary channel.
 
     Trace and Hermiticity are monitored every step (the quantities that can
-    drift under repeated dense products); the spectral positivity residual is
+    drift under repeated products); the spectral positivity residual is
     available through ``invariant_residuals``.
     """
-    rho = cfg.unitary @ s.rho @ dagger(cfg.unitary)
+    rho = conjugate_brickwork(s.rho, cfg.gate, cfg.l_r)
     rho = apply_channel(cfg.channel, rho)
     out = JointState(s.chi, s.q, s.l_r, rho, s.t + 1)
     tr_drift = abs(float(np.trace(rho).real) - 1.0)

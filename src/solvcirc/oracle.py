@@ -17,7 +17,6 @@ import numpy as np
 from .errors import CapacityError
 from .gates import TwoSiteGate
 from .linalg import renyi_trace
-from .linalg import trace_distance  # noqa: F401  (part of this module's surface)
 from .mps import MpsTensor
 from .solvable import _apply_pair
 
@@ -54,6 +53,8 @@ class ChainSpec:
         self.right_kets = np.asarray(self.right_kets, dtype=complex)
         if self.right_kets.shape != (self.chi, self.q ** self.l_r):
             raise ValueError(f"right_kets must have shape ({self.chi}, {self.q ** self.l_r})")
+        if self.tmax < 0:
+            raise ValueError(f"tmax must be >= 0, got {self.tmax}")
         if self.layer_order not in ("even_first", "odd_first"):
             raise ValueError("layer_order must be 'even_first' or 'odd_first'")
         if self.l_left < 2 * self.tmax:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from solvcirc import cli
+from solvcirc import evolve as ev
 from solvcirc import renyi as ry
 from solvcirc.cli import main
 from solvcirc.errors import (CapacityError, DominanceError, NumericalDriftError,
@@ -42,6 +43,16 @@ class TestCheck:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["check", "--config", str(bad)]) == 2
+
+    @pytest.mark.parametrize("command", ["check", "evolve"])
+    @pytest.mark.parametrize("text", ["[1, 2]", "3"])
+    def test_non_object_config_exits_two(self, tmp_path, capsys, command, text):
+        bad = tmp_path / "c.json"
+        bad.write_text(text)
+        assert main([command, "--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: config must be a JSON object")
+        assert err.count("\n") == 1
 
     def test_unknown_version_exits_two(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", version="99")
@@ -102,6 +113,42 @@ class TestEvolve:
         assert len(lines) == 2
         assert float(lines[1].split(",")[1]) < 1e-12  # S_ent of product start
 
+    def test_negative_tmax_exits_two_without_csv(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", tmax=-3)
+        out = tmp_path / "r.csv"
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: tmax must be >= 0")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["evolve", "oracle"])
+    def test_capacity_exits_three(self, tmp_path, capsys, monkeypatch, command):
+        # D = 2^4 = 16 needs 256 entries; the chain (2^6 amplitudes) fits.
+        # The right kets must not be built for a config over the cap.
+        def not_reached(*args):
+            raise AssertionError("right kets built for an over-cap engine")
+
+        monkeypatch.setenv("SOLVCIRC_CAP", "255")
+        monkeypatch.setattr(cli, "build_right_kets", not_reached)
+        cfg = write_config(tmp_path / "c.json", l_r=4, tmax=1, l_left=2,
+                           right_state={"product": [0, 0, 0, 0]})
+        out = tmp_path / "r.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("capacity error: joint density matrix would hold "
+                              "16^2 = 256 entries (cap 255)")
+        assert err.count("\n") == 1
+
+    def test_capacity_default_is_density_entry_cap(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("SOLVCIRC_CAP", raising=False)
+        monkeypatch.setattr(ev, "DENSITY_ENTRY_CAP", 255)
+        cfg = write_config(tmp_path / "c.json", l_r=4,
+                           right_state={"product": [0, 0, 0, 0]})
+        assert main(["evolve", "--config", str(cfg)]) == 3
+        assert "(cap 255)" in capsys.readouterr().err
+
     def test_pauli_observable_q2(self, tmp_path):
         cfg = write_config(tmp_path / "c.json",
                            observables=[{"site": 1, "op": "pauli:3"}])
@@ -130,6 +177,12 @@ class TestOracle:
     def test_lightcone_violation_exits_two(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", l_left=3, tmax=3)
         assert main(["oracle", "--config", str(cfg)]) == 2
+
+    def test_negative_tmax_exits_two(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", tmax=-3)
+        out = tmp_path / "o.csv"
+        assert main(["oracle", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_capacity_exits_three(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SOLVCIRC_CAP", "64")

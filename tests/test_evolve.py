@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from solvcirc.evolve import (EvolutionConfig, brickwork_unitary,
-                             entanglement_entropy, initial_joint_state,
+from solvcirc.errors import CapacityError
+from solvcirc.evolve import (DENSITY_ENTRY_CAP, EvolutionConfig, brickwork_unitary,
+                             conjugate_brickwork, entanglement_entropy,
+                             initial_joint_state, joint_dimension,
                              local_expectation, mps_continuation_kets, run,
                              step, subsystem_density)
 from solvcirc.gates import TwoSiteGate, random_gate, swap_matrix
-from solvcirc.linalg import dagger, make_rng, max_abs
+from solvcirc.linalg import dagger, kron, make_rng, max_abs
 from solvcirc.mps import ghz_cluster_family, product_state_mps
 
 
@@ -34,6 +38,43 @@ class TestConfig:
         kets = product_right_kets(1, 2, 2, 0)
         with pytest.raises(ValueError, match="solvable"):
             EvolutionConfig(gate, product_state_mps([1, 0]), kets, 2, 3)
+
+    def test_rejects_negative_tmax(self):
+        rng = make_rng(2)
+        gate = random_gate("q2_qt1", rng)
+        with pytest.raises(ValueError, match="tmax"):
+            EvolutionConfig(gate, product_state_mps([1, 0]),
+                            product_right_kets(1, 2, 2, 0), 2, -3)
+
+    def test_capacity_checked_before_right_kets(self):
+        # q=4, l_r=8, chi=2: D = 131072.  The kets have the wrong shape, so a
+        # config that skipped the cap would stop at the shape check instead.
+        gate = random_gate("general", make_rng(3), q=4, qt=2)
+        with pytest.raises(CapacityError, match="entries"):
+            EvolutionConfig(gate, ghz_cluster_family(np.pi / 4, 4),
+                            np.zeros((2, 4)), 8, 1)
+
+    def test_capacity_bound_is_inclusive(self):
+        cfg = saturation_config(tmax=0)
+        d = cfg.chi * cfg.q ** cfg.l_r
+        EvolutionConfig(cfg.gate, cfg.mps, cfg.right_kets, cfg.l_r, 0, cap=d * d)
+        with pytest.raises(CapacityError):
+            EvolutionConfig(cfg.gate, cfg.mps, cfg.right_kets, cfg.l_r, 0,
+                            cap=d * d - 1)
+
+    def test_joint_dimension(self):
+        assert joint_dimension(2, 2, 11) == 4096
+        assert 4096 ** 2 == DENSITY_ENTRY_CAP
+        with pytest.raises(CapacityError):
+            joint_dimension(2, 2, 12)
+        with pytest.raises(ValueError):
+            joint_dimension(2, 2, 1)
+
+    def test_holds_no_density_sized_array(self):
+        cfg = saturation_config(tmax=1)
+        step(initial_joint_state(cfg), cfg)  # caches the channel superoperator
+        d = cfg.chi * cfg.q ** cfg.l_r
+        assert max(_array_sizes(cfg)) < d * d
 
     def test_rejects_short_subsystem(self):
         rng = make_rng(2)
@@ -107,6 +148,68 @@ class TestBrickwork:
         rng = make_rng(7)
         with pytest.raises(ValueError):
             brickwork_unitary(random_gate("haar", rng), 1)
+
+
+def _array_sizes(obj, depth=0):
+    """Sizes of the numpy arrays reachable from ``obj`` through attributes,
+    lists and tuples (a few levels deep)."""
+    if isinstance(obj, np.ndarray):
+        yield obj.size
+    elif depth < 4:
+        if isinstance(obj, (list, tuple)):
+            items = obj
+        else:
+            items = vars(obj).values() if hasattr(obj, "__dict__") else ()
+        for v in items:
+            yield from _array_sizes(v, depth + 1)
+
+
+# gate family -> the local dimensions it is drawn at
+GATE_FAMILIES = {
+    "haar": (2, 3, 4), "swap": (2, 3, 4), "general": (2, 3, 4),
+    "q2_qt1": (2,), "q2_qt2": (2,), "both_chirality_q2": (2,),
+    "both_chirality_q4plus": (4,),
+}
+
+
+def dense_conjugation(rho, gate, chi, l_r):
+    u = kron(np.eye(chi), brickwork_unitary(gate, l_r))
+    return u @ rho @ dagger(u)
+
+
+def random_hermitian(d, rng):
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    h = a + dagger(a)
+    return h / np.linalg.norm(h)
+
+
+class TestMatrixFreePeriod:
+    @settings(max_examples=40, deadline=None)
+    @given(family_q=st.sampled_from(sorted(GATE_FAMILIES)).flatmap(
+               lambda f: st.tuples(st.just(f), st.sampled_from(GATE_FAMILIES[f]))),
+           seed=st.integers(0, 2 ** 31 - 1), chi=st.sampled_from([1, 2]),
+           l_r=st.integers(2, 5))
+    def test_matches_dense_brickwork(self, family_q, seed, chi, l_r):
+        family, q = family_q
+        d = chi * q ** l_r
+        assume(d <= 512)
+        rng = make_rng(seed)
+        gate = random_gate(family, rng, q=q, qt=2)
+        rho = random_hermitian(d, rng)
+        expect = dense_conjugation(rho, gate, chi, l_r)
+        assert max_abs(conjugate_brickwork(rho, gate, l_r) - expect) < 1e-12
+
+    def test_input_untouched_and_any_memory_order(self):
+        rng = make_rng(30)
+        gate = random_gate("haar", rng, q=3)
+        rho = random_hermitian(2 * 27, rng)
+        before = rho.copy()
+        out = conjugate_brickwork(rho, gate, 3)
+        assert np.array_equal(rho, before)
+        assert out.flags.c_contiguous
+        f_out = conjugate_brickwork(np.asfortranarray(rho), gate, 3)
+        assert np.array_equal(f_out, out)
+        assert max_abs(out - dense_conjugation(rho, gate, 2, 3)) < 1e-12
 
 
 class TestStep:

@@ -60,6 +60,13 @@ class TestBuildChain:
         with pytest.raises(ValueError):
             ChainSpec(gate, mps, kets, 9, 2, 4, purify=False)  # needs 2t+2
 
+    def test_rejects_negative_tmax(self):
+        rng = make_rng(3)
+        gate = random_gate("q2_qt1", rng)
+        kets = random_right_kets(1, 4, rng)
+        with pytest.raises(ValueError, match="tmax"):
+            ChainSpec(gate, product_state_mps([1, 0]), kets, 4, 2, -3)
+
 
 class TestEngineEquivalence:
     def test_q2_dressed_swap_cluster(self):
