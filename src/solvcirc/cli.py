@@ -44,6 +44,28 @@ EXIT_TABLE = (
 SCHEMA_VERSIONS = ("1",)
 
 
+def _json_int(value, name: str) -> int:
+    """A config field that must be a JSON integer: bool, float and str are
+    refused, not truncated or parsed."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def _json_int_list(value, name: str) -> list[int]:
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list of integers, got {json.dumps(value)}")
+    return [_json_int(v, f"{name} entry") for v in value]
+
+
+def _section(cfg: dict, key: str) -> dict:
+    """A config section that must be a JSON object."""
+    value = cfg[key]
+    if not isinstance(value, dict):
+        raise ValueError(f"{key} must be a JSON object, got {json.dumps(value)}")
+    return value
+
+
 def _capacity_cap(default: int) -> int:
     env = os.environ.get("SOLVCIRC_CAP")
     return int(env) if env else default
@@ -66,14 +88,14 @@ def load_config(path: str, seed_override: int | None = None) -> dict:
 
 def _gate_rng(cfg: dict, gate_spec: dict) -> np.random.Generator:
     if gate_spec.get("seed") is not None:
-        return make_rng(int(gate_spec["seed"]))
-    base = int(cfg.get("seed", 0))
+        return make_rng(_json_int(gate_spec["seed"], "gate seed"))
+    base = _json_int(cfg.get("seed", 0), "seed")
     child = np.random.SeedSequence(base).spawn(1)[0]
     return np.random.default_rng(child)
 
 
 def build_gate(cfg: dict) -> TwoSiteGate:
-    spec = cfg["gate"]
+    spec = _section(cfg, "gate")
     if "file" in spec:
         with open(spec["file"]) as fh:
             return ser.gate_from_json(json.load(fh))
@@ -86,30 +108,31 @@ def build_gate(cfg: dict) -> TwoSiteGate:
             "q2_qt1": lambda: g.gate_q2_qt1(p["phi"], p["eps"], p["eta"], p["j"],
                                             p["u"], p["v"]),
             "q2_qt2": lambda: g.gate_q2_qt2(p["phi"], p["u"]),
-            "general": lambda: g.gate_general(int(spec["q"]), int(spec["qt"]),
+            "general": lambda: g.gate_general(_json_int(spec["q"], "gate q"),
+                                              _json_int(spec["qt"], "gate qt"),
                                               p["phi"], p["v"], p["g"], p["f2"]),
             "both_chirality_q2": lambda: g.gate_both_chirality_q2(
                 p["phi"], p["eps"], p["epsp"], p["eta"], p["etap"], p["j3"]),
             "both_chirality_q4plus": lambda: g.gate_both_chirality_q4plus(
-                int(spec["q"]), p["phi"], p["uplus"], p["uminus"],
+                _json_int(spec["q"], "gate q"), p["phi"], p["uplus"], p["uminus"],
                 p["vplus"], p["vminus"], np.asarray(p["h"], dtype=float)),
         }
         if family not in builders:
             raise ValueError(f"family {family!r} does not accept explicit params")
         return builders[family]()
     rng = _gate_rng(cfg, spec)
-    return random_gate(family, rng, q=int(spec.get("q", 2)),
-                       qt=int(spec.get("qt", 2)), seed=spec.get("seed"))
+    return random_gate(family, rng, q=_json_int(spec.get("q", 2), "gate q"),
+                       qt=_json_int(spec.get("qt", 2), "gate qt"), seed=spec.get("seed"))
 
 
 def build_mps(cfg: dict):
-    spec = cfg["mps"]
+    spec = _section(cfg, "mps")
     if "file" in spec:
         with open(spec["file"]) as fh:
             return ser.left_state_from_json(json.load(fh))
     family = spec["family"]
     if family == "ghz_cluster":
-        return ghz_cluster_family(float(spec["theta"]), int(spec["q"]))
+        return ghz_cluster_family(float(spec["theta"]), _json_int(spec["q"], "mps q"))
     if family == "product":
         ket = np.array([complex(re, im) for re, im in spec["ket"]])
         return product_state_mps(ket)
@@ -117,10 +140,10 @@ def build_mps(cfg: dict):
 
 
 def build_right_kets(cfg: dict, mps, l_r: int) -> np.ndarray:
-    spec = cfg["right_state"]
+    spec = _section(cfg, "right_state")
     q, chi = mps.q, mps.chi
     if "product" in spec:
-        levels = [int(x) for x in spec["product"]]
+        levels = _json_int_list(spec["product"], "right_state product")
         if len(levels) != l_r:
             raise ValueError(f"product right state must list {l_r} levels")
         ket = np.zeros(q ** l_r, dtype=complex)
@@ -147,11 +170,27 @@ def build_right_kets(cfg: dict, mps, l_r: int) -> np.ndarray:
 def build_engine(cfg: dict, gate: TwoSiteGate, mps) -> ev.EvolutionConfig:
     """The engine config, its size checked against the capacity cap before
     the q^l_r right kets are built."""
-    l_r = int(cfg["l_r"])
+    l_r = _json_int(cfg["l_r"], "l_r")
+    tmax = _json_int(cfg["tmax"], "tmax")
     cap = _capacity_cap(ev.DENSITY_ENTRY_CAP)
     ev.joint_dimension(mps.chi, mps.q, l_r, cap)
     kets = build_right_kets(cfg, mps, l_r)
-    return ev.EvolutionConfig(gate, mps, kets, l_r, int(cfg["tmax"]), cap=cap)
+    return ev.EvolutionConfig(gate, mps, kets, l_r, tmax, cap=cap)
+
+
+def build_observables(cfg: dict, q: int) -> list[tuple[int, str, np.ndarray]]:
+    """(site, tag, matrix) per configured observable, sites checked against
+    l_r before any engine is built."""
+    l_r = _json_int(cfg["l_r"], "l_r")
+    obs = []
+    for o in cfg.get("observables", []):
+        site, tag = _json_int(o["site"], "observable site"), o["op"]
+        if not 0 <= site < l_r:
+            raise ValueError(f"observable site {site} out of range for l_r={l_r}")
+        if not isinstance(tag, str):
+            raise ValueError(f"observable op must be a string, got {json.dumps(tag)}")
+        obs.append((site, tag, parse_observable(tag, q)))
+    return obs
 
 
 def parse_observable(tag: str, q: int) -> np.ndarray:
@@ -241,10 +280,9 @@ def cmd_evolve(args) -> int:
     cfg = load_config(args.config, args.seed)
     gate = build_gate(cfg)
     mps = build_mps(cfg)
+    obs = build_observables(cfg, gate.q)
     econf = build_engine(cfg, gate, mps)
     tmax = econf.tmax
-    obs = [(int(o["site"]), o["op"], parse_observable(o["op"], gate.q))
-           for o in cfg.get("observables", [])]
     header = ["t", "S_ent", "trace_residual", "min_eig"] + \
              [f"site{site}:{tag}" for site, tag, _ in obs]
     rows = []
@@ -275,7 +313,8 @@ def cmd_oracle(args) -> int:
     econf = build_engine(cfg, gate, mps)
     tmax = econf.tmax
     layer_order = args.layer_order or cfg.get("layer_order", "even_first")
-    spec = orc.ChainSpec(gate, mps, econf.right_kets, int(cfg["l_left"]), econf.l_r,
+    l_left = _json_int(cfg["l_left"], "l_left")
+    spec = orc.ChainSpec(gate, mps, econf.right_kets, l_left, econf.l_r,
                          tmax, layer_order=layer_order,
                          purify=bool(cfg.get("purify", True)),
                          cap=_capacity_cap(orc.DEFAULT_AMPLITUDE_CAP))
@@ -301,8 +340,8 @@ def cmd_renyi(args) -> int:
     mps = build_mps(cfg)
     if not isinstance(mps, MpsTensor):
         raise ValueError("renyi machinery requires a one-site MPS")
-    n_list = [int(n) for n in cfg.get("n_list", [2])]
-    t_list = [int(t) for t in cfg.get("t_list", [1, 2])]
+    n_list = _json_int_list(cfg.get("n_list", [2]), "n_list")
+    t_list = _json_int_list(cfg.get("t_list", [1, 2]), "t_list")
     gate = build_gate(cfg) if (args.oracle or "gate" in cfg) else None
     header = ["n", "t", "trace_via_transfer", "trace_via_oracle", "lambda_n", "v_E"]
     rows = []
@@ -341,7 +380,7 @@ def cmd_fixed_point(args) -> int:
     mps = build_mps(cfg)
     if not isinstance(mps, MpsTensor):
         raise ValueError("fixed-point check requires a one-site MPS")
-    tsteps = args.tsteps if args.tsteps is not None else int(cfg.get("tmax", 2))
+    tsteps = args.tsteps if args.tsteps is not None else _json_int(cfg.get("tmax", 2), "tmax")
     solv = check_solvable_left(gate, mps)
     resid = verify_im_fixed_point(gate, mps, tsteps)
     print(json.dumps({"tsteps": tsteps, "solvable_left_residual": solv,

@@ -6,6 +6,7 @@ sampling takes an explicit ``numpy.random.Generator``.
 """
 from __future__ import annotations
 
+from math import prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -14,6 +15,17 @@ from .errors import CapacityError, PositivityError
 
 # per-axis cap for kron results (entries per axis)
 DEFAULT_DIM_CAP = 2 ** 18
+
+# Rows of d1 d2 after amplitudes shorter than this turn the batched matmul of
+# apply_two_site into a loop of tiny gemms, slower than a gemm against
+# kron(u, I_after)^T despite its after-fold flops (measured at 2^20
+# amplitudes for q = 2, 3, 4).
+_KRON_ROW_LIMIT = 128
+# The kron gemm runs over blocks of rows holding this many amplitudes (4 MiB):
+# one gemm over a whole 2^20-amplitude state has multithreaded OpenBLAS pack
+# panels that stay resident (+16 MB peak RSS at 64-amplitude rows), and the
+# blocks take the same time.
+_GEMM_BLOCK = 2 ** 18
 
 PAULI = (
     np.eye(2, dtype=complex),
@@ -68,6 +80,43 @@ def kron(*mats: np.ndarray, cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
     for m in mats[1:]:
         out = np.kron(out, m)
     return out
+
+
+def apply_two_site(psi: np.ndarray, u: np.ndarray, dims: Sequence[int],
+                   p1: int, p2: int) -> np.ndarray:
+    """Apply the two-site gate ``u`` to tensor factors p1 < p2 of ``psi``.
+
+    ``psi`` is a statevector whose C-order factors have dimensions ``dims``;
+    ``u`` is (d1 d2) x (d1 d2) with factor p1 as its slower index.  The gate
+    works on a no-copy view of ``psi`` and returns a new flat array, leaving
+    ``psi`` as it is.  Adjacent factors with rows of d1 d2 after >=
+    ``_KRON_ROW_LIMIT`` amplitudes are one batched matmul on the
+    (before, d1 d2, after) view; shorter rows are a gemm of the
+    (before, d1 d2 after) view against kron(u, I_after)^T, taken
+    ``_GEMM_BLOCK`` amplitudes at a time, or one gemm against u^T when
+    after == 1.  Non-adjacent factors are an einsum on the
+    (before, d1, mid, d2, after) view.
+    """
+    if not 0 <= p1 < p2 < len(dims):
+        raise ValueError(f"need 0 <= p1 < p2 < {len(dims)}, got p1={p1}, p2={p2}")
+    d1, d2 = dims[p1], dims[p2]
+    before, mid, after = prod(dims[:p1]), prod(dims[p1 + 1:p2]), prod(dims[p2 + 1:])
+    row = d1 * d2 * after
+    if mid > 1:
+        view = psi.reshape(before, d1, mid, d2, after)
+        out = np.einsum('ijkl,akmlc->aimjc', u.reshape(d1, d2, d1, d2), view)
+    elif after == 1:
+        out = psi.reshape(before, row) @ u.T
+    elif row < _KRON_ROW_LIMIT:
+        k = np.kron(u, np.eye(after)).T
+        rows = psi.reshape(before, row)
+        out = np.empty_like(rows, dtype=np.result_type(psi, u))
+        step = _GEMM_BLOCK // row
+        for s in range(0, before, step):
+            np.matmul(rows[s:s + step], k, out=out[s:s + step])
+    else:
+        out = np.matmul(u, psi.reshape(before, d1 * d2, after))
+    return out.reshape(-1)
 
 
 def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 from .channel import kraus_from_mps
 from .errors import CapacityError
 from .gates import TwoSiteGate, is_dual_unitary, swap_conjugate
-from .linalg import PAULI, dagger, kron, max_abs, reshuffle
+from .linalg import PAULI, apply_two_site, dagger, kron, max_abs, reshuffle
 from .mps import Lpdo, MpsTensor, TwoSiteMps, physical_matrices
 
 IM_ENTRY_CAP = 2 ** 24
@@ -259,12 +259,12 @@ def influence_matrix_bruteforce(u: TwoSiteGate, a: MpsTensor, tsteps: int,
     pair = np.eye(q, dtype=complex).reshape(-1)  # unnormalized sum_s |ss>
     for _ in range(tsteps):
         for x in even_bonds:
-            psi = _apply_pair(psi, u.matrix, dims, pos(x), pos(x) + 1)
+            psi = apply_two_site(psi, u.matrix, dims, pos(x), pos(x) + 1)
         psi = np.kron(psi, pair)
         dims += [q, q]
-        psi = _apply_pair(psi, u.matrix, dims, pos(-1), len(dims) - 1)
+        psi = apply_two_site(psi, u.matrix, dims, pos(-1), len(dims) - 1)
         for x in odd_bonds:
-            psi = _apply_pair(psi, u.matrix, dims, pos(x), pos(x) + 1)
+            psi = apply_two_site(psi, u.matrix, dims, pos(x), pos(x) + 1)
     keep = [1 + l_left] + list(range(2 + l_left, len(dims)))
     rho = _partial_trace_keep(psi, dims, keep)
     nleg = 1 + 2 * tsteps
@@ -275,18 +275,6 @@ def influence_matrix_bruteforce(u: TwoSiteGate, a: MpsTensor, tsteps: int,
         perm += [i, nleg + i]
     r = np.transpose(r, perm)
     return r.reshape((chi * chi,) + (q * q,) * (2 * tsteps))
-
-
-def _apply_pair(psi: np.ndarray, u: np.ndarray, dims: list[int], p1: int, p2: int) -> np.ndarray:
-    """Apply a two-site gate on (possibly nonadjacent) factors p1 < p2."""
-    n = len(dims)
-    t = psi.reshape(dims)
-    t = np.moveaxis(t, [p1, p2], [n - 2, n - 1])
-    lead = t.shape[:-2]
-    d2 = dims[p1] * dims[p2]
-    t = (t.reshape(-1, d2) @ u.T).reshape(*lead, dims[p1], dims[p2])
-    t = np.moveaxis(t, [n - 2, n - 1], [p1, p2])
-    return t.reshape(-1)
 
 
 def _partial_trace_keep(psi: np.ndarray, dims: list[int], keep: list[int]) -> np.ndarray:

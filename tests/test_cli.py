@@ -282,3 +282,66 @@ class TestFixedPoint:
         cfg = write_config(tmp_path / "c.json", tmax=2,
                            gate={"family": "haar", "seed": 12})
         assert main(["fixed-point", "--config", str(cfg)]) == 1
+
+
+Q4 = {"gate": {"family": "general", "q": 4, "qt": 2, "seed": 4},
+      "mps": {"family": "ghz_cluster", "q": 4, "theta": np.pi / 4},
+      "right_state": {"product": [2, 2]}}
+
+
+class TestStrictIntegers:
+    """Integer fields take JSON integers only; bool, float and str used to be
+    truncated or parsed by int() and the run went on with exit 0."""
+
+    @pytest.mark.parametrize("command,overrides,field", [
+        ("evolve", {"tmax": 2.9}, "tmax"),
+        ("evolve", {"tmax": True}, "tmax"),
+        ("evolve", {"l_r": "2"}, "l_r"),
+        ("oracle", {"l_left": 6.5}, "l_left"),
+        ("renyi", {"n_list": "23"}, "n_list"),
+        ("renyi", {"n_list": [2.5]}, "n_list entry"),
+        ("renyi", {"t_list": [1, True]}, "t_list entry"),
+        ("renyi", {"t_list": 2}, "t_list"),
+        ("fixed-point", {"tmax": 1.5}, "tmax"),
+        ("evolve", {**Q4, "gate": {**Q4["gate"], "q": 4.0}}, "gate q"),
+        ("evolve", {**Q4, "gate": {**Q4["gate"], "qt": "2"}}, "gate qt"),
+        ("evolve", {**Q4, "mps": {**Q4["mps"], "q": 4.0}}, "mps q"),
+        ("evolve", {"right_state": {"product": [0, 0.5]}}, "right_state product entry"),
+        ("evolve", {"observables": [{"site": 0.5, "op": "pauli:3"}]}, "observable site"),
+        ("evolve", {"observables": [{"site": True, "op": "pauli:3"}]}, "observable site"),
+        ("evolve", {"gate": {"family": "q2_qt1", "seed": 3.5}}, "gate seed"),
+        ("evolve", {"seed": "7", "gate": {"family": "q2_qt1"}}, "seed"),
+    ])
+    def test_non_integer_exits_two(self, tmp_path, capsys, command, overrides, field):
+        cfg = write_config(tmp_path / "c.json", **overrides)
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg)]
+        if command != "fixed-point":
+            argv += ["--out", str(out)]
+        assert main(argv) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {field} must be ")
+        assert err.count("\n") == 1
+
+    def test_observable_site_checked_before_the_engine(self, tmp_path, capsys,
+                                                       monkeypatch):
+        def not_reached(*args):
+            raise AssertionError("engine built for an out-of-range observable")
+
+        monkeypatch.setattr(cli, "build_engine", not_reached)
+        cfg = write_config(tmp_path / "c.json",
+                           observables=[{"site": 2, "op": "pauli:3"}])
+        assert main(["evolve", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == "configuration error: observable site 2 out of range for l_r=2\n"
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"right_state": "x"}, "right_state must be a JSON object"),
+        ({"mps": [1]}, "mps must be a JSON object"),
+        ({"observables": [{"site": 0, "op": 3}]}, "observable op must be a string"),
+    ])
+    def test_wrong_section_type_exits_two(self, tmp_path, capsys, overrides, message):
+        cfg = write_config(tmp_path / "c.json", **overrides)
+        assert main(["evolve", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: {message}")

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solvcirc.errors import CapacityError, PositivityError
-from solvcirc.linalg import (PAULI, dagger, expm_hermitian_generator,
+from solvcirc.linalg import (PAULI, apply_two_site, dagger, expm_hermitian_generator,
                              haar_unitary, kron, make_rng, max_abs,
                              partial_trace, renyi_trace, reshuffle,
                              trace_distance, von_neumann_entropy)
@@ -187,3 +189,57 @@ class TestTraceDistance:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             trace_distance(np.eye(2), np.eye(3))
+
+
+def reference_apply_pair(psi, u, dims, p1, p2):
+    """The moveaxis kernel: move legs p1, p2 to the end (a copy), multiply,
+    move them back (a second copy)."""
+    n = len(dims)
+    t = np.moveaxis(psi.reshape(dims), [p1, p2], [n - 2, n - 1])
+    lead = t.shape[:-2]
+    t = (t.reshape(-1, dims[p1] * dims[p2]) @ u.T).reshape(*lead, dims[p1], dims[p2])
+    return np.moveaxis(t, [n - 2, n - 1], [p1, p2]).reshape(-1)
+
+
+# site legs per q: enough that the first site pair has rows of >= 128
+# amplitudes (the matmul layout) while the last pairs have short rows (the
+# kron gemm, and u^T at after == 1)
+SITES = {2: 8, 3: 5, 4: 4}
+
+
+class TestApplyTwoSite:
+    @settings(max_examples=40, deadline=None)
+    @given(q=st.sampled_from(sorted(SITES)), lead=st.integers(1, 3),
+           trail=st.integers(1, 3), seed=st.integers(0, 2 ** 31 - 1), data=st.data())
+    def test_matches_moveaxis_reference(self, q, lead, trail, seed, data):
+        dims = [lead] + [q] * SITES[q] + [trail]
+        rng = make_rng(seed)
+        n = int(np.prod(dims))
+        psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        before = psi.copy()
+        p1 = data.draw(st.integers(0, len(dims) - 3), label="p1")
+        p2 = data.draw(st.integers(p1 + 2, len(dims) - 1), label="p2")
+        pairs = [(p, p + 1) for p in range(len(dims) - 1)] + [(p1, p2)]
+        for a, b in pairs:
+            u = haar_unitary(dims[a] * dims[b], rng)
+            out = apply_two_site(psi, u, dims, a, b)
+            assert out.shape == (n,)
+            assert max_abs(out - reference_apply_pair(psi, u, dims, a, b)) < 1e-14
+            assert np.array_equal(psi, before)
+
+    def test_state_of_several_gemm_blocks(self):
+        # 9 * 2^16 amplitudes: the kron gemm of the short-row pairs runs over
+        # several row blocks, the last of them partial
+        dims = [3] + [2] * 16 + [3]
+        rng = make_rng(40)
+        n = int(np.prod(dims))
+        psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        for p in range(len(dims) - 1):
+            u = haar_unitary(dims[p] * dims[p + 1], rng)
+            out = apply_two_site(psi, u, dims, p, p + 1)
+            assert max_abs(out - reference_apply_pair(psi, u, dims, p, p + 1)) < 1e-14
+
+    @pytest.mark.parametrize("p1,p2", [(1, 1), (2, 1), (-1, 1), (0, 3)])
+    def test_rejects_bad_positions(self, p1, p2):
+        with pytest.raises(ValueError):
+            apply_two_site(np.zeros(8, dtype=complex), np.eye(4), [2, 2, 2], p1, p2)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solvcirc.errors import CapacityError
 from solvcirc.evolve import EvolutionConfig, run, subsystem_density
@@ -112,6 +114,43 @@ class TestEngineEquivalence:
         chain = evolve_chain(spec)
         engine = run(EvolutionConfig(gate, mps, kets, 3, 2))
         assert trace_distance(chain[0], subsystem_density(engine[0])) < 1e-14
+
+
+# solvable gate family -> (local dimensions, left MPS kinds it is solvable on)
+SOLVABLE_PAIRS = {
+    "swap": ((2, 3, 4), ("ghz_cluster", "product")),
+    "general": ((2, 3, 4), ("ghz_cluster", "product")),
+    "q2_qt2": ((2,), ("ghz_cluster", "product")),
+    "q2_qt1": ((2,), ("product",)),
+    "both_chirality_q2": ((2,), ("product",)),
+    "both_chirality_q4plus": ((4,), ("ghz_cluster", "product")),
+}
+
+
+class TestEngineOracleProperty:
+    @settings(max_examples=30, deadline=None)
+    @given(family=st.sampled_from(sorted(SOLVABLE_PAIRS)),
+           seed=st.integers(0, 2 ** 31 - 1), data=st.data())
+    def test_engine_equals_chain(self, family, seed, data):
+        qs, kinds = SOLVABLE_PAIRS[family]
+        q = data.draw(st.sampled_from(qs), label="q")
+        kind = data.draw(st.sampled_from(kinds), label="mps")
+        rng = make_rng(seed)
+        gate = random_gate(family, rng, q=q, qt=2)
+        if kind == "ghz_cluster":
+            mps = ghz_cluster_family(rng.uniform(0.1, np.pi / 4), q)
+        else:
+            mps = product_state_mps(np.eye(q)[rng.integers(2)])
+        # the largest l_r with an engine dimension D = chi q^l_r <= 2^10
+        l_r_max = max(l for l in range(2, 11) if mps.chi * q ** l <= 2 ** 10)
+        l_r = data.draw(st.integers(2, l_r_max), label="l_r")
+        tmax = data.draw(st.integers(1, 2), label="tmax")
+        l_left = data.draw(st.integers(2 * tmax, 2 * tmax + 1), label="l_left")
+        kets = random_right_kets(mps.chi, q ** l_r, rng)
+        chain = evolve_chain(ChainSpec(gate, mps, kets, l_left, l_r, tmax))
+        engine = run(EvolutionConfig(gate, mps, kets, l_r, tmax))
+        for t in range(tmax + 1):
+            assert trace_distance(chain[t], subsystem_density(engine[t])) < 1e-10
 
 
 class TestLightconeInvariance:
