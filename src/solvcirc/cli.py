@@ -58,6 +58,29 @@ def _json_int_list(value, name: str) -> list[int]:
     return [_json_int(v, f"{name} entry") for v in value]
 
 
+def _json_float(value, name: str) -> float:
+    """A config field that must be a finite JSON number (an integer is taken
+    as its float): bool, str and NaN or infinite values are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} must be a finite number, got {json.dumps(value)}")
+    return float(value)
+
+
+def _json_bool(value, name: str) -> bool:
+    """A config field that must be JSON true or false, not any truthy value."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {json.dumps(value)}")
+    return value
+
+
+def _json_ket(value, name: str) -> np.ndarray:
+    """A ket written as a list of [re, im] pairs of JSON numbers."""
+    entry = f"{name} entry"
+    return np.array([complex(_json_float(re, entry), _json_float(im, entry))
+                     for re, im in value])
+
+
 def _section(cfg: dict, key: str) -> dict:
     """A config section that must be a JSON object."""
     value = cfg[key]
@@ -132,10 +155,10 @@ def build_mps(cfg: dict):
             return ser.left_state_from_json(json.load(fh))
     family = spec["family"]
     if family == "ghz_cluster":
-        return ghz_cluster_family(float(spec["theta"]), _json_int(spec["q"], "mps q"))
+        return ghz_cluster_family(_json_float(spec["theta"], "mps theta"),
+                                  _json_int(spec["q"], "mps q"))
     if family == "product":
-        ket = np.array([complex(re, im) for re, im in spec["ket"]])
-        return product_state_mps(ket)
+        return product_state_mps(_json_ket(spec["ket"], "mps ket"))
     raise ValueError(f"unknown mps family {family!r}")
 
 
@@ -155,12 +178,11 @@ def build_right_kets(cfg: dict, mps, l_r: int) -> np.ndarray:
         ket[idx] = 1.0
         return np.tile(ket, (chi, 1))
     if "kets" in spec:
-        kets = np.stack([np.array([complex(re, im) for re, im in k])
-                         for k in spec["kets"]])
+        kets = np.stack([_json_ket(k, "right_state ket") for k in spec["kets"]])
         if kets.shape != (chi, q ** l_r):
             raise ValueError(f"kets must have shape ({chi}, {q ** l_r})")
         return kets
-    if spec.get("mps_continuation"):
+    if _json_bool(spec.get("mps_continuation", False), "right_state mps_continuation"):
         if not isinstance(mps, MpsTensor):
             raise ValueError("mps_continuation requires a one-site MPS left state")
         return ev.mps_continuation_kets(mps, l_r)
@@ -316,7 +338,7 @@ def cmd_oracle(args) -> int:
     l_left = _json_int(cfg["l_left"], "l_left")
     spec = orc.ChainSpec(gate, mps, econf.right_kets, l_left, econf.l_r,
                          tmax, layer_order=layer_order,
-                         purify=bool(cfg.get("purify", True)),
+                         purify=_json_bool(cfg.get("purify", True), "purify"),
                          cap=_capacity_cap(orc.DEFAULT_AMPLITUDE_CAP))
     chain = orc.evolve_chain(spec)
     header = ["t", "trace_distance", "oracle_entropy", "engine_entropy"]

@@ -14,8 +14,8 @@ import numpy as np
 from .channel import (BoundaryChannel, apply_channel, kraus_from_lpdo,
                       kraus_from_mps, kraus_from_two_site)
 from .errors import CapacityError, NumericalDriftError
-from .linalg import (dagger, hermiticity_residual, kron, partial_trace,
-                     von_neumann_entropy)
+from .linalg import (hermiticity_residual, kron, min_eig_lower_bound,
+                     partial_trace, von_neumann_entropy)
 from .mps import Lpdo, MpsTensor, TwoSiteMps
 from .gates import TwoSiteGate
 from .solvable import check_solvable_left
@@ -44,9 +44,12 @@ class JointState:
             raise ValueError(f"rho shape {self.rho.shape} != ({d},{d})")
 
     def invariant_residuals(self) -> dict:
+        """Trace and Hermiticity residuals, and a certified lower bound on
+        the smallest eigenvalue of the Hermitian part of rho (equal to the
+        dense eigensolve unless rho has low rank)."""
         tr = float(np.trace(self.rho).real)
         herm = hermiticity_residual(self.rho)
-        min_eig = float(np.linalg.eigvalsh((self.rho + dagger(self.rho)) / 2).min())
+        min_eig = min_eig_lower_bound(self.rho)
         return {"trace": abs(tr - 1.0), "hermiticity": herm, "min_eig": min_eig}
 
 

@@ -26,6 +26,14 @@ _KRON_ROW_LIMIT = 128
 # panels that stay resident (+16 MB peak RSS at 64-amplitude rows), and the
 # blocks take the same time.
 _GEMM_BLOCK = 2 ** 18
+# Entries per row block of hermiticity_residual (4 MiB of complex128).
+_HERM_BLOCK = 2 ** 18
+# min_eig_lower_bound: width of the Gaussian range probe, the smallest
+# dimension that takes it (8 probe widths), and the residual norm below which
+# the probe's bound is returned (well under the 1e-10 positivity check).
+_PROBE_WIDTH = 32
+_PROBE_MIN_DIM = 8 * _PROBE_WIDTH
+_PROBE_RESIDUAL_TOL = 1e-12
 
 PAULI = (
     np.eye(2, dtype=complex),
@@ -55,7 +63,57 @@ def unitarity_residual(u: np.ndarray) -> float:
 
 
 def hermiticity_residual(m: np.ndarray) -> float:
-    return max_abs(m - dagger(m))
+    """max |m - m^dag| over the entries of a square matrix.
+
+    |m_ij - conj(m_ji)| is symmetric in (i, j), so only the upper triangle
+    is scanned, one block of rows at a time: no D x D temporary, and the
+    same value as ``max_abs(m - dagger(m))`` bit for bit.
+    """
+    m = np.asarray(m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"hermiticity_residual needs a square matrix, got {m.shape}")
+    d = m.shape[0]
+    step = max(1, _HERM_BLOCK // max(d, 1))
+    worst = 0.0
+    for s in range(0, d, step):
+        e = min(s + step, d)
+        worst = max(worst, max_abs(m[s:e, s:] - dagger(m[s:, s:e])))
+    return worst
+
+
+def min_eig_lower_bound(h: np.ndarray) -> float:
+    """A certified lower bound on the smallest eigenvalue of (h + h^dag)/2.
+
+    Randomized range finder (Halko, Martinsson and Tropp, SIAM Rev. 53, 217
+    (2011)): Q is an orthonormal basis of h Omega for a fixed-seed D x k
+    Gaussian probe Omega, A = herm(Q^dag h Q) and E = h - Q A Q^dag.  Q A Q^dag
+    has the eigenvalues of A and D - k zeros, so Weyl's inequality gives
+    lambda_min >= min(lambda_min(A), 0) - ||E||_F whatever Q is; the probe
+    sets only how tight the bound is.  On a state of rank below k this costs
+    O(D^2 k) instead of O(D^3).  When ||E||_F exceeds ``_PROBE_RESIDUAL_TOL``
+    (rank near or above k) or D < ``_PROBE_MIN_DIM``, the result is the dense
+    ``eigvalsh((h + h^dag)/2).min()``, bit for bit.  Deterministic: the same
+    h gives the same bytes.  Uses one D x D buffer.
+    """
+    h = np.asarray(h)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError(f"min_eig_lower_bound needs a square matrix, got {h.shape}")
+    d = h.shape[0]
+    buf = np.empty((d, d), dtype=complex)
+    if d >= _PROBE_MIN_DIM:
+        omega = make_rng(0).standard_normal((d, _PROBE_WIDTH))
+        q, _ = np.linalg.qr(h @ omega)
+        a = dagger(q) @ (h @ q)
+        a = (a + dagger(a)) / 2
+        np.matmul(q @ a, dagger(q), out=buf)
+        np.subtract(h, buf, out=buf)
+        resid = float(np.linalg.norm(buf))
+        if resid <= _PROBE_RESIDUAL_TOL:
+            return min(float(np.linalg.eigvalsh(a).min()), 0.0) - resid
+    np.conjugate(h.T, out=buf)
+    buf += h
+    buf /= 2
+    return float(np.linalg.eigvalsh(buf).min())
 
 
 def require_finite(m: np.ndarray, name: str = "matrix") -> np.ndarray:

@@ -345,3 +345,50 @@ class TestStrictIntegers:
         cfg = write_config(tmp_path / "c.json", **overrides)
         assert main(["evolve", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith(f"configuration error: {message}")
+
+
+class TestStrictFloatsAndBools:
+    """Float fields take JSON numbers and bool fields JSON true/false only:
+    float() parsed a string theta, and a truthy "false" turned purification
+    and the MPS continuation on, all with exit 0."""
+
+    @pytest.mark.parametrize("command,overrides,field", [
+        ("evolve", {**Q4, "mps": {**Q4["mps"], "theta": "0.5"}}, "mps theta"),
+        ("check", {**Q4, "mps": {**Q4["mps"], "theta": True}}, "mps theta"),
+        ("check", {**Q4, "mps": {**Q4["mps"], "theta": float("nan")}}, "mps theta"),
+        ("evolve", {"mps": {"family": "product", "ket": [[True, 0], [0, 0]]}},
+         "mps ket entry"),
+        ("evolve", {"right_state": {"kets": [[[1, 0], ["0", 0], [0, 0], [0, 0]]]}},
+         "right_state ket entry"),
+        ("evolve", {"right_state": {"mps_continuation": 1}}, "right_state mps_continuation"),
+        ("oracle", {"right_state": {"mps_continuation": "true"}},
+         "right_state mps_continuation"),
+        ("oracle", {"purify": "false"}, "purify"),
+        ("oracle", {"purify": 0}, "purify"),
+    ])
+    def test_wrong_type_exits_two(self, tmp_path, capsys, command, overrides, field):
+        cfg = write_config(tmp_path / "c.json", **overrides)
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg)]
+        if command != "check":
+            argv += ["--out", str(out)]
+        assert main(argv) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {field} must be ")
+        assert err.count("\n") == 1
+
+    def test_json_numbers_and_bools_accepted(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", purify=True,
+                           mps={"family": "product", "ket": [[1, 0.0], [0, 0]]},
+                           right_state={"kets": [[[1, 0], [0, 0], [0, 0], [0, 0]]]})
+        assert main(["oracle", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+    def test_purify_false_runs_without_purification(self, tmp_path, monkeypatch):
+        seen = []
+        real = cli.orc.evolve_chain
+        monkeypatch.setattr(cli.orc, "evolve_chain",
+                            lambda spec: seen.append(spec.purify) or real(spec))
+        cfg = write_config(tmp_path / "c.json", purify=False)
+        assert main(["oracle", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert seen == [False]

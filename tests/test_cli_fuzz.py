@@ -48,7 +48,7 @@ def paths(node, prefix=()):
 def wrong_types(value):
     """Values of other JSON types that a careless parser might still accept."""
     if isinstance(value, bool):
-        return [1, "true"]
+        return [1, "true", "false"]
     if isinstance(value, int):
         return [value + 0.5, True, str(value)]
     if isinstance(value, float):
@@ -120,6 +120,34 @@ def test_mutated_shipped_config(name, kind, tmp_path, capsys):
     cases = list(mutations(base_config(name), kind))
     assert cases
     assert faults(name, cases, tmp_path, capsys) == []
+
+
+# Float and bool fields, each with a subcommand that reads it: every wrong
+# JSON type must be refused with exit 2, where float() and bool() used to
+# accept "0.5" and "false".  ``purify`` is optional, so it is added first.
+STRICT_FIELDS = [
+    ("entropy_saturation.json", "mps.theta", "evolve"),
+    ("oracle_q4_general.json", "mps.theta", "check"),
+    ("renyi_cluster.json", "right_state.mps_continuation", "oracle"),
+    ("oracle_q2_dressed_swap.json", "purify", "oracle"),
+]
+
+
+@pytest.mark.parametrize("name,path,command", STRICT_FIELDS)
+def test_strict_field_refuses_wrong_types(name, path, command, tmp_path, capsys):
+    cfg = dict(base_config(name), purify=True)
+    cfg_path = tmp_path / "c.json"
+    argv = [command, "--config", str(cfg_path)]
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_cli(argv, capsys)[0] == 0
+    cases = [(label, mutant) for label, mutant in mutations(cfg, "wrong_type")
+             if label.startswith(f"wrong_type {path} ")]
+    assert cases
+    for label, mutant in cases:
+        cfg_path.write_text(json.dumps(mutant))
+        code, err = run_cli(argv, capsys)
+        assert code == 2, (label, err)
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))

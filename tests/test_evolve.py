@@ -224,6 +224,13 @@ class TestStep:
             assert res["min_eig"] > -1e-8
         assert s.t == 100
 
+    def test_min_eig_bounds_the_dense_value(self):
+        # D = 512 and rank far below it: the low-rank probe certifies min_eig
+        cfg = saturation_config(tmax=4)
+        for s in run(cfg):
+            exact = np.linalg.eigvalsh((s.rho + dagger(s.rho)) / 2).min()
+            assert exact - 1e-12 <= s.invariant_residuals()["min_eig"] <= exact + 1e-14
+
     def test_reset_boundary_site(self):
         # product |0> left state: site 0 is |0><0| after every step
         rng = make_rng(8)

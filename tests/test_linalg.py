@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from solvcirc.errors import CapacityError, PositivityError
-from solvcirc.linalg import (PAULI, apply_two_site, dagger, expm_hermitian_generator,
-                             haar_unitary, kron, make_rng, max_abs,
-                             partial_trace, renyi_trace, reshuffle,
-                             trace_distance, von_neumann_entropy)
+from solvcirc.linalg import (_PROBE_WIDTH, PAULI, apply_two_site, dagger,
+                             expm_hermitian_generator, haar_unitary,
+                             hermiticity_residual, kron, make_rng, max_abs,
+                             min_eig_lower_bound, partial_trace, renyi_trace,
+                             reshuffle, trace_distance, von_neumann_entropy)
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 
@@ -243,3 +244,126 @@ class TestApplyTwoSite:
     def test_rejects_bad_positions(self, p1, p2):
         with pytest.raises(ValueError):
             apply_two_site(np.zeros(8, dtype=complex), np.eye(4), [2, 2, 2], p1, p2)
+
+
+def hermitian(m):
+    """The Hermitian part of m, exactly Hermitian in floating point."""
+    return (m + dagger(m)) / 2
+
+
+def spectral_state(d, eigs, rng):
+    """V diag(eigs) V^dag for a random d x len(eigs) isometry V."""
+    x = rng.standard_normal((d, len(eigs))) + 1j * rng.standard_normal((d, len(eigs)))
+    v, _ = np.linalg.qr(x)
+    return hermitian((v * np.asarray(eigs)) @ dagger(v))
+
+
+def noise_floor(d, norm, rng):
+    """A full-rank Hermitian matrix of Frobenius norm ``norm``: below the
+    probe's residual tolerance, the bound must charge it."""
+    g = hermitian(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return norm * g / np.linalg.norm(g)
+
+
+def sweep_state(kind, d, rank, rng):
+    if kind in ("low_rank", "low_rank_noisy"):
+        w = rng.uniform(0.1, 1.0, min(rank, d))
+        h = spectral_state(d, w / w.sum(), rng)
+        if kind == "low_rank_noisy":
+            h = h + noise_floor(d, 5e-13, rng)
+        return h
+    if kind == "full_rank":
+        return hermitian(random_density(d, rng))
+    g = hermitian(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return g / np.linalg.norm(g)
+
+
+class TestMinEigLowerBound:
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["low_rank", "low_rank_noisy", "full_rank", "indefinite"]),
+           d=st.integers(16, 512), rank=st.integers(1, 16),
+           seed=st.integers(0, 2 ** 31 - 1))
+    def test_bounds_the_dense_minimum(self, kind, d, rank, seed):
+        h = sweep_state(kind, d, rank, make_rng(seed))
+        exact = np.linalg.eigvalsh(h).min()
+        bound = min_eig_lower_bound(h)
+        assert bound <= exact + 1e-14
+        if kind.startswith("low_rank"):
+            assert bound >= exact - 1e-12
+
+    @pytest.mark.parametrize("d", [512, 2048])
+    def test_planted_negative_eigenvalue(self, d):
+        rng = make_rng(d)
+        w = rng.uniform(0.1, 1.0, 8)
+        h = spectral_state(d, [*(w / w.sum()), -1e-9], rng)
+        bound = min_eig_lower_bound(h)
+        assert -1e-9 - 1e-12 <= bound <= -1e-9 * (1 - 1e-6)
+
+    def test_noise_floor_is_charged(self):
+        # the floor's most negative directions lie outside the probed range,
+        # so only ||E||_F takes the bound under the dense minimum (by 4e-14)
+        rng = make_rng(7)
+        h = spectral_state(256, [0.5, 0.3, 0.2], rng) + noise_floor(256, 8e-13, rng)
+        exact = np.linalg.eigvalsh(h).min()
+        bound = min_eig_lower_bound(h)
+        assert exact - 1e-12 <= bound <= exact + 1e-14
+
+    @pytest.mark.parametrize("rank", [_PROBE_WIDTH - 1, _PROBE_WIDTH, _PROBE_WIDTH + 1])
+    def test_rank_at_the_probe_width(self, rank):
+        # at rank = probe width, A is positive definite while rho is singular:
+        # the bound must still report the zero eigenvalues
+        rng = make_rng(rank)
+        h = spectral_state(512, rng.uniform(1e-3, 1.0, rank), rng)
+        exact = np.linalg.eigvalsh(h).min()
+        bound = min_eig_lower_bound(h)
+        assert exact - 1e-12 <= bound <= exact + 1e-14
+
+    @pytest.mark.parametrize("d", [64, 256, 512])
+    def test_full_rank_falls_back_to_dense(self, d):
+        rng = make_rng(d)
+        h = hermitian(random_density(d, rng))
+        assert min_eig_lower_bound(h) == np.linalg.eigvalsh(h).min()
+        # not quite Hermitian: the dense value of the Hermitian part, bit for bit
+        m = h + 1e-13 * rng.standard_normal((d, d))
+        assert min_eig_lower_bound(m) == np.linalg.eigvalsh((m + dagger(m)) / 2).min()
+
+    def test_deterministic_and_input_untouched(self):
+        rng = make_rng(12)
+        h = spectral_state(512, rng.uniform(0.1, 1.0, 10) / 5, rng)
+        before = h.copy()
+        first = min_eig_lower_bound(h)
+        make_rng(0).standard_normal(100)
+        second = min_eig_lower_bound(h)
+        assert np.float64(first).tobytes() == np.float64(second).tobytes()
+        assert np.array_equal(h, before)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (1, 3), (4,)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValueError):
+            min_eig_lower_bound(np.zeros(shape, dtype=complex))
+
+
+class TestHermiticityResidual:
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.integers(0, 1100), scale=st.sampled_from([0.0, 1e-13, 1.0]),
+           transpose=st.booleans(), seed=st.integers(0, 2 ** 31 - 1))
+    def test_matches_dense_expression(self, d, scale, transpose, seed):
+        rng = make_rng(seed)
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        m = hermitian(g) + scale * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        if transpose:
+            m = m.T
+        assert hermiticity_residual(m) == max_abs(m - dagger(m))
+
+    @pytest.mark.parametrize("i,j", [(0, 1099), (1099, 0), (1099, 1099), (500, 499)])
+    def test_finds_a_single_defect_in_any_block(self, i, j):
+        # 1100 rows span five row blocks, the last one partial
+        rng = make_rng(1)
+        m = hermitian(rng.standard_normal((1100, 1100)) + 1j * rng.standard_normal((1100, 1100)))
+        m[i, j] += 1e-3j
+        assert hermiticity_residual(m) == max_abs(m - dagger(m)) >= 1e-3
+
+    @pytest.mark.parametrize("shape", [(3, 4), (1, 3), (4,)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValueError):
+            hermiticity_residual(np.zeros(shape, dtype=complex))
