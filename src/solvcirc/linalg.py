@@ -242,14 +242,15 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
 
 
 def renyi_trace(rho: np.ndarray, n: int) -> float:
-    """Tr[rho^n] for Hermitian rho via eigenvalues, n >= 2."""
+    """Tr[rho^n] for Hermitian rho, n >= 2, without an eigensolve: with
+    p = rho^(n//2) it is vdot(p, p) for even n and vdot(p, rho @ p) for odd n."""
     if n < 2:
         raise ValueError("renyi_trace requires n >= 2")
     rho = require_finite(rho, "rho")
     if hermiticity_residual(rho) > 1e-8:
         raise ValueError("rho is not Hermitian within tolerance")
-    w = np.linalg.eigvalsh(rho)
-    return float(np.sum(w ** n))
+    p = np.linalg.matrix_power(rho, n // 2)
+    return float(np.vdot(p, p if n % 2 == 0 else rho @ p).real)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator, special: bool = False) -> np.ndarray:

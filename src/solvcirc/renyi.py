@@ -17,7 +17,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import CapacityError, DominanceError
-from .linalg import max_abs, von_neumann_entropy
+from .linalg import max_abs, renyi_trace, von_neumann_entropy
 from .mps import MpsTensor, check_left_canonical, check_right_canonical
 
 TRANSFER_DIM_CAP = 4096
@@ -162,36 +162,36 @@ def _temporal_rho_odd(a: MpsTensor, t: int) -> np.ndarray:
 
     |phi> carries 4t physical legs plus bond legs at both ends; the left bond
     joins the even (traced) part E, the right bond the odd part O.  Built
-    unnormalized: <phi|phi> = chi, so Tr[rho_O] = chi.
+    unnormalized: <phi|phi> = chi, so Tr[rho_O] = chi.  Contracted site by
+    site on x[(ket odd legs), (bra odd legs), (b, b')] from the traced left
+    bond x = I: each odd site appends A to the ket and A* to the bra, and the
+    even site after it is traced by E = sum_a A^(a) (x) A^(a)*, one matmul by
+    f for the pair.  Neither phi nor any 4t-leg transpose is formed.
     """
     q, chi = a.q, a.chi
-    sites = 4 * t
-    amps = chi * chi * q ** sites
+    amps = chi * chi * q ** (4 * t)
     if amps > TEMPORAL_AMPLITUDE_CAP:
         raise CapacityError(f"temporal state would hold {amps} amplitudes")
-    block = np.eye(chi, dtype=complex).reshape(chi, 1, chi)
-    for _ in range(sites):
-        block = np.einsum('jxi,aik->jxak', block, a.mats).reshape(chi, -1, chi)
-    phi = block.reshape((chi,) + (q,) * sites + (chi,))
-    odd_axes = [i for i in range(1, sites + 1) if i % 2 == 1] + [sites + 1]
-    even_axes = [0] + [i for i in range(1, sites + 1) if i % 2 == 0]
-    phi = np.transpose(phi, even_axes + odd_axes)
-    de = int(np.prod([chi] + [q] * (sites // 2)))
-    m = phi.reshape(de, -1)
-    return np.einsum('eo,ep->op', m, m.conj(), optimize=True)
+    e = np.einsum('aij,akl->ikjl', a.mats, a.mats.conj()).reshape(chi, chi, -1)
+    f = np.einsum('aij,bkl,jlm->ikabm', a.mats, a.mats.conj(), e).reshape(chi * chi, -1)
+    x, o = np.eye(chi, dtype=complex).reshape(1, -1), 1
+    for _ in range(2 * t):
+        x = (x @ f).reshape(o, o, q, q, -1).transpose(0, 2, 1, 3, 4).reshape(-1, chi * chi)
+        o *= q
+    return x.reshape(o, o, chi, chi).transpose(0, 2, 1, 3).reshape(o * chi, o * chi)
 
 
 def temporal_renyi_trace(a: MpsTensor, n: int, t: int) -> float:
     """Tr[rho_O^n] of the unnormalized temporal state; equals
     renyi_trace_via_transfer(a, n, t) by the space-time duality."""
+    if t < 0:
+        raise ValueError("t must be >= 0")
     if n < 2:
         raise ValueError("n must be >= 2")
     if t == 0:
         return float(a.chi)
     _require_both_canonical(a)
-    rho = _temporal_rho_odd(a, t)
-    w = np.linalg.eigvalsh(rho)
-    return float(np.sum(w ** n))
+    return renyi_trace(_temporal_rho_odd(a, t), n)
 
 
 def temporal_state_entropy(a: MpsTensor, t: int, n: int | None = None) -> float:
@@ -202,6 +202,8 @@ def temporal_state_entropy(a: MpsTensor, t: int, n: int | None = None) -> float:
     n >= 2 the Renyi entropy ln(Tr[rho_O^n])/(1-n) of the normalized state is
     returned.  t=0 is the empty chain (entropy 0).
     """
+    if t < 0:
+        raise ValueError("t must be >= 0")
     if t == 0:
         return 0.0
     _require_both_canonical(a)
@@ -211,5 +213,4 @@ def temporal_state_entropy(a: MpsTensor, t: int, n: int | None = None) -> float:
         return von_neumann_entropy(rho)
     if n < 2:
         raise ValueError("n must be >= 2 (or None for von Neumann)")
-    w = np.linalg.eigvalsh(rho)
-    return float(np.log(np.sum(w ** n)) / (1 - n))
+    return float(np.log(renyi_trace(rho, n)) / (1 - n))

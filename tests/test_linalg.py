@@ -152,6 +152,48 @@ class TestEntropies:
             renyi_trace(np.eye(2) / 2, 1)
 
 
+def random_psd(dim, rank, rng):
+    x = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    return x @ dagger(x)
+
+
+class TestRenyiTrace:
+    """Tr[rho^n] from Hermitian powers against the eigenvalue sum."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 31 - 1), dim=st.integers(1, 48),
+           rank_frac=st.sampled_from([0.25, 0.5, 1.0]), scale=st.floats(1e-3, 1e3))
+    def test_matches_eigenvalue_sum(self, seed, dim, rank_frac, scale):
+        rng = make_rng(seed)
+        rho = scale * random_psd(dim, max(1, int(rank_frac * dim)), rng)
+        w = np.linalg.eigvalsh(rho)
+        for n in range(2, 9):
+            ref = np.sum(w ** n)
+            assert abs(renyi_trace(rho, n) - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("dim,rank", [(16, 16), (16, 3), (64, 64), (64, 1)])
+    def test_each_n_on_fixed_states(self, dim, rank):
+        rho = random_psd(dim, rank, make_rng(dim + rank))
+        rho /= np.trace(rho).real
+        w = np.linalg.eigvalsh(rho)
+        for n in range(2, 9):
+            ref = np.sum(w ** n)
+            assert abs(renyi_trace(rho, n) - ref) <= 1e-12 * ref
+
+    def test_rejects_non_hermitian(self):
+        rho = np.eye(3, dtype=complex) / 3
+        rho[0, 1] = 1e-6
+        with pytest.raises(ValueError, match="not Hermitian"):
+            renyi_trace(rho, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        rho = np.eye(3, dtype=complex) / 3
+        rho[1, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            renyi_trace(rho, 3)
+
+
 class TestHaar:
     def test_unitary(self):
         u = haar_unitary(7, make_rng(6))

@@ -9,7 +9,8 @@ from solvcirc.gates import TwoSiteGate, random_gate, swap_matrix
 from solvcirc.linalg import haar_unitary, make_rng, max_abs
 from solvcirc.mps import MpsTensor, ghz_cluster_family, product_state_mps
 from solvcirc.oracle import renyi_trace_chain
-from solvcirc.renyi import (TRANSFER_DIM_CAP, dominant_eigenvalue,
+from solvcirc.renyi import (TEMPORAL_AMPLITUDE_CAP, TRANSFER_DIM_CAP,
+                            _temporal_rho_odd, dominant_eigenvalue,
                             entanglement_velocity, pairing_vector,
                             renyi_trace_via_transfer, temporal_renyi_trace,
                             temporal_state_entropy, transfer_matrix,
@@ -74,6 +75,30 @@ def assert_matches_reference(a, n):
     got = transfer_matrix(a, n).matrix
     assert got.shape == ref.shape
     assert max_abs(got - ref) <= 1e-12 * max_abs(ref)
+
+
+def reference_temporal_rho_odd(a, t):
+    """rho_O from the full 4t-site temporal state: build phi, move the even
+    legs (left bond, even sites) to the front and contract them."""
+    q, chi = a.q, a.chi
+    sites = 4 * t
+    block = np.eye(chi, dtype=complex).reshape(chi, 1, chi)
+    for _ in range(sites):
+        block = np.einsum('jxi,aik->jxak', block, a.mats).reshape(chi, -1, chi)
+    phi = block.reshape((chi,) + (q,) * sites + (chi,))
+    odd_axes = [i for i in range(1, sites + 1) if i % 2 == 1] + [sites + 1]
+    even_axes = [0] + [i for i in range(1, sites + 1) if i % 2 == 0]
+    phi = np.transpose(phi, even_axes + odd_axes)
+    de = int(np.prod([chi] + [q] * (sites // 2)))
+    m = phi.reshape(de, -1)
+    return np.einsum('eo,ep->op', m, m.conj(), optimize=True)
+
+
+def temporal_t_max(q, chi):
+    t = 0
+    while chi * chi * q ** (4 * (t + 1)) <= TEMPORAL_AMPLITUDE_CAP:
+        t += 1
+    return t
 
 
 class TestPairingVector:
@@ -312,3 +337,45 @@ class TestTemporalState:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             temporal_renyi_trace(ghz_cluster_family(np.pi / 4, 4), 2, 4)
+
+    @pytest.mark.parametrize("t", [-1, -3])
+    def test_negative_t_rejected(self, t):
+        mps = cluster()
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            temporal_renyi_trace(mps, 2, t)
+        for n in (None, 2):
+            with pytest.raises(ValueError, match="t must be >= 0"):
+                temporal_state_entropy(mps, t, n)
+
+
+class TestTemporalBuilder:
+    """The site-by-site rho_O against the full-state reference, for every t
+    that TEMPORAL_AMPLITUDE_CAP admits."""
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    @pytest.mark.parametrize("chi", [1, 2])
+    def test_matches_full_state_reference(self, q, chi):
+        tensors = [haar_site(chi, q, seed=7 * q + chi)]
+        if chi == 2:
+            tensors.append(ghz_cluster_family(0.6, q))
+        t_max = temporal_t_max(q, chi)
+        assert t_max >= 2
+        for mps in tensors:
+            for t in range(1, t_max + 1):
+                got = _temporal_rho_odd(mps, t)
+                ref = reference_temporal_rho_odd(mps, t)
+                assert got.shape == ref.shape == (chi * q ** (2 * t),) * 2
+                assert max_abs(got - ref) <= 1e-14
+
+    @settings(max_examples=30, deadline=None)
+    @given(theta=st.floats(0.05, np.pi / 4), q=st.sampled_from([2, 3, 4]),
+           seed=st.integers(0, 2 ** 31 - 1), n=st.integers(2, 5), t=st.integers(1, 3))
+    def test_duality_sweep(self, theta, q, seed, n, t):
+        for mps in (ghz_cluster_family(theta, q), haar_site(2, q, seed)):
+            if t > temporal_t_max(q, mps.chi):
+                with pytest.raises(CapacityError):
+                    temporal_renyi_trace(mps, n, t)
+                continue
+            transfer = renyi_trace_via_transfer(mps, n, t)
+            temporal = temporal_renyi_trace(mps, n, t)
+            assert abs(temporal - transfer) <= 1e-10 * abs(transfer)

@@ -8,6 +8,7 @@ import pytest
 from solvcirc.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
 def test_config_dir_present():
@@ -51,6 +52,16 @@ def test_renyi_config_cross_checks(tmp_path):
     for f in rows:
         assert abs(float(f[2]) - float(f[3])) < 1e-8
         assert 0.0 <= float(f[5]) <= 2.0 + 1e-8
+
+
+def test_renyi_oracle_output_pinned(tmp_path):
+    # tests/data/renyi_cluster_oracle.csv is the committed output of
+    # `solvcirc renyi --oracle --config configs/renyi_cluster.json`
+    out = tmp_path / "renyi.csv"
+    code = main(["renyi", "--config", str(CONFIG_DIR / "renyi_cluster.json"),
+                 "--oracle", "--out", str(out)])
+    assert code == 0
+    assert out.read_bytes() == (DATA_DIR / "renyi_cluster_oracle.csv").read_bytes()
 
 
 def test_fixed_point_config(capsys):
