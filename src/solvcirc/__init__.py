@@ -13,7 +13,7 @@ from .errors import (CapacityError, DominanceError, NumericalDriftError,
                      PositivityError)
 from .evolve import (EvolutionConfig, JointState, brickwork_unitary,
                      entanglement_entropy, initial_joint_state, local_expectation,
-                     mps_continuation_kets, run, step, subsystem_density)
+                     mps_continuation_kets, states, step, subsystem_density)
 from .gates import (PauliCoefficients, TwoSiteGate, cartan_gate,
                     gate_both_chirality_q2, gate_both_chirality_q4plus,
                     gate_general, gate_q2_qt1, gate_q2_qt2, is_dual_unitary,
@@ -23,9 +23,9 @@ from .linalg import (expm_hermitian_generator, haar_unitary, kron, make_rng,
                      von_neumann_entropy)
 from .mps import (Lpdo, MpsTensor, TwoSiteMps, check_left_canonical,
                   check_right_canonical, check_two_site_canonical,
-                  ghz_cluster_family, lpdo_check_canonical, product_state_mps,
-                  random_left_canonical, random_lpdo, subspace_dimension,
-                  two_site_from_pair)
+                  ghz_cluster_family, left_block, lpdo_check_canonical,
+                  product_state_mps, random_left_canonical, random_lpdo,
+                  subspace_dimension, two_site_from_pair)
 from .oracle import ChainSpec, build_initial_chain, evolve_chain, renyi_trace_chain
 from .renyi import (PairingVector, ReplicaTransferMatrix, entanglement_velocity,
                     pairing_vector, renyi_trace_via_transfer, temporal_renyi_trace,

@@ -4,6 +4,15 @@ Tracing out the semi-infinite left region leaves, per Floquet period, one
 CPTP map acting on the ancilla (the MPS bond space at the cut) together with
 the leftmost subsystem site x=0.  Tensor-factor order everywhere is
 ancilla (x) site0 (x) site1 (x) ...
+
+Every left state fills in one formula,
+
+    K_{(a,g),(a',g')} = sum_b A^(b,g') B^(a,g) (x) |b><a'|,
+
+with Kraus operators listed in (a, g, a', g') row-major order.  A carries
+the left factor of each product and B the right one: for a pure MPS both
+are the one-site tensor, for the alternating cell they are its A and B
+tensors, and only an LPDO has a purification index g (of size 1 otherwise).
 """
 from __future__ import annotations
 
@@ -11,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dagger, kron, max_abs
+from .linalg import dagger, max_abs
 from .mps import (Lpdo, MpsTensor, TwoSiteMps, check_left_canonical,
                   check_two_site_canonical, lpdo_check_canonical)
 
@@ -45,10 +54,16 @@ class BoundaryChannel:
         return self._super
 
 
-def _site_unit(q: int, b: int, ap: int) -> np.ndarray:
-    m = np.zeros((q, q), dtype=complex)
-    m[b, ap] = 1.0
-    return m
+def _kraus(left: np.ndarray, right: np.ndarray) -> list[np.ndarray]:
+    """The Kraus list of the module formula from stacks A = ``left``
+    (q, d, chi, chip) and B = ``right`` (q, d, chip, chi)."""
+    q, d, chi = left.shape[0], left.shape[1], left.shape[2]
+    prod = np.matmul(left[:, :, None, None], right[None, None])  # [b, g', a, g]
+    ks = np.zeros((q, d, q, d, chi, q, chi, q), dtype=complex)
+    for ap in range(q):
+        # += rather than = turns a -0.0 product entry into +0.0
+        ks[:, :, ap, :, :, :, :, ap] += prod.transpose(2, 3, 1, 4, 0, 5)
+    return list(ks.reshape(-1, chi * q, chi * q))
 
 
 def kraus_from_mps(a: MpsTensor) -> BoundaryChannel:
@@ -60,14 +75,7 @@ def kraus_from_mps(a: MpsTensor) -> BoundaryChannel:
     resid = check_left_canonical(a)
     if resid > CANONICAL_ATOL:
         raise ValueError(f"tensor is not left-canonical (residual {resid:.2e})")
-    ks = []
-    for ai in range(a.q):
-        for ap in range(a.q):
-            k = np.zeros((a.chi * a.q, a.chi * a.q), dtype=complex)
-            for b in range(a.q):
-                k += kron(a.mats[b] @ a.mats[ai], _site_unit(a.q, b, ap))
-            ks.append(k)
-    return BoundaryChannel(a.chi, a.q, ks)
+    return BoundaryChannel(a.chi, a.q, _kraus(a.mats[:, None], a.mats[:, None]))
 
 
 def kraus_from_two_site(t: TwoSiteMps) -> BoundaryChannel:
@@ -75,14 +83,7 @@ def kraus_from_two_site(t: TwoSiteMps) -> BoundaryChannel:
     resid = check_two_site_canonical(t)
     if resid > CANONICAL_ATOL:
         raise ValueError(f"unit cell is not canonical (residual {resid:.2e})")
-    ks = []
-    for ai in range(t.q):
-        for ap in range(t.q):
-            k = np.zeros((t.chi * t.q, t.chi * t.q), dtype=complex)
-            for b in range(t.q):
-                k += kron(t.mats_a[b] @ t.mats_b[ai], _site_unit(t.q, b, ap))
-            ks.append(k)
-    return BoundaryChannel(t.chi, t.q, ks)
+    return BoundaryChannel(t.chi, t.q, _kraus(t.mats_a[:, None], t.mats_b[:, None]))
 
 
 def kraus_from_lpdo(l: Lpdo) -> BoundaryChannel:
@@ -94,16 +95,7 @@ def kraus_from_lpdo(l: Lpdo) -> BoundaryChannel:
     resid = lpdo_check_canonical(l)
     if resid > CANONICAL_ATOL:
         raise ValueError(f"LPDO is not canonical (residual {resid:.2e})")
-    ks = []
-    for ai in range(l.q):
-        for g in range(l.d):
-            for ap in range(l.q):
-                for gp in range(l.d):
-                    k = np.zeros((l.chi * l.q, l.chi * l.q), dtype=complex)
-                    for b in range(l.q):
-                        k += kron(l.mats[b, gp] @ l.mats[ai, g], _site_unit(l.q, b, ap))
-                    ks.append(k)
-    return BoundaryChannel(l.chi, l.q, ks)
+    return BoundaryChannel(l.chi, l.q, _kraus(l.mats, l.mats))
 
 
 def check_cptp(c: BoundaryChannel) -> float:

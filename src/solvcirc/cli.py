@@ -11,9 +11,11 @@ density-matrix entries.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -22,7 +24,7 @@ from . import oracle as orc
 from . import renyi as ry
 from . import serialize as ser
 from .errors import CapacityError, DominanceError, NumericalDriftError, PositivityError
-from .gates import TwoSiteGate, random_gate
+from .gates import EXPLICIT_FAMILIES, TwoSiteGate, random_gate
 from .linalg import PAULI, make_rng, trace_distance, von_neumann_entropy
 from .mps import MpsTensor, ghz_cluster_family, product_state_mps
 from .solvable import check_solvable_left, solvability_report, verify_im_fixed_point
@@ -124,25 +126,12 @@ def build_gate(cfg: dict) -> TwoSiteGate:
             return ser.gate_from_json(json.load(fh))
     family = spec["family"]
     if "params" in spec:
-        p = {k: ser._param_from_json(v) for k, v in spec["params"].items()}
-        from . import gates as g
-        builders = {
-            "cartan": lambda: g.cartan_gate(p["j1"], p["j2"], p["j3"]),
-            "q2_qt1": lambda: g.gate_q2_qt1(p["phi"], p["eps"], p["eta"], p["j"],
-                                            p["u"], p["v"]),
-            "q2_qt2": lambda: g.gate_q2_qt2(p["phi"], p["u"]),
-            "general": lambda: g.gate_general(_json_int(spec["q"], "gate q"),
-                                              _json_int(spec["qt"], "gate qt"),
-                                              p["phi"], p["v"], p["g"], p["f2"]),
-            "both_chirality_q2": lambda: g.gate_both_chirality_q2(
-                p["phi"], p["eps"], p["epsp"], p["eta"], p["etap"], p["j3"]),
-            "both_chirality_q4plus": lambda: g.gate_both_chirality_q4plus(
-                _json_int(spec["q"], "gate q"), p["phi"], p["uplus"], p["uminus"],
-                p["vplus"], p["vminus"], np.asarray(p["h"], dtype=float)),
-        }
-        if family not in builders:
+        if family not in EXPLICIT_FAMILIES:
             raise ValueError(f"family {family!r} does not accept explicit params")
-        return builders[family]()
+        builder, names = EXPLICIT_FAMILIES[family]
+        p = {k: ser.param_from_json(v) for k, v in _section(spec, "params").items()}
+        return builder(*[_json_int(spec[n], f"gate {n}") if n in ("q", "qt") else p[n]
+                         for n in names])
     rng = _gate_rng(cfg, spec)
     return random_gate(family, rng, q=_json_int(spec.get("q", 2), "gate q"),
                        qt=_json_int(spec.get("qt", 2), "gate qt"), seed=spec.get("seed"))
@@ -235,6 +224,8 @@ def parse_observable(tag: str, q: int) -> np.ndarray:
         vals = [float(x) for x in arg.split(",")]
         if len(vals) != q:
             raise ValueError(f"diag needs {q} entries")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError(f"diag entries must be finite, got {arg!r}")
         return np.diag(vals).astype(complex)
     raise ValueError(f"unknown observable {tag!r}")
 
@@ -248,13 +239,10 @@ def _one_line(exc: BaseException) -> str:
 
 
 def _write_csv(path: str | None, header: list[str], rows: list[list[str]]):
-    lines = [",".join(header)] + [",".join(r) for r in rows]
-    text = "\n".join(lines) + "\n"
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Minimal quoting: only a field holding a comma (a ``diag:v0,v1`` tag)
+    is quoted."""
+    with open(path, "w", newline="") if path else nullcontext(sys.stdout) as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
 
 # ---------------------------------------------------------------------------
@@ -304,20 +292,16 @@ def cmd_evolve(args) -> int:
     mps = build_mps(cfg)
     obs = build_observables(cfg, gate.q)
     econf = build_engine(cfg, gate, mps)
-    tmax = econf.tmax
     header = ["t", "S_ent", "trace_residual", "min_eig"] + \
              [f"site{site}:{tag}" for site, tag, _ in obs]
     rows = []
-    state = ev.initial_joint_state(econf)
     try:
-        for t in range(tmax + 1):
+        for state in ev.states(econf):
             res = state.invariant_residuals()
-            row = [str(t), _fmt(ev.entanglement_entropy(state)),
+            row = [str(state.t), _fmt(ev.entanglement_entropy(state)),
                    _fmt(res["trace"]), _fmt(res["min_eig"])]
             row += [_fmt(ev.local_expectation(state, site, op)) for site, _, op in obs]
             rows.append(row)
-            if t < tmax:
-                state = ev.step(state, econf)
     except NumericalDriftError as exc:
         print(f"numerical drift: {exc}", file=sys.stderr)
         _write_csv(args.out, header, rows)
@@ -333,26 +317,22 @@ def cmd_oracle(args) -> int:
     if not isinstance(mps, MpsTensor):
         raise ValueError("the chain oracle supports one-site MPS left states")
     econf = build_engine(cfg, gate, mps)
-    tmax = econf.tmax
     layer_order = args.layer_order or cfg.get("layer_order", "even_first")
     l_left = _json_int(cfg["l_left"], "l_left")
     spec = orc.ChainSpec(gate, mps, econf.right_kets, l_left, econf.l_r,
-                         tmax, layer_order=layer_order,
+                         econf.tmax, layer_order=layer_order,
                          purify=_json_bool(cfg.get("purify", True), "purify"),
                          cap=_capacity_cap(orc.DEFAULT_AMPLITUDE_CAP))
     chain = orc.evolve_chain(spec)
     header = ["t", "trace_distance", "oracle_entropy", "engine_entropy"]
     rows = []
     worst = 0.0
-    state = ev.initial_joint_state(econf)
-    for t in range(tmax + 1):
+    for state, oracle_rho in zip(ev.states(econf), chain):
         engine_rho = ev.subsystem_density(state)
-        dist = trace_distance(chain[t], engine_rho)
+        dist = trace_distance(oracle_rho, engine_rho)
         worst = max(worst, dist)
-        rows.append([str(t), _fmt(dist), _fmt(von_neumann_entropy(chain[t])),
+        rows.append([str(state.t), _fmt(dist), _fmt(von_neumann_entropy(oracle_rho)),
                      _fmt(von_neumann_entropy(engine_rho))])
-        if t < tmax:
-            state = ev.step(state, econf)
     _write_csv(args.out, header, rows)
     return EXIT_OK if worst < args.tol else EXIT_FAIL
 

@@ -7,6 +7,7 @@ boundary-crossing gate and the whole left region are contained in M.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,7 +17,7 @@ from .channel import (BoundaryChannel, apply_channel, kraus_from_lpdo,
 from .errors import CapacityError, NumericalDriftError
 from .linalg import (hermiticity_residual, kron, min_eig_lower_bound,
                      partial_trace, von_neumann_entropy)
-from .mps import Lpdo, MpsTensor, TwoSiteMps
+from .mps import Lpdo, MpsTensor, TwoSiteMps, left_block
 from .gates import TwoSiteGate
 from .solvable import check_solvable_left
 
@@ -202,12 +203,15 @@ def step(s: JointState, cfg: EvolutionConfig) -> JointState:
     return out
 
 
-def run(cfg: EvolutionConfig) -> list[JointState]:
-    """Evolve from t=0 through t=tmax, returning every intermediate state."""
-    states = [initial_joint_state(cfg)]
+def states(cfg: EvolutionConfig) -> Iterator[JointState]:
+    """rho(0), ..., rho(tmax); each period is stepped only when the next
+    state is asked for, so a caller's diagnostics of rho(t) run before the
+    step to t+1 and only the current state is kept."""
+    s = initial_joint_state(cfg)
+    yield s
     for _ in range(cfg.tmax):
-        states.append(step(states[-1], cfg))
-    return states
+        s = step(s, cfg)
+        yield s
 
 
 def subsystem_density(s: JointState) -> np.ndarray:
@@ -229,7 +233,7 @@ def local_expectation(s: JointState, site: int, op: np.ndarray) -> float:
     op = np.asarray(op, dtype=complex)
     if op.shape != (s.q, s.q):
         raise ValueError(f"operator must be {s.q}x{s.q}")
-    if hermiticity_residual(op) > 1e-10:
+    if not hermiticity_residual(op) <= 1e-10:  # NaN fails too
         raise ValueError("operator must be Hermitian")
     rho_site = partial_trace(subsystem_density(s), [s.q] * s.l_r, [site])
     val = complex(np.trace(rho_site @ op))
@@ -248,9 +252,6 @@ def mps_continuation_kets(a: MpsTensor, l_r: int) -> np.ndarray:
     """
     if a.chi > a.q:
         raise ValueError("bond leg does not fit a physical site (chi > q)")
-    block = np.eye(a.chi, dtype=complex).reshape(a.chi, 1, a.chi)
-    for _ in range(l_r - 1):
-        block = np.einsum('jxi,aik->jxak', block, a.mats).reshape(a.chi, -1, a.chi)
     kets = np.zeros((a.chi, a.q ** (l_r - 1), a.q), dtype=complex)
-    kets[:, :, :a.chi] = block
+    kets[:, :, :a.chi] = left_block(a, l_r - 1)
     return kets.reshape(a.chi, a.q ** l_r)

@@ -227,6 +227,21 @@ def is_dual_unitary(gate: TwoSiteGate) -> float:
     return max_abs(dagger(ur) @ ur - np.eye(gate.q ** 2))
 
 
+# Families a config may give by explicit parameters: the builder and the
+# names of its positional arguments.  "q" and "qt" are integers of the gate
+# spec itself; every other name is a key of its params.
+EXPLICIT_FAMILIES = {
+    "cartan": (cartan_gate, ("j1", "j2", "j3")),
+    "q2_qt1": (gate_q2_qt1, ("phi", "eps", "eta", "j", "u", "v")),
+    "q2_qt2": (gate_q2_qt2, ("phi", "u")),
+    "general": (gate_general, ("q", "qt", "phi", "v", "g", "f2")),
+    "both_chirality_q2": (gate_both_chirality_q2,
+                          ("phi", "eps", "epsp", "eta", "etap", "j3")),
+    "both_chirality_q4plus": (gate_both_chirality_q4plus,
+                              ("q", "phi", "uplus", "uminus", "vplus", "vminus", "h")),
+}
+
+
 def random_gate(family: str, rng: np.random.Generator, q: int = 2, qt: int = 2,
                 seed: int | None = None) -> TwoSiteGate:
     """Draw a random member of a named family (Haar blocks, uniform angles)."""

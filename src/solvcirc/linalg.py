@@ -67,7 +67,7 @@ def hermiticity_residual(m: np.ndarray) -> float:
 
     |m_ij - conj(m_ji)| is symmetric in (i, j), so only the upper triangle
     is scanned, one block of rows at a time: no D x D temporary, and the
-    same value as ``max_abs(m - dagger(m))`` bit for bit.
+    same value as ``max_abs(m - dagger(m))`` bit for bit (NaN included).
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -77,8 +77,8 @@ def hermiticity_residual(m: np.ndarray) -> float:
     worst = 0.0
     for s in range(0, d, step):
         e = min(s + step, d)
-        worst = max(worst, max_abs(m[s:e, s:] - dagger(m[s:, s:e])))
-    return worst
+        worst = np.maximum(worst, max_abs(m[s:e, s:] - dagger(m[s:, s:e])))
+    return float(worst)
 
 
 def min_eig_lower_bound(h: np.ndarray) -> float:

@@ -112,6 +112,14 @@ def subspace_dimension(t: MpsTensor) -> int:
     return int(np.sum(sv > RANK_RTOL * sv[0]))
 
 
+def left_block(a: MpsTensor, n: int) -> np.ndarray:
+    """[A^(a_1) ... A^(a_n)]_{m j} stacked as (chi, q^n, chi)."""
+    block = np.eye(a.chi, dtype=complex).reshape(a.chi, 1, a.chi)
+    for _ in range(n):
+        block = np.einsum('mxi,aij->mxaj', block, a.mats).reshape(a.chi, -1, a.chi)
+    return block
+
+
 def ghz_cluster_family(theta: float, q: int) -> MpsTensor:
     """chi=2 family interpolating between the GHZ and cluster states on the
     first two levels; A^(a) = 0 for a >= 2.

@@ -20,7 +20,7 @@ from .gates import TwoSiteGate
 # counts oracle gate applications by wrapping it.
 from .linalg import apply_two_site as _apply_pair
 from .linalg import renyi_trace
-from .mps import MpsTensor
+from .mps import MpsTensor, left_block
 
 DEFAULT_AMPLITUDE_CAP = 2 ** 20
 
@@ -69,17 +69,9 @@ class ChainSpec:
             raise CapacityError(f"chain would hold {amps} amplitudes (cap {self.cap})")
 
 
-def _left_block(mps: MpsTensor, n_sites: int) -> np.ndarray:
-    """[A^(a_1) ... A^(a_n)]_{m j} stacked as (chi, q^n, chi)."""
-    block = np.eye(mps.chi, dtype=complex).reshape(mps.chi, 1, mps.chi)
-    for _ in range(n_sites):
-        block = np.einsum('mxi,aij->mxaj', block, mps.mats).reshape(mps.chi, -1, mps.chi)
-    return block
-
-
 def build_initial_chain(spec: ChainSpec) -> np.ndarray:
     """Normalized pure state on (bond leg) (x) q^{l_left} (x) q^{l_r}."""
-    block = _left_block(spec.mps, spec.l_left)
+    block = left_block(spec.mps, spec.l_left)
     if not spec.purify:
         block = block[:1]  # close the far end with the first bond vector
     psi = np.einsum('mxj,jr->mxr', block, spec.right_kets, optimize=True).reshape(-1)
@@ -89,19 +81,19 @@ def build_initial_chain(spec: ChainSpec) -> np.ndarray:
     return psi / nrm
 
 
-def _layer_bonds(spec: ChainSpec) -> tuple[list[int], list[int]]:
-    evens = [x for x in range(-spec.l_left, spec.l_r - 1) if x % 2 == 0]
-    odds = [x for x in range(-spec.l_left, spec.l_r - 1) if x % 2 != 0]
-    return (evens, odds) if spec.layer_order == "even_first" else (odds, evens)
+def _period_sites(l_left: int, l_r: int, layer_order: str = "even_first") -> list[int]:
+    """Chain position of the left leg of each gate of one period, in the
+    order applied: bonds (x, x+1) for x = -l_left .. l_r - 2, even x and odd
+    x as two sublayers; position 0 holds the far bond leg."""
+    evens = [x for x in range(-l_left, l_r - 1) if x % 2 == 0]
+    odds = [x for x in range(-l_left, l_r - 1) if x % 2 != 0]
+    first, second = (evens, odds) if layer_order == "even_first" else (odds, evens)
+    return [1 + x + l_left for x in first + second]
 
 
-def _period(psi: np.ndarray, spec: ChainSpec, dims: list[int]) -> np.ndarray:
-    first, second = _layer_bonds(spec)
-    pos = lambda x: 1 + x + spec.l_left
-    for x in first:
-        psi = _apply_pair(psi, spec.gate.matrix, dims, pos(x), pos(x) + 1)
-    for x in second:
-        psi = _apply_pair(psi, spec.gate.matrix, dims, pos(x), pos(x) + 1)
+def _period(psi: np.ndarray, u: np.ndarray, dims: list[int], sites: list[int]) -> np.ndarray:
+    for p in sites:
+        psi = _apply_pair(psi, u, dims, p, p + 1)
     return psi
 
 
@@ -110,8 +102,9 @@ def _chain_dims(spec: ChainSpec) -> list[int]:
     return [bond] + [spec.q] * (spec.l_left + spec.l_r)
 
 
-def _reduced_right(psi: np.ndarray, spec: ChainSpec) -> np.ndarray:
-    dr = spec.q ** spec.l_r
+def _reduced_right(psi: np.ndarray, dr: int) -> np.ndarray:
+    """Reduced density matrix of the last factor, of dimension ``dr``, of
+    the pure chain ``psi``."""
     m = psi.reshape(-1, dr)
     return np.einsum('lr,ls->rs', m, m.conj(), optimize=True)
 
@@ -120,10 +113,12 @@ def evolve_chain(spec: ChainSpec) -> list[np.ndarray]:
     """rho_R(t) for t = 0..tmax from exact statevector evolution."""
     psi = build_initial_chain(spec)
     dims = _chain_dims(spec)
-    out = [_reduced_right(psi, spec)]
+    sites = _period_sites(spec.l_left, spec.l_r, spec.layer_order)
+    dr = spec.q ** spec.l_r
+    out = [_reduced_right(psi, dr)]
     for _ in range(spec.tmax):
-        psi = _period(psi, spec, dims)
-        out.append(_reduced_right(psi, spec))
+        psi = _period(psi, spec.gate.matrix, dims, sites)
+        out.append(_reduced_right(psi, dr))
     return out
 
 
@@ -147,19 +142,9 @@ def renyi_trace_chain(gate: TwoSiteGate, mps: MpsTensor, n: int, t: int,
     amps = chi * chi * q ** (l_left + l_r)
     if amps > cap:
         raise CapacityError(f"chain would hold {amps} amplitudes (cap {cap})")
-    sites = l_left + l_r
-    block = _left_block(mps, sites)  # (chi, q^sites, chi)
-    psi = block.reshape(-1)
-    dims = [chi] + [q] * sites + [chi]
-    pos = lambda x: 1 + x + l_left
-    evens = [x for x in range(-l_left, l_r - 1) if x % 2 == 0]
-    odds = [x for x in range(-l_left, l_r - 1) if x % 2 != 0]
+    psi = left_block(mps, l_left + l_r).reshape(-1)  # both bond legs dangle
+    dims = [chi] + [q] * (l_left + l_r) + [chi]
+    sites = _period_sites(l_left, l_r)
     for _ in range(t):
-        for x in evens:
-            psi = _apply_pair(psi, gate.matrix, dims, pos(x), pos(x) + 1)
-        for x in odds:
-            psi = _apply_pair(psi, gate.matrix, dims, pos(x), pos(x) + 1)
-    dl = chi * q ** l_left
-    m = psi.reshape(dl, -1)
-    rho = np.einsum('lr,ls->rs', m, m.conj(), optimize=True)
-    return renyi_trace(rho, n)
+        psi = _period(psi, gate.matrix, dims, sites)
+    return renyi_trace(_reduced_right(psi, q ** l_r * chi), n)

@@ -1,4 +1,4 @@
-"""JSON schemas for matrices, gates, tensors, channels and reports.
+"""JSON schemas for matrices, gates and left-state tensors.
 
 Matrix schema: {"rows": r, "cols": c, "data": [[re, im], ...]} row-major.
 All file I/O lives in the CLI; these helpers only translate objects.
@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import BoundaryChannel
 from .gates import TwoSiteGate
 from .linalg import require_finite
 from .mps import Lpdo, MpsTensor, TwoSiteMps
@@ -42,7 +41,8 @@ def _param_to_json(v):
     return v
 
 
-def _param_from_json(v):
+def param_from_json(v):
+    """One gate parameter as ``gate_to_json`` writes it, matrices decoded."""
     if isinstance(v, dict) and "__matrix__" in v:
         return matrix_from_json(v["__matrix__"])
     if isinstance(v, list) and v and isinstance(v[0], dict) and "__matrix__" in v[0]:
@@ -61,7 +61,7 @@ def gate_to_json(g: TwoSiteGate) -> dict:
 
 
 def gate_from_json(obj: dict) -> TwoSiteGate:
-    params = {k: _param_from_json(v) for k, v in obj.get("params", {}).items()}
+    params = {k: param_from_json(v) for k, v in obj.get("params", {}).items()}
     return TwoSiteGate(int(obj["q"]), matrix_from_json(obj["matrix"]),
                        obj.get("family", "custom"), params, obj.get("seed"))
 
@@ -100,17 +100,8 @@ def lpdo_from_json(obj: dict) -> Lpdo:
     return Lpdo(int(obj["q"]), int(obj["chi"]), int(obj["d"]), mats)
 
 
-def channel_to_json(c: BoundaryChannel) -> dict:
-    return {"chi": c.chi, "q": c.q,
-            "kraus": [matrix_to_json(k) for k in c.kraus]}
-
-
-def channel_from_json(obj: dict) -> BoundaryChannel:
-    return BoundaryChannel(int(obj["chi"]), int(obj["q"]),
-                           [matrix_from_json(k) for k in obj["kraus"]])
-
-
 def left_state_to_json(state: MpsTensor | TwoSiteMps | Lpdo) -> dict:
+    """The object a config's ``"mps": {"file": ...}`` reads."""
     if isinstance(state, MpsTensor):
         return {"kind": "mps", **mps_to_json(state)}
     if isinstance(state, TwoSiteMps):

@@ -20,7 +20,7 @@ from .channel import kraus_from_mps
 from .errors import CapacityError
 from .gates import TwoSiteGate, is_dual_unitary, swap_conjugate
 from .linalg import PAULI, apply_two_site, dagger, kron, max_abs, reshuffle
-from .mps import Lpdo, MpsTensor, TwoSiteMps, physical_matrices
+from .mps import Lpdo, MpsTensor, TwoSiteMps, left_block, physical_matrices
 
 IM_ENTRY_CAP = 2 ** 24
 
@@ -120,13 +120,8 @@ def _channel_supertensor(a: MpsTensor) -> np.ndarray:
     B legs are doubled bond pairs (chi^2), S legs doubled site pairs (q^2);
     M4 is the Kraus superoperator sum_mu K_mu (x) K_mu^* regrouped.
     """
-    ch = kraus_from_mps(a)
     chi, q = a.chi, a.q
-    d = chi * q
-    sup = np.zeros((d * d, d * d), dtype=complex)
-    for k in ch.kraus:
-        sup += np.kron(k, k.conj())
-    sup = sup.reshape(chi, q, chi, q, chi, q, chi, q)
+    sup = kraus_from_mps(a).superoperator().reshape(chi, q, chi, q, chi, q, chi, q)
     sup = sup.transpose(0, 2, 1, 3, 4, 6, 5, 7)
     return sup.reshape(chi * chi, q * q, chi * chi, q * q)
 
@@ -248,10 +243,7 @@ def influence_matrix_bruteforce(u: TwoSiteGate, a: MpsTensor, tsteps: int,
         l_left = 2 * tsteps + 2
     _im_capacity_check(a, tsteps, cap)
     # state factors: [far(chi)] [sites -L..-1] [cut(chi)]; probes appended per period
-    block = np.eye(chi, dtype=complex).reshape(chi, 1, chi)
-    for _ in range(l_left):
-        block = np.einsum('mxi,aij->mxaj', block, a.mats).reshape(chi, -1, chi)
-    psi = block.reshape(-1)
+    psi = left_block(a, l_left).reshape(-1)
     dims = [chi] + [q] * l_left + [chi]
     pos = lambda x: 1 + x + l_left
     even_bonds = [x for x in range(-l_left, -1) if x % 2 == 0]

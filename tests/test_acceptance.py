@@ -104,7 +104,7 @@ def test_criterion_3_oracle_equivalence():
     mps_a = sc.ghz_cluster_family(np.pi / 4, 2)
     kets_a = random_kets(2, 2 ** 3, rng)
     chain_a = sc.evolve_chain(sc.ChainSpec(gate_a, mps_a, kets_a, 10, 3, 4))
-    engine_a = sc.run(sc.EvolutionConfig(gate_a, mps_a, kets_a, 3, 4))
+    engine_a = list(sc.states(sc.EvolutionConfig(gate_a, mps_a, kets_a, 3, 4)))
     worst_a = max(sc.trace_distance(c, sc.subsystem_density(s))
                   for c, s in zip(chain_a, engine_a))
 
@@ -112,7 +112,7 @@ def test_criterion_3_oracle_equivalence():
     mps_b = sc.ghz_cluster_family(0.5, 4)
     kets_b = random_kets(2, 4 ** 2, rng)
     chain_b = sc.evolve_chain(sc.ChainSpec(gate_b, mps_b, kets_b, 6, 2, 2))
-    engine_b = sc.run(sc.EvolutionConfig(gate_b, mps_b, kets_b, 2, 2))
+    engine_b = list(sc.states(sc.EvolutionConfig(gate_b, mps_b, kets_b, 2, 2)))
     worst_b = max(sc.trace_distance(c, sc.subsystem_density(s))
                   for c, s in zip(chain_b, engine_b))
 
@@ -128,7 +128,7 @@ def _saturation_entropies(theta: float, seed: int, tmax: int = 40):
     gate = sc.random_gate("general", rng, q=4, qt=2)
     mps = sc.ghz_cluster_family(theta, 4)
     cfg = sc.EvolutionConfig(gate, mps, product_kets(2, 4, 4, 2), 4, tmax)
-    return [sc.entanglement_entropy(s) for s in sc.run(cfg)]
+    return [sc.entanglement_entropy(s) for s in sc.states(cfg)]
 
 
 def test_criterion_4_entropy_saturation():
@@ -217,7 +217,7 @@ def test_criterion_6_temporal_duality():
         l_r = 2 * t + 2
         kets = sc.mps_continuation_kets(cluster, l_r)
         cfg = sc.EvolutionConfig(swap, cluster, kets, l_r, t)
-        s_engine = sc.entanglement_entropy(sc.run(cfg)[-1])
+        s_engine = sc.entanglement_entropy(list(sc.states(cfg))[-1])
         s_temporal = sc.temporal_state_entropy(cluster, t)
         worst = max(worst, abs(s_engine - s_temporal))
     announce(6, "temporal duality", worst < 1e-8,

@@ -5,7 +5,7 @@ from solvcirc.channel import (BoundaryChannel, apply_channel, check_cptp,
                               kraus_from_lpdo, kraus_from_mps,
                               kraus_from_two_site)
 from solvcirc.linalg import dagger, kron, make_rng, max_abs, partial_trace
-from solvcirc.mps import (Lpdo, MpsTensor, ghz_cluster_family,
+from solvcirc.mps import (Lpdo, MpsTensor, TwoSiteMps, ghz_cluster_family,
                           product_state_mps, random_left_canonical,
                           random_lpdo, two_site_from_pair)
 
@@ -15,6 +15,88 @@ def random_joint_density(chi, q, l_r, rng):
     x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = x @ dagger(x)
     return rho / np.trace(rho).real
+
+
+def _site_unit(q, b, ap):
+    m = np.zeros((q, q), dtype=complex)
+    m[b, ap] = 1.0
+    return m
+
+
+# Term-by-term references for the three Kraus builders:
+# K_{(a,g),(a',g')} = sum_b A^(b,g') B^(a,g) (x) |b><a'|, one kron per term.
+
+def reference_kraus_from_mps(a):
+    ks = []
+    for ai in range(a.q):
+        for ap in range(a.q):
+            k = np.zeros((a.chi * a.q, a.chi * a.q), dtype=complex)
+            for b in range(a.q):
+                k += kron(a.mats[b] @ a.mats[ai], _site_unit(a.q, b, ap))
+            ks.append(k)
+    return ks
+
+
+def reference_kraus_from_two_site(t):
+    ks = []
+    for ai in range(t.q):
+        for ap in range(t.q):
+            k = np.zeros((t.chi * t.q, t.chi * t.q), dtype=complex)
+            for b in range(t.q):
+                k += kron(t.mats_a[b] @ t.mats_b[ai], _site_unit(t.q, b, ap))
+            ks.append(k)
+    return ks
+
+
+def reference_kraus_from_lpdo(l):
+    ks = []
+    for ai in range(l.q):
+        for g in range(l.d):
+            for ap in range(l.q):
+                for gp in range(l.d):
+                    k = np.zeros((l.chi * l.q, l.chi * l.q), dtype=complex)
+                    for b in range(l.q):
+                        k += kron(l.mats[b, gp] @ l.mats[ai, g], _site_unit(l.q, b, ap))
+                    ks.append(k)
+    return ks
+
+
+def haar_isometry(rows, cols, rng):
+    z = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    return np.linalg.qr(z)[0]
+
+
+def assert_same_bits(kraus, ref):
+    assert len(kraus) == len(ref)
+    for k, r in zip(kraus, ref):
+        assert k.shape == r.shape and k.tobytes() == r.tobytes()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("chi", [1, 2, 3])
+class TestKrausMatchesReference:
+    """The batched builder against the term-by-term sums, bit for bit
+    (signed zeros included)."""
+
+    def test_mps(self, q, chi):
+        rng = make_rng(10 * q + chi)
+        for a in (random_left_canonical(q, chi, rng), ghz_cluster_family(0.6, q),
+                  product_state_mps(np.eye(q)[q - 1])):
+            if a.chi == chi:
+                assert_same_bits(kraus_from_mps(a).kraus, reference_kraus_from_mps(a))
+
+    def test_two_site_unequal_tensors(self, q, chi):
+        rng = make_rng(20 * q + chi)
+        chip = chi + 1
+        # sum_a A^a+ A^a = I_chip and sum_b B^b+ B^b = I_chi make the cell canonical
+        a = haar_isometry(q * chi, chip, rng).reshape(q, chi, chip)
+        b = haar_isometry(q * chip, chi, rng).reshape(q, chip, chi)
+        cell = TwoSiteMps(q, chi, chip, a, b)
+        assert_same_bits(kraus_from_two_site(cell).kraus, reference_kraus_from_two_site(cell))
+
+    def test_lpdo(self, q, chi):
+        l = random_lpdo(q, chi, 3, make_rng(30 * q + chi))
+        assert_same_bits(kraus_from_lpdo(l).kraus, reference_kraus_from_lpdo(l))
 
 
 class TestKrausFromMps:

@@ -1,14 +1,18 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
 from solvcirc import cli
+from solvcirc import serialize as ser
 from solvcirc import evolve as ev
 from solvcirc import renyi as ry
 from solvcirc.cli import main
 from solvcirc.errors import (CapacityError, DominanceError, NumericalDriftError,
                              PositivityError)
+from solvcirc.gates import EXPLICIT_FAMILIES, cartan_gate, random_gate
+from solvcirc.linalg import make_rng
 
 
 def write_config(path, **overrides):
@@ -156,6 +160,62 @@ class TestEvolve:
         assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
         first = out.read_text().strip().split("\n")[1].split(",")
         assert abs(float(first[4]) - 1.0) < 1e-12  # <Z> of |0>
+
+
+class TestObservableTags:
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_comma_tag_is_quoted(self, tmp_path, capsys, to_file):
+        cfg = write_config(tmp_path / "c.json",
+                           observables=[{"site": 0, "op": "diag:0.5,1"}])
+        argv = ["evolve", "--config", str(cfg)]
+        out = tmp_path / "r.csv"
+        if to_file:
+            argv += ["--out", str(out)]
+        assert main(argv) == 0
+        text = out.read_text() if to_file else capsys.readouterr().out
+        table = list(csv.reader(text.splitlines()))
+        assert table[0] == ["t", "S_ent", "trace_residual", "min_eig", "site0:diag:0.5,1"]
+        assert len(table) == 4 and all(len(row) == len(table[0]) for row in table)
+        assert float(table[1][4]) == 0.5  # site 0 starts in |0>
+
+    @pytest.mark.parametrize("arg", ["nan,1", "inf,0", "1,-inf", "NaN,0"])
+    def test_non_finite_diag_exits_two(self, tmp_path, capsys, monkeypatch, arg):
+        def not_reached(*args):
+            raise AssertionError("engine built for a non-finite observable")
+
+        monkeypatch.setattr(cli, "build_engine", not_reached)
+        cfg = write_config(tmp_path / "c.json",
+                           observables=[{"site": 0, "op": f"diag:{arg}"}])
+        out = tmp_path / "r.csv"
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == f"configuration error: diag entries must be finite, got '{arg}'\n"
+
+
+class TestExplicitParams:
+    @pytest.mark.parametrize("family", sorted(EXPLICIT_FAMILIES))
+    def test_table_builds_the_direct_gate(self, family):
+        q = 4 if family in ("general", "both_chirality_q4plus") else 2
+        if family == "cartan":
+            direct = cartan_gate(0.3, 0.2, 0.1)
+        else:
+            direct = random_gate(family, make_rng(5), q=q, qt=2)
+        params = json.loads(json.dumps(ser.gate_to_json(direct)["params"]))
+        built = cli.build_gate({"gate": {"family": family, "q": q, "qt": 2,
+                                         "params": params}})
+        assert built.family == family
+        assert built.matrix.tobytes() == direct.matrix.tobytes()
+
+    @pytest.mark.parametrize("gate,message", [
+        ({"family": "haar", "params": {}}, "family 'haar' does not accept explicit params"),
+        ({"family": "cartan", "params": [0.1]}, "params must be a JSON object"),
+        ({"family": "general", "q": 4.0, "qt": 2, "params": {}}, "gate q must be an integer"),
+    ])
+    def test_bad_explicit_params_exit_two(self, tmp_path, capsys, gate, message):
+        cfg = write_config(tmp_path / "c.json", gate=gate)
+        assert main(["check", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: {message}")
 
 
 class TestOracle:

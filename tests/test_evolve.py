@@ -3,11 +3,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from solvcirc import evolve
 from solvcirc.errors import CapacityError
 from solvcirc.evolve import (DENSITY_ENTRY_CAP, EvolutionConfig, brickwork_unitary,
                              conjugate_brickwork, entanglement_entropy,
                              initial_joint_state, joint_dimension,
-                             local_expectation, mps_continuation_kets, run,
+                             local_expectation, mps_continuation_kets, states,
                              step, subsystem_density)
 from solvcirc.gates import TwoSiteGate, random_gate, swap_matrix
 from solvcirc.linalg import dagger, kron, make_rng, max_abs
@@ -227,7 +228,7 @@ class TestStep:
     def test_min_eig_bounds_the_dense_value(self):
         # D = 512 and rank far below it: the low-rank probe certifies min_eig
         cfg = saturation_config(tmax=4)
-        for s in run(cfg):
+        for s in states(cfg):
             exact = np.linalg.eigvalsh((s.rho + dagger(s.rho)) / 2).min()
             assert exact - 1e-12 <= s.invariant_residuals()["min_eig"] <= exact + 1e-14
 
@@ -264,7 +265,7 @@ class TestObservables:
 
     def test_entropy_dimension_bound(self):
         cfg = saturation_config(tmax=6)
-        for s in run(cfg):
+        for s in states(cfg):
             assert entanglement_entropy(s) <= 4 * np.log(4) + 1e-9
 
     def test_local_expectation_identity(self):
@@ -280,8 +281,7 @@ class TestObservables:
 
     def test_local_expectation_via_joint_state(self):
         cfg = saturation_config(tmax=3)
-        states = run(cfg)
-        s = states[-1]
+        s = list(states(cfg))[-1]
         proj = np.zeros((4, 4), dtype=complex)
         proj[1, 1] = 1
         direct = local_expectation(s, 1, proj)
@@ -294,6 +294,22 @@ class TestObservables:
         with pytest.raises(ValueError):
             local_expectation(s, 4, np.eye(4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_operator_refused(self, bad):
+        s = initial_joint_state(saturation_config())
+        with pytest.raises(ValueError, match="operator must be Hermitian"):
+            local_expectation(s, 0, np.diag([bad, 1.0, 1.0, 1.0]))
+
+    def test_states_steps_on_demand(self, monkeypatch):
+        cfg = saturation_config(tmax=3)
+        calls = []
+        real_step = evolve.step
+        monkeypatch.setattr(evolve, "step", lambda s, c: calls.append(s.t) or real_step(s, c))
+        stream = states(cfg)
+        assert next(stream).t == 0 and calls == []
+        assert next(stream).t == 1 and calls == [0]
+        assert [s.t for s in stream] == [2, 3] and calls == [0, 1, 2]
+
 
 class TestLeftStateVariants:
     def test_two_site_cell_engine_runs(self):
@@ -303,7 +319,7 @@ class TestLeftStateVariants:
         cell = two_site_from_pair(t, t)
         gate = random_gate("q2_qt2", rng)
         cfg = EvolutionConfig(gate, cell, product_right_kets(2, 2, 3, 0), 3, 5)
-        for s in run(cfg):
+        for s in states(cfg):
             assert s.invariant_residuals()["trace"] < 1e-12
 
     def test_lpdo_engine_runs(self):
@@ -312,7 +328,7 @@ class TestLeftStateVariants:
         lpdo = random_lpdo(2, 2, 2, rng)
         gate = random_gate("q2_qt2", rng)  # dressed SWAP solves any q=2 span
         cfg = EvolutionConfig(gate, lpdo, product_right_kets(2, 2, 3, 1), 3, 5)
-        for s in run(cfg):
+        for s in states(cfg):
             res = s.invariant_residuals()
             assert res["trace"] < 1e-12 and res["min_eig"] > -1e-10
 

@@ -409,3 +409,10 @@ class TestHermiticityResidual:
     def test_rejects_non_square(self, shape):
         with pytest.raises(ValueError):
             hermiticity_residual(np.zeros(shape, dtype=complex))
+
+    @pytest.mark.parametrize("d,i", [(2, 0), (2, 1), (1100, 1099)])
+    def test_nan_propagates(self, d, i):
+        # a NaN in any row block must not be dropped by the running maximum
+        m = np.eye(d, dtype=complex)
+        m[i, i] = np.nan
+        assert np.isnan(hermiticity_residual(m))

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from solvcirc.errors import CapacityError
-from solvcirc.evolve import EvolutionConfig, run, subsystem_density
+from solvcirc.evolve import EvolutionConfig, states, subsystem_density
 from solvcirc.gates import TwoSiteGate, random_gate, swap_matrix
 from solvcirc.linalg import make_rng, max_abs, trace_distance
-from solvcirc.mps import ghz_cluster_family, product_state_mps
+from solvcirc.mps import ghz_cluster_family, left_block, product_state_mps
 from solvcirc.oracle import (ChainSpec, build_initial_chain, evolve_chain,
                              renyi_trace_chain)
 
@@ -39,8 +39,7 @@ class TestBuildChain:
         psi = build_initial_chain(spec)
         assert abs(np.linalg.norm(psi) - 1) < 1e-12
         # Gram of the chi left-block states is the identity (telescoping)
-        from solvcirc.oracle import _left_block
-        block = _left_block(mps, 6).reshape(-1, 2)
+        block = left_block(mps, 6).reshape(-1, 2)
         gram = block.conj().T @ block
         assert max_abs(gram - np.eye(2)) < 1e-12
 
@@ -78,7 +77,7 @@ class TestEngineEquivalence:
         kets = random_right_kets(2, 8, rng)
         spec = ChainSpec(gate, mps, kets, 10, 3, 4)
         chain = evolve_chain(spec)
-        engine = run(EvolutionConfig(gate, mps, kets, 3, 4))
+        engine = list(states(EvolutionConfig(gate, mps, kets, 3, 4)))
         for t in range(5):
             assert trace_distance(chain[t], subsystem_density(engine[t])) < 1e-10
 
@@ -89,7 +88,7 @@ class TestEngineEquivalence:
         kets = random_right_kets(2, 16, rng)
         spec = ChainSpec(gate, mps, kets, 6, 2, 2)
         chain = evolve_chain(spec)
-        engine = run(EvolutionConfig(gate, mps, kets, 2, 2))
+        engine = list(states(EvolutionConfig(gate, mps, kets, 2, 2)))
         for t in range(3):
             assert trace_distance(chain[t], subsystem_density(engine[t])) < 1e-10
 
@@ -100,7 +99,7 @@ class TestEngineEquivalence:
         kets = random_right_kets(2, 8, rng)
         spec = ChainSpec(gate, mps, kets, 10, 3, 3, layer_order="odd_first")
         chain = evolve_chain(spec)
-        engine = run(EvolutionConfig(gate, mps, kets, 3, 3))
+        engine = list(states(EvolutionConfig(gate, mps, kets, 3, 3)))
         worst = max(trace_distance(chain[t], subsystem_density(engine[t]))
                     for t in range(4))
         assert worst > 1e-3
@@ -112,7 +111,7 @@ class TestEngineEquivalence:
         kets = random_right_kets(1, 8, rng)
         spec = ChainSpec(gate, mps, kets, 6, 3, 2)
         chain = evolve_chain(spec)
-        engine = run(EvolutionConfig(gate, mps, kets, 3, 2))
+        engine = list(states(EvolutionConfig(gate, mps, kets, 3, 2)))
         assert trace_distance(chain[0], subsystem_density(engine[0])) < 1e-14
 
 
@@ -148,7 +147,7 @@ class TestEngineOracleProperty:
         l_left = data.draw(st.integers(2 * tmax, 2 * tmax + 1), label="l_left")
         kets = random_right_kets(mps.chi, q ** l_r, rng)
         chain = evolve_chain(ChainSpec(gate, mps, kets, l_left, l_r, tmax))
-        engine = run(EvolutionConfig(gate, mps, kets, l_r, tmax))
+        engine = list(states(EvolutionConfig(gate, mps, kets, l_r, tmax)))
         for t in range(tmax + 1):
             assert trace_distance(chain[t], subsystem_density(engine[t])) < 1e-10
 

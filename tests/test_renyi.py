@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from solvcirc.errors import CapacityError, DominanceError
-from solvcirc.evolve import EvolutionConfig, entanglement_entropy, mps_continuation_kets, run
+from solvcirc.evolve import EvolutionConfig, entanglement_entropy, mps_continuation_kets, states
 from solvcirc.gates import TwoSiteGate, random_gate, swap_matrix
 from solvcirc.linalg import haar_unitary, make_rng, max_abs
 from solvcirc.mps import MpsTensor, ghz_cluster_family, product_state_mps
@@ -312,7 +312,7 @@ class TestTemporalState:
         l_r = 2 * t + 2
         kets = mps_continuation_kets(mps, l_r)
         cfg = EvolutionConfig(swap_gate(), mps, kets, l_r, t)
-        s_engine = entanglement_entropy(run(cfg)[-1])
+        s_engine = entanglement_entropy(list(states(cfg))[-1])
         s_temporal = temporal_state_entropy(mps, t)
         assert abs(s_engine - s_temporal) < 1e-8
 

@@ -1,9 +1,7 @@
 import json
 
-import numpy as np
 import pytest
 
-from solvcirc.channel import kraus_from_mps
 from solvcirc.linalg import make_rng, max_abs
 from solvcirc.mps import ghz_cluster_family, random_left_canonical, random_lpdo, two_site_from_pair
 from solvcirc.gates import random_gate
@@ -58,10 +56,3 @@ def test_lpdo_round_trip():
     back = ser.left_state_from_json(json.loads(json.dumps(ser.left_state_to_json(l))))
     assert back.d == 3
     assert max_abs(back.mats - l.mats) == 0
-
-
-def test_channel_round_trip():
-    ch = kraus_from_mps(ghz_cluster_family(np.pi / 4, 2))
-    back = ser.channel_from_json(json.loads(json.dumps(ser.channel_to_json(ch))))
-    assert back.chi == 2 and back.q == 2
-    assert all(max_abs(a - b) == 0 for a, b in zip(back.kraus, ch.kraus))

@@ -40,6 +40,17 @@ def test_saturation_config_reaches_max_entropy(tmp_path):
     assert len(lines) == 42
     final_s = float(lines[-1].split(",")[1])
     assert abs(final_s - 4 * np.log(2)) < 1e-3
+    # tests/data/entropy_saturation_evolve.csv is the committed output of
+    # `solvcirc evolve --config configs/entropy_saturation.json`.  The S_ent
+    # and observable columns are pinned; trace_residual and min_eig are
+    # round-off that depends on the BLAS, so they are not.
+    pinned = (DATA_DIR / "entropy_saturation_evolve.csv").read_text().strip().split("\n")
+    assert lines[0] == pinned[0]
+    for line, ref in zip(lines[1:], pinned[1:]):
+        got, want = line.split(","), ref.split(",")
+        assert got[0] == want[0] and len(got) == len(want)
+        for col in (1, *range(4, len(want))):
+            assert abs(float(got[col]) - float(want[col])) <= 1e-12
 
 
 def test_renyi_config_cross_checks(tmp_path):
