@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dagger, max_abs
+from .linalg import dagger, max_abs, require_buffer
 from .mps import (Lpdo, MpsTensor, TwoSiteMps, check_left_canonical,
                   check_two_site_canonical, lpdo_check_canonical)
 
@@ -107,20 +107,34 @@ def check_cptp(c: BoundaryChannel) -> float:
     return max_abs(acc - np.eye(d))
 
 
-def apply_channel(c: BoundaryChannel, rho: np.ndarray) -> np.ndarray:
+def apply_channel(c: BoundaryChannel, rho: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Apply the channel on ancilla (x) site0, identity on remaining factors.
 
     ``rho`` is a density matrix on chi * q^{L_R}; the embedded Kraus action is
-    evaluated on the reshaped state, never materialized at full dimension.
+    one superoperator gemm on the reshaped state, never materialized at full
+    dimension.  With ``out`` (a C-contiguous complex128 array of rho's shape
+    that shares no memory with it) the result is written there and ``rho``,
+    which must be C-contiguous complex128 too, is overwritten as the gemm's
+    product buffer: the call then holds no array beyond the two.  Without
+    ``out``, ``rho`` is left as it is and the same path runs on a copy.
     """
-    rho = np.asarray(rho, dtype=complex)
     d = c.chi * c.q
-    total = rho.shape[0]
-    if rho.ndim != 2 or rho.shape != (total, total) or total % d != 0:
-        raise ValueError(f"state dimension {rho.shape} incompatible with channel on {d}")
+    shape = np.shape(rho)
+    if len(shape) != 2 or shape[0] != shape[1] or shape[0] % d != 0:
+        raise ValueError(f"state dimension {shape} incompatible with channel on {d}")
+    total = shape[0]
+    if out is None:
+        rho = np.array(rho, dtype=complex, order="C")
+        out = np.empty_like(rho)
+    else:
+        require_buffer(rho, (total, total), "rho")
+        require_buffer(out, (total, total), "out", rho)
     rest = total // d
     # out[(a,c) | x,y] = Super[(a,c),(b,e)] rho[(b,e) | x,y]
-    r = rho.reshape(d, rest, d, rest).transpose(0, 2, 1, 3).reshape(d * d, rest * rest)
-    out = c.superoperator() @ r
-    out = out.reshape(d, d, rest, rest).transpose(0, 2, 1, 3)
-    return out.reshape(total, total)
+    r = out.reshape(d * d, rest * rest)
+    np.copyto(r.reshape(d, d, rest, rest), rho.reshape(d, rest, d, rest).transpose(0, 2, 1, 3))
+    prod = rho.reshape(d * d, rest * rest)
+    np.matmul(c.superoperator(), r, out=prod)
+    np.copyto(out.reshape(d, rest, d, rest), prod.reshape(d, d, rest, rest).transpose(0, 2, 1, 3))
+    return out

@@ -16,7 +16,7 @@ from .channel import (BoundaryChannel, apply_channel, kraus_from_lpdo,
                       kraus_from_mps, kraus_from_two_site)
 from .errors import CapacityError, NumericalDriftError
 from .linalg import (hermiticity_residual, kron, min_eig_lower_bound,
-                     partial_trace, von_neumann_entropy)
+                     partial_trace, require_buffer, von_neumann_entropy)
 from .mps import Lpdo, MpsTensor, TwoSiteMps, left_block
 from .gates import TwoSiteGate
 from .solvable import check_solvable_left
@@ -30,13 +30,20 @@ DENSITY_ENTRY_CAP = 2 ** 24
 
 @dataclass
 class JointState:
-    """Density matrix on ancilla (x) q^{L_R} at integer time t."""
+    """Density matrix on ancilla (x) q^{L_R} at integer time t.
+
+    A state made by ``step`` also carries, privately, the D x D scratch
+    buffer that the next ``step`` and ``invariant_residuals`` work in, and
+    the Hermiticity residual that ``step`` computed for its drift check.
+    """
 
     chi: int
     q: int
     l_r: int
     rho: np.ndarray
     t: int = 0
+    _scratch: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _herm: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = self.chi * self.q ** self.l_r
@@ -49,8 +56,8 @@ class JointState:
         the smallest eigenvalue of the Hermitian part of rho (equal to the
         dense eigensolve unless rho has low rank)."""
         tr = float(np.trace(self.rho).real)
-        herm = hermiticity_residual(self.rho)
-        min_eig = min_eig_lower_bound(self.rho)
+        herm = self._herm if self._herm is not None else hermiticity_residual(self.rho)
+        min_eig = min_eig_lower_bound(self.rho, work=self._scratch)
         return {"trace": abs(tr - 1.0), "hermiticity": herm, "min_eig": min_eig}
 
 
@@ -147,14 +154,18 @@ def _embed(u: np.ndarray, q: int, n: int, x: int) -> np.ndarray:
     return kron(left, u, right)
 
 
-def conjugate_brickwork(rho: np.ndarray, gate: TwoSiteGate, l_r: int) -> np.ndarray:
+def conjugate_brickwork(rho: np.ndarray, gate: TwoSiteGate, l_r: int,
+                        work: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """(I_chi (x) U_R) rho (I_chi (x) U_R)^dag, one two-site gate at a time.
 
     A gate on sites (x, x+1) acts on the row legs as one batched matmul on
     the no-copy (chi q^x, q^2, rest) view of a C-ordered array; the column
     legs are the row legs of the conjugate transpose, so the result is
-    (U (U rho)^dag)^dag.  Cost O(L_R q^2 D^2) with two D x D buffers; ``rho``
-    is left as it is.
+    (U (U rho)^dag)^dag.  Cost O(L_R q^2 D^2) with two D x D buffers, the
+    pair ``work`` when given (C-contiguous complex128, sharing no memory with
+    ``rho`` or each other) and fresh ones otherwise.  The buffers are written
+    an even number of times, so the result is ``work[1]``; ``rho`` is left as
+    it is.
     """
     q2 = gate.q ** 2
     d = rho.shape[0]
@@ -163,7 +174,11 @@ def conjugate_brickwork(rho: np.ndarray, gate: TwoSiteGate, l_r: int) -> np.ndar
         before = d // gate.q ** (l_r - x)
         # A stride-0 broadcast of the gate drops numpy's matmul off BLAS.
         batches.append(np.broadcast_to(gate.matrix, (before, q2, q2)).copy())
-    bufs = [np.empty((d, d), dtype=complex), np.empty((d, d), dtype=complex)]
+    if work is None:
+        bufs = [np.empty((d, d), dtype=complex), np.empty((d, d), dtype=complex)]
+    else:
+        bufs = [require_buffer(work[0], (d, d), "work[0]", rho),
+                require_buffer(work[1], (d, d), "work[1]", rho, work[0])]
     m, k = rho, 0
     for _ in range(2):
         for ub in batches:
@@ -191,15 +206,26 @@ def step(s: JointState, cfg: EvolutionConfig) -> JointState:
     Trace and Hermiticity are monitored every step (the quantities that can
     drift under repeated products); the spectral positivity residual is
     available through ``invariant_residuals``.
+
+    The period runs in two D x D arrays besides ``s.rho``: one fresh array
+    for the result and the scratch buffer taken from ``s`` (allocated on a
+    state that has none).  The scratch is cleared on ``s`` and handed on to
+    the result, so stepping ``s`` again never shares memory with either
+    result.
     """
-    rho = conjugate_brickwork(s.rho, cfg.gate, cfg.l_r)
-    rho = apply_channel(cfg.channel, rho)
-    out = JointState(s.chi, s.q, s.l_r, rho, s.t + 1)
+    scratch, s._scratch = s._scratch, None
+    if scratch is None:
+        scratch = np.empty(s.rho.shape, dtype=complex)
+    new = np.empty(s.rho.shape, dtype=complex)
+    conjugate_brickwork(s.rho, cfg.gate, cfg.l_r, work=(new, scratch))
+    rho = apply_channel(cfg.channel, scratch, out=new)
     tr_drift = abs(float(np.trace(rho).real) - 1.0)
     herm_drift = hermiticity_residual(rho)
     if tr_drift > DRIFT_TOL or herm_drift > DRIFT_TOL:
         raise NumericalDriftError(
             f"state invariants drifted: trace {tr_drift:.2e}, hermiticity {herm_drift:.2e}")
+    out = JointState(s.chi, s.q, s.l_r, rho, s.t + 1)
+    out._scratch, out._herm = scratch, herm_drift
     return out
 
 

@@ -196,6 +196,11 @@ def gate_both_chirality_q4plus(q: int, phi: float, uplus: np.ndarray, uminus: np
     """
     if q < 3:
         raise ValueError("family defined for q >= 3")
+    h = np.asarray(h)
+    if np.iscomplexobj(h):
+        if np.any(h.imag != 0):  # NaN fails too
+            raise ValueError("h must be real")
+        h = h.real
     h = np.asarray(h, dtype=float)
     if h.shape != (q, q):
         raise ValueError(f"h must be {q}x{q}")

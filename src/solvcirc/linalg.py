@@ -26,8 +26,11 @@ _KRON_ROW_LIMIT = 128
 # panels that stay resident (+16 MB peak RSS at 64-amplitude rows), and the
 # blocks take the same time.
 _GEMM_BLOCK = 2 ** 18
-# Entries per row block of hermiticity_residual (4 MiB of complex128).
-_HERM_BLOCK = 2 ** 18
+# Entries per row block of hermiticity_residual (512 KiB of complex128).
+# With 4 MiB blocks the allocator hands the freed temporaries back to the OS,
+# and a D=512 evolve row took about 1000 minor page faults (median); at this
+# size the median row takes none (BENCH_engine_buffers.json).
+_HERM_BLOCK = 2 ** 15
 # min_eig_lower_bound: width of the Gaussian range probe, the smallest
 # dimension that takes it (8 probe widths), and the residual norm below which
 # the probe's bound is returned (well under the 1e-10 positivity check).
@@ -81,7 +84,19 @@ def hermiticity_residual(m: np.ndarray) -> float:
     return float(worst)
 
 
-def min_eig_lower_bound(h: np.ndarray) -> float:
+def require_buffer(buf: np.ndarray, shape: tuple, name: str, *avoid: np.ndarray) -> np.ndarray:
+    """``buf`` as an output buffer: a C-contiguous complex128 array of
+    ``shape`` that shares no memory with any array in ``avoid`` (ValueError
+    otherwise)."""
+    if not (isinstance(buf, np.ndarray) and buf.dtype == complex
+            and buf.shape == shape and buf.flags.c_contiguous):
+        raise ValueError(f"{name} must be a C-contiguous complex128 array of shape {shape}")
+    if any(np.shares_memory(buf, a) for a in avoid):
+        raise ValueError(f"{name} shares memory with an input")
+    return buf
+
+
+def min_eig_lower_bound(h: np.ndarray, work: np.ndarray | None = None) -> float:
     """A certified lower bound on the smallest eigenvalue of (h + h^dag)/2.
 
     Randomized range finder (Halko, Martinsson and Tropp, SIAM Rev. 53, 217
@@ -93,13 +108,17 @@ def min_eig_lower_bound(h: np.ndarray) -> float:
     O(D^2 k) instead of O(D^3).  When ||E||_F exceeds ``_PROBE_RESIDUAL_TOL``
     (rank near or above k) or D < ``_PROBE_MIN_DIM``, the result is the dense
     ``eigvalsh((h + h^dag)/2).min()``, bit for bit.  Deterministic: the same
-    h gives the same bytes.  Uses one D x D buffer.
+    h gives the same bytes.  Uses one D x D buffer: ``work`` when given (its
+    contents are overwritten), otherwise a fresh one.
     """
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"min_eig_lower_bound needs a square matrix, got {h.shape}")
     d = h.shape[0]
-    buf = np.empty((d, d), dtype=complex)
+    if work is None:
+        buf = np.empty((d, d), dtype=complex)
+    else:
+        buf = require_buffer(work, (d, d), "work", h)
     if d >= _PROBE_MIN_DIM:
         omega = make_rng(0).standard_normal((d, _PROBE_WIDTH))
         q, _ = np.linalg.qr(h @ omega)

@@ -60,7 +60,13 @@ def gate_to_json(g: TwoSiteGate) -> dict:
     }
 
 
+def _require_object(obj, what: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(obj).__name__}")
+
+
 def gate_from_json(obj: dict) -> TwoSiteGate:
+    _require_object(obj, "gate file")
     params = {k: param_from_json(v) for k, v in obj.get("params", {}).items()}
     return TwoSiteGate(int(obj["q"]), matrix_from_json(obj["matrix"]),
                        obj.get("family", "custom"), params, obj.get("seed"))
@@ -112,6 +118,7 @@ def left_state_to_json(state: MpsTensor | TwoSiteMps | Lpdo) -> dict:
 
 
 def left_state_from_json(obj: dict) -> MpsTensor | TwoSiteMps | Lpdo:
+    _require_object(obj, "left-state file")
     kind = obj.get("kind", "mps")
     if kind == "mps":
         return mps_from_json(obj)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solvcirc.channel import (BoundaryChannel, apply_channel, check_cptp,
                               kraus_from_lpdo, kraus_from_mps,
@@ -220,3 +222,76 @@ class TestApplyChannel:
         ch = kraus_from_mps(product_state_mps([1, 0]))
         with pytest.raises(ValueError):
             apply_channel(ch, np.eye(3))
+
+
+def reference_apply_channel(c, rho):
+    """The transpose-gemm-transpose body apply_channel had before it took an
+    output buffer: each permutation is a fresh copy and rho is untouched."""
+    d = c.chi * c.q
+    rest = rho.shape[0] // d
+    r = rho.reshape(d, rest, d, rest).transpose(0, 2, 1, 3).reshape(d * d, rest * rest)
+    out = c.superoperator() @ r
+    return out.reshape(d, d, rest, rest).transpose(0, 2, 1, 3).reshape(rho.shape)
+
+
+def random_left_state(kind, q, chi, rng):
+    if kind == "mps":
+        return kraus_from_mps(random_left_canonical(q, chi, rng))
+    if kind == "two_site":
+        return kraus_from_two_site(two_site_from_pair(random_left_canonical(q, chi, rng),
+                                                      random_left_canonical(q, chi, rng)))
+    return kraus_from_lpdo(random_lpdo(q, chi, 2, rng))
+
+
+class TestApplyChannelBuffers:
+    """``out=`` runs the same gemm as the copying path: bit-identical results,
+    with rho used as the product buffer."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["mps", "two_site", "lpdo"]), q=st.sampled_from([2, 3, 4]),
+           chi=st.sampled_from([1, 2]), extra=st.integers(0, 2),
+           seed=st.integers(0, 2 ** 31 - 1))
+    def test_matches_reference_bit_for_bit(self, kind, q, chi, extra, seed):
+        rng = make_rng(seed)
+        ch = random_left_state(kind, q, chi, rng)
+        rho = random_joint_density(chi, q, 1 + extra, rng)
+        expect = reference_apply_channel(ch, rho)
+        before = rho.copy()
+        plain = apply_channel(ch, rho)
+        assert np.array_equal(rho, before)
+        out = np.empty_like(rho)
+        assert apply_channel(ch, rho, out=out) is out
+        assert np.array_equal(plain, expect) and np.array_equal(out, expect)
+
+    def test_out_clobbers_rho_only(self):
+        rng = make_rng(40)
+        ch = kraus_from_mps(ghz_cluster_family(0.4, 2))
+        rho = random_joint_density(2, 2, 3, rng)
+        keep = rho.copy()
+        out = np.empty_like(rho)
+        apply_channel(ch, rho, out=out)
+        assert not np.array_equal(rho, keep)
+        assert np.array_equal(out, apply_channel(ch, keep))
+
+    def test_any_memory_order_without_out(self):
+        rng = make_rng(41)
+        ch = kraus_from_mps(ghz_cluster_family(0.4, 2))
+        rho = random_joint_density(2, 2, 3, rng)
+        assert np.array_equal(apply_channel(ch, np.asfortranarray(rho)),
+                              apply_channel(ch, rho))
+
+    def test_rejects_shared_or_unfit_buffers(self):
+        rng = make_rng(42)
+        ch = kraus_from_mps(ghz_cluster_family(0.4, 2))
+        rho = random_joint_density(2, 2, 3, rng)
+        d = rho.shape[0]
+        with pytest.raises(ValueError, match="shares memory"):
+            apply_channel(ch, rho, out=rho)
+        with pytest.raises(ValueError, match="shares memory"):
+            apply_channel(ch, rho, out=rho.reshape(d, d))
+        for out in (np.empty((d, d + 1), dtype=complex), np.empty((d, d)),
+                    np.empty((d, d), dtype=complex, order="F")):
+            with pytest.raises(ValueError, match="out must be"):
+                apply_channel(ch, rho, out=out)
+        with pytest.raises(ValueError, match="rho must be"):
+            apply_channel(ch, np.asfortranarray(rho), out=np.empty_like(rho))

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +69,22 @@ class TestCheck:
         assert main(["check", "--config", str(cfg), "--require", "left,right"]) == 0
         cfg2 = write_config(tmp_path / "c2.json")  # q2_qt1: right fails
         assert main(["check", "--config", str(cfg2), "--require", "left,right"]) == 1
+
+
+class TestNonObjectFile:
+    @pytest.mark.parametrize("command", ["check", "evolve"])
+    @pytest.mark.parametrize("key", ["gate", "mps"])
+    @pytest.mark.parametrize("text", ["[1]", "3", '"x"', "null"])
+    def test_exits_two_with_one_line(self, tmp_path, capsys, command, key, text):
+        held = tmp_path / "held.json"
+        held.write_text(text)
+        cfg = write_config(tmp_path / "c.json", **{key: {"file": str(held)}})
+        assert main([command, "--config", str(cfg), *(["--out", str(tmp_path / "o.csv")]
+                                                      if command == "evolve" else [])]) == 2
+        err = capsys.readouterr().err
+        what = "gate file" if key == "gate" else "left-state file"
+        assert err.startswith(f"configuration error: {what} must be a JSON object")
+        assert err.count("\n") == 1
 
 
 class TestGenGate:
@@ -206,6 +223,31 @@ class TestExplicitParams:
                                          "params": params}})
         assert built.family == family
         assert built.matrix.tobytes() == direct.matrix.tobytes()
+
+    def test_params_copied_from_gen_gate_run_without_warnings(self, tmp_path, capsys):
+        # gen-gate writes the real coupling table h as a complex matrix
+        out = tmp_path / "gate.json"
+        assert main(["gen-gate", "--family", "both_chirality_q4plus", "--q", "4",
+                     "--seed", "9", "--out", str(out)]) == 0
+        params = json.loads(out.read_text())["params"]
+
+        def config():
+            return write_config(tmp_path / "c.json",
+                                gate={"family": "both_chirality_q4plus", "q": 4,
+                                      "params": params},
+                                mps={"family": "ghz_cluster", "q": 4, "theta": np.pi / 4},
+                                right_state={"product": [2, 2]})
+        cfg = config()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check", "--config", str(cfg)]) == 0
+            assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "e.csv")]) == 0
+        # an imaginary part is refused, not dropped
+        params["h"]["__matrix__"]["data"][-1][1] = 1e-3
+        config()
+        capsys.readouterr()
+        assert main(["check", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "configuration error: h must be real\n"
 
     @pytest.mark.parametrize("gate,message", [
         ({"family": "haar", "params": {}}, "family 'haar' does not accept explicit params"),

@@ -165,3 +165,21 @@ def test_over_cap_size(name, tmp_path, capsys, monkeypatch):
                 argv = command + ["--config", str(tmp_path / "c.json"),
                                   "--out", str(tmp_path / "out")]
                 assert run_cli(argv, capsys)[0] == 3, (command, label)
+
+
+@pytest.mark.parametrize("key", ["gate", "mps"])
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_file_holding_a_non_object(name, key, tmp_path, capsys):
+    # a {"file": ...} input is read like an inline section: a JSON
+    # non-object in the file is refused with exit 2 and one line
+    held, cfg_path = tmp_path / "held.json", tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(dict(base_config(name), **{key: {"file": str(held)}})))
+    for text in ["[1]", "1", '"x"', "null", "true"]:
+        held.write_text(text)
+        for command in COMMANDS[name]:
+            argv = command + ["--config", str(cfg_path)]
+            if command[0] in ("evolve", "oracle", "renyi"):
+                argv += ["--out", str(tmp_path / "out")]
+            code, err = run_cli(argv, capsys)
+            assert code == 2, (command, text, err)
+            assert err.startswith("configuration error: ") and err.count("\n") == 1

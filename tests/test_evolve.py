@@ -1,17 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from solvcirc import evolve
+from solvcirc.channel import apply_channel
 from solvcirc.errors import CapacityError
-from solvcirc.evolve import (DENSITY_ENTRY_CAP, EvolutionConfig, brickwork_unitary,
-                             conjugate_brickwork, entanglement_entropy,
+from solvcirc.evolve import (DENSITY_ENTRY_CAP, EvolutionConfig, JointState,
+                             brickwork_unitary, conjugate_brickwork, entanglement_entropy,
                              initial_joint_state, joint_dimension,
                              local_expectation, mps_continuation_kets, states,
                              step, subsystem_density)
 from solvcirc.gates import TwoSiteGate, random_gate, swap_matrix
-from solvcirc.linalg import dagger, kron, make_rng, max_abs
+from solvcirc.linalg import (dagger, hermiticity_residual, kron, make_rng, max_abs,
+                             min_eig_lower_bound)
 from solvcirc.mps import ghz_cluster_family, product_state_mps
 
 
@@ -248,6 +252,122 @@ class TestStep:
             site0 = partial_trace(subsystem_density(s), [2, 2, 2], [0])
             assert abs(site0[0, 0] - 1) < 1e-12
             assert abs(site0[1, 1]) < 1e-12
+
+
+def _arrays(obj):
+    """The numpy arrays held in the attributes of ``obj``, private ones too."""
+    return [v for v in vars(obj).values() if isinstance(v, np.ndarray)]
+
+
+def wide_config(tmax=2):
+    """q=2, chi=2, L_R=9: D = 1024."""
+    gate = random_gate("general", make_rng(3), q=2, qt=2)
+    return EvolutionConfig(gate, ghz_cluster_family(0.6, 2),
+                           product_right_kets(2, 2, 9, 0), 9, tmax)
+
+
+def reference_step_rho(rho, cfg):
+    return apply_channel(cfg.channel, conjugate_brickwork(rho, cfg.gate, cfg.l_r))
+
+
+class TestEngineBuffers:
+    """A period runs in its input plus two D x D arrays, with the arithmetic
+    of the copying path: every result is bit-identical to it."""
+
+    def test_conjugate_brickwork_lands_in_the_second_buffer(self):
+        rng = make_rng(50)
+        gate = random_gate("haar", rng, q=3)
+        rho = random_hermitian(2 * 27, rng)
+        work = (np.empty_like(rho), np.empty_like(rho))
+        assert conjugate_brickwork(rho, gate, 3, work=work) is work[1]
+        assert np.array_equal(work[1], conjugate_brickwork(rho, gate, 3))
+
+    def test_conjugate_brickwork_rejects_aliased_work(self):
+        rng = make_rng(51)
+        gate = random_gate("haar", rng, q=2)
+        rho = random_hermitian(8, rng)
+        buf = np.empty_like(rho)
+        for work in ((buf, buf), (rho, buf), (buf, rho), (buf, np.empty((8, 8)))):
+            with pytest.raises(ValueError):
+                conjugate_brickwork(rho, gate, 3, work=work)
+
+    @pytest.mark.parametrize("make_cfg", [saturation_config, wide_config])
+    def test_step_with_and_without_scratch(self, make_cfg):
+        cfg = make_cfg(tmax=3)
+        s = list(states(cfg))[-1]
+        assert s._scratch is not None
+        bare = JointState(s.chi, s.q, s.l_r, s.rho.copy(), s.t)
+        with_scratch, without = step(s, cfg), step(bare, cfg)
+        assert np.array_equal(with_scratch.rho, without.rho)
+        assert np.array_equal(with_scratch.rho, reference_step_rho(s.rho, cfg))
+        assert with_scratch._herm == without._herm == hermiticity_residual(without.rho)
+
+    def test_scratch_is_taken_from_the_input(self):
+        cfg = saturation_config(tmax=1)
+        s0, s1 = states(cfg)
+        assert s0._scratch is None and s1._scratch is not None
+        scratch = s1._scratch
+        s2 = step(s1, cfg)
+        assert s1._scratch is None and s2._scratch is scratch
+
+    def test_two_steps_of_one_state_share_no_memory(self):
+        cfg = saturation_config(tmax=2)
+        s = list(states(cfg))[1]
+        first, second = step(s, cfg), step(s, cfg)
+        assert np.array_equal(first.rho, second.rho)
+        for a in _arrays(first) + _arrays(s):
+            for b in _arrays(second):
+                assert not np.shares_memory(a, b)
+
+    def test_stream_shares_no_memory(self):
+        held = [a for s in list(states(saturation_config(tmax=4))) for a in _arrays(s)]
+        assert len(held) == 6  # five rho and the last state's scratch
+        for i, a in enumerate(held):
+            for b in held[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+    def test_min_eig_work_buffer(self):
+        cfg = saturation_config(tmax=4)
+        for s in states(cfg):
+            lent = s.invariant_residuals()["min_eig"]
+            assert lent == min_eig_lower_bound(s.rho)
+        rng = make_rng(52)
+        for h in (random_hermitian(512, rng), s.rho):  # dense and probe paths
+            work = np.empty_like(h)
+            assert min_eig_lower_bound(h, work=work) == min_eig_lower_bound(h)
+        with pytest.raises(ValueError, match="shares memory"):
+            min_eig_lower_bound(h, work=h)
+
+    def test_hermiticity_scanned_once_per_row(self, monkeypatch):
+        cfg = saturation_config(tmax=2)
+        s1 = list(states(cfg))[1]
+        calls = []
+        real = evolve.hermiticity_residual
+        monkeypatch.setattr(evolve, "hermiticity_residual", lambda m: calls.append(1) or real(m))
+        res = s1.invariant_residuals()
+        assert calls == [] and res["hermiticity"] == real(s1.rho)
+        step(s1, cfg)
+        assert calls == [1]
+        bare = JointState(s1.chi, s1.q, s1.l_r, s1.rho, s1.t)
+        assert bare.invariant_residuals()["hermiticity"] == res["hermiticity"]
+        assert calls == [1, 1]
+
+    def test_memory_budget_at_d1024(self):
+        cfg = wide_config()
+        s = initial_joint_state(cfg)
+        d2 = s.rho.size * 16
+        peaks = []
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                s = step(s, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert peaks[0] <= 2 * d2 + 2 ** 21
+        assert max(peaks[1:]) <= d2 + 2 ** 21
 
 
 class TestObservables:
