@@ -15,8 +15,9 @@ import numpy as np
 from .channel import (BoundaryChannel, apply_channel, kraus_from_lpdo,
                       kraus_from_mps, kraus_from_two_site)
 from .errors import CapacityError, NumericalDriftError
-from .linalg import (hermiticity_residual, kron, min_eig_lower_bound,
-                     partial_trace, require_buffer, von_neumann_entropy)
+from .linalg import (PROBE_RESIDUAL_TOL, hermiticity_residual, kron,
+                     min_eig_lower_bound, range_sketch, require_buffer,
+                     von_neumann_entropy)
 from .mps import Lpdo, MpsTensor, TwoSiteMps, left_block
 from .gates import TwoSiteGate
 from .solvable import check_solvable_left
@@ -26,6 +27,10 @@ DRIFT_TOL = 1e-8
 # Entries of the D x D joint density matrix (D = chi q^L_R) an engine may
 # hold; 2^24 is D = 4096.
 DENSITY_ENTRY_CAP = 2 ** 24
+# conjugate_brickwork fuses gates into blocks on w adjacent sites with
+# q^w <= BLOCK_LEVEL_CAP: four blocks for a q=2, L_R=10 period, and one gate
+# per block at q >= 3.  A cap of 64 conjugated no faster at q = 2.
+BLOCK_LEVEL_CAP = 16
 
 
 @dataclass
@@ -35,6 +40,7 @@ class JointState:
     A state made by ``step`` also carries, privately, the D x D scratch
     buffer that the next ``step`` and ``invariant_residuals`` work in, and
     the Hermiticity residual that ``step`` computed for its drift check.
+    Assigning a new ``rho`` drops that residual and the cached range sketch.
     """
 
     chi: int
@@ -44,6 +50,13 @@ class JointState:
     t: int = 0
     _scratch: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _herm: float | None = field(default=None, init=False, repr=False, compare=False)
+    _sketch: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __setattr__(self, name, value):
+        if name == "rho":  # what was computed from the old rho is stale
+            object.__setattr__(self, "_herm", None)
+            object.__setattr__(self, "_sketch", None)
+        object.__setattr__(self, name, value)
 
     def __post_init__(self):
         d = self.chi * self.q ** self.l_r
@@ -57,8 +70,16 @@ class JointState:
         dense eigensolve unless rho has low rank)."""
         tr = float(np.trace(self.rho).real)
         herm = self._herm if self._herm is not None else hermiticity_residual(self.rho)
-        min_eig = min_eig_lower_bound(self.rho, work=self._scratch)
+        min_eig = min_eig_lower_bound(self.rho, work=self._scratch, sketch=self.range_sketch())
         return {"trace": abs(tr - 1.0), "hermiticity": herm, "min_eig": min_eig}
+
+    def range_sketch(self) -> tuple | None:
+        """``linalg.range_sketch`` of rho, formed in the scratch buffer once
+        per rho and shared by ``invariant_residuals`` and
+        ``entanglement_entropy``."""
+        if self._sketch is None:
+            self._sketch = range_sketch(self.rho, work=self._scratch)
+        return self._sketch
 
 
 def build_channel(state: MpsTensor | TwoSiteMps | Lpdo) -> BoundaryChannel:
@@ -154,26 +175,60 @@ def _embed(u: np.ndarray, q: int, n: int, x: int) -> np.ndarray:
     return kron(left, u, right)
 
 
+def _brickwork_blocks(q: int, l_r: int) -> list[tuple[int, int, list[int]]]:
+    """One period's gates merged into blocks (lo, hi, xs): the gates on
+    (x, x+1) for x in xs, applied in that order, act on sites lo..hi-1,
+    with q^(hi - lo) <= ``BLOCK_LEVEL_CAP``.
+
+    The gates are taken as applied, even bonds then odd bonds.  Each joins
+    the earliest block it reaches by passing only blocks on sites disjoint
+    from its own (those commute with it) and that stays within the cap;
+    otherwise it opens a new block.  Applying the blocks in order is the
+    period gate by gate.
+    """
+    blocks: list[tuple[int, int, list[int]]] = []
+    for x in [*range(0, l_r - 1, 2), *range(1, l_r - 1, 2)]:
+        target = None
+        for i in range(len(blocks) - 1, -1, -1):
+            lo, hi, _ = blocks[i]
+            if q ** (max(hi, x + 2) - min(lo, x)) <= BLOCK_LEVEL_CAP:
+                target = i
+            if lo < x + 2 and x < hi:
+                break
+        if target is None:
+            blocks.append((x, x + 2, [x]))
+        else:
+            lo, hi, xs = blocks[target]
+            blocks[target] = (min(lo, x), max(hi, x + 2), xs + [x])
+    return blocks
+
+
 def conjugate_brickwork(rho: np.ndarray, gate: TwoSiteGate, l_r: int,
                         work: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """(I_chi (x) U_R) rho (I_chi (x) U_R)^dag, one two-site gate at a time.
+    """(I_chi (x) U_R) rho (I_chi (x) U_R)^dag, one fused block at a time.
 
-    A gate on sites (x, x+1) acts on the row legs as one batched matmul on
-    the no-copy (chi q^x, q^2, rest) view of a C-ordered array; the column
+    The period's gates are merged by ``_brickwork_blocks``.  A block on
+    sites lo..hi-1 acts on the row legs as one batched matmul of its
+    q^w x q^w unitary (w = hi - lo; the gate itself when w = 2) on the
+    no-copy (chi q^lo, q^w, rest) view of a C-ordered array; the column
     legs are the row legs of the conjugate transpose, so the result is
-    (U (U rho)^dag)^dag.  Cost O(L_R q^2 D^2) with two D x D buffers, the
-    pair ``work`` when given (C-contiguous complex128, sharing no memory with
-    ``rho`` or each other) and fresh ones otherwise.  The buffers are written
-    an even number of times, so the result is ``work[1]``; ``rho`` is left as
-    it is.
+    (U (U rho)^dag)^dag.  Cost O(q^w D^2) per block with two D x D buffers,
+    the pair ``work`` when given (C-contiguous complex128, sharing no memory
+    with ``rho`` or each other) and fresh ones otherwise.  The buffers are
+    written an even number of times, so the result is ``work[1]``; ``rho``
+    is left as it is.
     """
-    q2 = gate.q ** 2
+    q = gate.q
     d = rho.shape[0]
     batches = []
-    for x in [*range(0, l_r - 1, 2), *range(1, l_r - 1, 2)]:
-        before = d // gate.q ** (l_r - x)
-        # A stride-0 broadcast of the gate drops numpy's matmul off BLAS.
-        batches.append(np.broadcast_to(gate.matrix, (before, q2, q2)).copy())
+    for lo, hi, xs in _brickwork_blocks(q, l_r):
+        u = gate.matrix
+        if hi - lo > 2:
+            u = np.eye(q ** (hi - lo), dtype=complex)
+            for x in xs:
+                u = _embed(gate.matrix, q, hi - lo, x - lo) @ u
+        # A stride-0 broadcast of the block drops numpy's matmul off BLAS.
+        batches.append(np.broadcast_to(u, (d // q ** (l_r - lo),) + u.shape).copy())
     if work is None:
         bufs = [np.empty((d, d), dtype=complex), np.empty((d, d), dtype=complex)]
     else:
@@ -182,7 +237,7 @@ def conjugate_brickwork(rho: np.ndarray, gate: TwoSiteGate, l_r: int,
     m, k = rho, 0
     for _ in range(2):
         for ub in batches:
-            shape = (ub.shape[0], q2, -1)
+            shape = (ub.shape[0], ub.shape[1], -1)
             np.matmul(ub, m.reshape(shape), out=bufs[k].reshape(shape))
             m, k = bufs[k], 1 - k
         np.conjugate(m.T, out=bufs[k])
@@ -214,6 +269,7 @@ def step(s: JointState, cfg: EvolutionConfig) -> JointState:
     result.
     """
     scratch, s._scratch = s._scratch, None
+    s._sketch = None  # its Q would outlive the diagnostics of s, held through the period
     if scratch is None:
         scratch = np.empty(s.rho.shape, dtype=complex)
     new = np.empty(s.rho.shape, dtype=complex)
@@ -248,8 +304,22 @@ def subsystem_density(s: JointState) -> np.ndarray:
 
 
 def entanglement_entropy(s: JointState) -> float:
-    """Von Neumann entropy (nats) of the subsystem density matrix."""
-    return von_neumann_entropy(subsystem_density(s))
+    """Von Neumann entropy (nats) of the subsystem density matrix.
+
+    When the state's range sketch certifies rank <= k (residual at most
+    ``PROBE_RESIDUAL_TOL``), rho ~ Q A Q^dag, so rho_R = sum_a rho[a, :, a, :]
+    has its range in the span of the ancilla blocks Q_a of Q: the entropy
+    comes from the Ritz values of rho_R on an orthonormal basis W of
+    [Q_0, ..., Q_{chi-1}] ((D/chi) x chi k), which ``von_neumann_entropy``
+    certifies in turn.  Otherwise it is the dense eigensolve.
+    """
+    sketch = s.range_sketch()
+    basis = None
+    if sketch is not None and sketch[2] <= PROBE_RESIDUAL_TOL:
+        range_q = sketch[0]
+        blocks = range_q.reshape(s.chi, -1, range_q.shape[1]).transpose(1, 0, 2)
+        basis, _ = np.linalg.qr(blocks.reshape(blocks.shape[0], -1))
+    return von_neumann_entropy(subsystem_density(s), basis=basis)
 
 
 def local_expectation(s: JointState, site: int, op: np.ndarray) -> float:
@@ -261,7 +331,9 @@ def local_expectation(s: JointState, site: int, op: np.ndarray) -> float:
         raise ValueError(f"operator must be {s.q}x{s.q}")
     if not hermiticity_residual(op) <= 1e-10:  # NaN fails too
         raise ValueError("operator must be Hermitian")
-    rho_site = partial_trace(subsystem_density(s), [s.q] * s.l_r, [site])
+    r = s.rho.reshape(s.chi, s.q ** site, s.q, s.q ** (s.l_r - site - 1),
+                      s.chi, s.q ** site, s.q, s.q ** (s.l_r - site - 1))
+    rho_site = np.einsum('aibjaicj->bc', r)
     val = complex(np.trace(rho_site @ op))
     if abs(val.imag) > 1e-10:
         raise NumericalDriftError(f"expectation has imaginary part {val.imag:.2e}")

@@ -31,12 +31,14 @@ _GEMM_BLOCK = 2 ** 18
 # and a D=512 evolve row took about 1000 minor page faults (median); at this
 # size the median row takes none (BENCH_engine_buffers.json).
 _HERM_BLOCK = 2 ** 15
-# min_eig_lower_bound: width of the Gaussian range probe, the smallest
-# dimension that takes it (8 probe widths), and the residual norm below which
-# the probe's bound is returned (well under the 1e-10 positivity check).
+# range_sketch: width of the Gaussian range probe and the smallest dimension
+# that takes it (8 probe widths).  PROBE_RESIDUAL_TOL is the residual norm
+# below which a sketch certifies the range (well under the 1e-10 positivity
+# check): min_eig_lower_bound then returns the probe's bound, and
+# von_neumann_entropy the entropy of its Ritz values.
 _PROBE_WIDTH = 32
 _PROBE_MIN_DIM = 8 * _PROBE_WIDTH
-_PROBE_RESIDUAL_TOL = 1e-12
+PROBE_RESIDUAL_TOL = 1e-12
 
 PAULI = (
     np.eye(2, dtype=complex),
@@ -96,39 +98,63 @@ def require_buffer(buf: np.ndarray, shape: tuple, name: str, *avoid: np.ndarray)
     return buf
 
 
-def min_eig_lower_bound(h: np.ndarray, work: np.ndarray | None = None) -> float:
-    """A certified lower bound on the smallest eigenvalue of (h + h^dag)/2.
+def range_sketch(h: np.ndarray, work: np.ndarray | None = None
+                 ) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """Randomized range sketch (Q, A, resid) of a square matrix h.
 
     Randomized range finder (Halko, Martinsson and Tropp, SIAM Rev. 53, 217
     (2011)): Q is an orthonormal basis of h Omega for a fixed-seed D x k
-    Gaussian probe Omega, A = herm(Q^dag h Q) and E = h - Q A Q^dag.  Q A Q^dag
-    has the eigenvalues of A and D - k zeros, so Weyl's inequality gives
-    lambda_min >= min(lambda_min(A), 0) - ||E||_F whatever Q is; the probe
+    Gaussian probe Omega (k = ``_PROBE_WIDTH``), A = herm(Q^dag h Q) and
+    resid = ||h - Q A Q^dag||_F, the residual formed in one D x D buffer
+    (``work`` when given, its contents overwritten; otherwise a fresh one).
+    A residual at round-off certifies that h has numerical rank <= k and
+    that Q spans its range.  None when D < ``_PROBE_MIN_DIM``, where a dense
+    eigensolve costs less than the probe.  Deterministic: the same h gives
+    the same bytes.
+    """
+    h = np.asarray(h)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError(f"range_sketch needs a square matrix, got {h.shape}")
+    d = h.shape[0]
+    if d < _PROBE_MIN_DIM:
+        return None
+    buf = np.empty((d, d), dtype=complex) if work is None else \
+        require_buffer(work, (d, d), "work", h)
+    omega = make_rng(0).standard_normal((d, _PROBE_WIDTH))
+    q, _ = np.linalg.qr(h @ omega)
+    a = dagger(q) @ (h @ q)
+    a = (a + dagger(a)) / 2
+    np.matmul(q @ a, dagger(q), out=buf)
+    np.subtract(h, buf, out=buf)
+    return q, a, float(np.linalg.norm(buf))
+
+
+def min_eig_lower_bound(h: np.ndarray, work: np.ndarray | None = None,
+                        sketch: tuple[np.ndarray, np.ndarray, float] | None = None) -> float:
+    """A certified lower bound on the smallest eigenvalue of (h + h^dag)/2.
+
+    With the ``range_sketch`` (Q, A, resid) of h, Q A Q^dag has the
+    eigenvalues of A and D - k zeros, so Weyl's inequality gives
+    lambda_min >= min(lambda_min(A), 0) - resid whatever Q is; the probe
     sets only how tight the bound is.  On a state of rank below k this costs
-    O(D^2 k) instead of O(D^3).  When ||E||_F exceeds ``_PROBE_RESIDUAL_TOL``
+    O(D^2 k) instead of O(D^3).  When resid exceeds ``PROBE_RESIDUAL_TOL``
     (rank near or above k) or D < ``_PROBE_MIN_DIM``, the result is the dense
-    ``eigvalsh((h + h^dag)/2).min()``, bit for bit.  Deterministic: the same
-    h gives the same bytes.  Uses one D x D buffer: ``work`` when given (its
-    contents are overwritten), otherwise a fresh one.
+    ``eigvalsh((h + h^dag)/2).min()``, bit for bit.  ``sketch``, when given,
+    must be ``range_sketch(h)``; it is computed here otherwise.  Uses one
+    D x D buffer: ``work`` when given (its contents are overwritten),
+    otherwise a fresh one.
     """
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"min_eig_lower_bound needs a square matrix, got {h.shape}")
     d = h.shape[0]
-    if work is None:
-        buf = np.empty((d, d), dtype=complex)
-    else:
-        buf = require_buffer(work, (d, d), "work", h)
-    if d >= _PROBE_MIN_DIM:
-        omega = make_rng(0).standard_normal((d, _PROBE_WIDTH))
-        q, _ = np.linalg.qr(h @ omega)
-        a = dagger(q) @ (h @ q)
-        a = (a + dagger(a)) / 2
-        np.matmul(q @ a, dagger(q), out=buf)
-        np.subtract(h, buf, out=buf)
-        resid = float(np.linalg.norm(buf))
-        if resid <= _PROBE_RESIDUAL_TOL:
-            return min(float(np.linalg.eigvalsh(a).min()), 0.0) - resid
+    buf = np.empty((d, d), dtype=complex) if work is None else \
+        require_buffer(work, (d, d), "work", h)
+    if sketch is None:
+        sketch = range_sketch(h, buf)
+    if sketch is not None and sketch[2] <= PROBE_RESIDUAL_TOL:
+        _, a, resid = sketch
+        return min(float(np.linalg.eigvalsh(a).min()), 0.0) - resid
     np.conjugate(h.T, out=buf)
     buf += h
     buf /= 2
@@ -241,11 +267,32 @@ def expm_hermitian_generator(h: np.ndarray, atol: float = 1e-10) -> np.ndarray:
     return (v * np.exp(-1j * w)) @ dagger(v)
 
 
-def _density_eigvals(rho: np.ndarray, trace_atol: float = 1e-8) -> np.ndarray:
+def _ritz_values(rho: np.ndarray, basis: np.ndarray) -> np.ndarray | None:
+    """Eigenvalues of B = herm(W^dag rho W) for W = ``basis`` (orthonormal
+    columns), or None unless 2 ||rho (I - W W^dag)||_F <= ``PROBE_RESIDUAL_TOL``.
+
+    For Hermitian rho, rho - P rho P = rho (I - P) + (I - P) rho P has
+    Frobenius norm at most twice ||rho (I - P)||_F, so by Weyl's inequality
+    every eigenvalue of rho is within the certificate of the eigenvalues of
+    B padded with zeros.  Cost O(n^2 m) for an n x m basis.
+    """
+    y = rho @ basis
+    b = dagger(basis) @ y
+    resid = y @ dagger(basis)
+    np.subtract(rho, resid, out=resid)
+    if not 2 * float(np.linalg.norm(resid)) <= PROBE_RESIDUAL_TOL:
+        return None
+    return np.linalg.eigvalsh((b + dagger(b)) / 2)
+
+
+def _density_eigvals(rho: np.ndarray, trace_atol: float = 1e-8,
+                     basis: np.ndarray | None = None) -> np.ndarray:
     rho = require_finite(rho, "rho")
     if hermiticity_residual(rho) > 1e-8:
         raise ValueError("rho is not Hermitian within tolerance")
-    w = np.linalg.eigvalsh(rho)
+    w = None if basis is None else _ritz_values(rho, basis)
+    if w is None:
+        w = np.linalg.eigvalsh(rho)
     if w.min() < -1e-6:
         raise PositivityError(f"rho has eigenvalue {w.min():.3e} < -1e-6")
     if abs(w.sum() - 1.0) > trace_atol:
@@ -253,9 +300,16 @@ def _density_eigvals(rho: np.ndarray, trace_atol: float = 1e-8) -> np.ndarray:
     return np.clip(w, 0.0, 1.0)
 
 
-def von_neumann_entropy(rho: np.ndarray) -> float:
-    """-Tr[rho ln rho] in nats; eigenvalues clamped to [0, 1], 0 ln 0 := 0."""
-    w = _density_eigvals(rho)
+def von_neumann_entropy(rho: np.ndarray, basis: np.ndarray | None = None) -> float:
+    """-Tr[rho ln rho] in nats; eigenvalues clamped to [0, 1], 0 ln 0 := 0.
+
+    ``basis``, when given, is an orthonormal basis W believed to hold the
+    range of rho: the entropy then comes from the Ritz values of rho on W
+    if 2 ||rho (I - W W^dag)||_F <= ``PROBE_RESIDUAL_TOL`` certifies them
+    (the dense eigensolve otherwise), and it leaves out the -e ln e of the
+    round-off eigenvalues outside W.
+    """
+    w = _density_eigvals(rho, basis=basis)
     w = w[w > 0]
     return float(-(w * np.log(w)).sum())
 

@@ -23,6 +23,9 @@ from .linalg import renyi_trace
 from .mps import MpsTensor, left_block
 
 DEFAULT_AMPLITUDE_CAP = 2 ** 20
+# _reduced_right sums its gemm over row blocks of this many amplitudes
+# (1 MiB of complex128), in place of one conjugate copy of the whole chain.
+_ROW_BLOCK = 2 ** 16
 
 
 @dataclass
@@ -104,9 +107,16 @@ def _chain_dims(spec: ChainSpec) -> list[int]:
 
 def _reduced_right(psi: np.ndarray, dr: int) -> np.ndarray:
     """Reduced density matrix of the last factor, of dimension ``dr``, of
-    the pure chain ``psi``."""
+    the pure chain ``psi``: sum over rows l of m[l]^T conj(m[l]) for
+    m = psi as (rest, dr), one gemm per block of ``_ROW_BLOCK`` amplitudes,
+    so only a block is ever conjugated."""
     m = psi.reshape(-1, dr)
-    return np.einsum('lr,ls->rs', m, m.conj(), optimize=True)
+    out = np.zeros((dr, dr), dtype=complex)
+    step = max(1, _ROW_BLOCK // dr)
+    for s in range(0, m.shape[0], step):
+        b = m[s:s + step]
+        out += b.T @ b.conj()
+    return out
 
 
 def evolve_chain(spec: ChainSpec) -> list[np.ndarray]:

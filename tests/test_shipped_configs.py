@@ -13,7 +13,7 @@ DATA_DIR = Path(__file__).resolve().parent / "data"
 
 def test_config_dir_present():
     assert CONFIG_DIR.is_dir()
-    assert len(list(CONFIG_DIR.glob("*.json"))) >= 5
+    assert len(list(CONFIG_DIR.glob("*.json"))) >= 6
 
 
 @pytest.mark.parametrize("name", ["oracle_q2_dressed_swap.json", "oracle_q4_general.json"])
@@ -27,7 +27,8 @@ def test_shipped_oracle_configs_agree(name, tmp_path):
 
 def test_shipped_configs_pass_check(tmp_path):
     for name in ("oracle_q2_dressed_swap.json", "oracle_q4_general.json",
-                 "entropy_saturation.json", "fixed_point_q2.json"):
+                 "entropy_saturation.json", "fixed_point_q2.json",
+                 "rank_saturation_q2.json"):
         assert main(["check", "--config", str(CONFIG_DIR / name)]) == 0
 
 
