@@ -20,11 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dagger, max_abs, require_buffer
-from .mps import (Lpdo, MpsTensor, TwoSiteMps, check_left_canonical,
+from .linalg import isometry_residual, require_buffer
+from .mps import (CANONICAL_ATOL, Lpdo, MpsTensor, TwoSiteMps, check_left_canonical,
                   check_two_site_canonical, lpdo_check_canonical)
-
-CANONICAL_ATOL = 1e-10
 
 
 @dataclass
@@ -100,11 +98,7 @@ def kraus_from_lpdo(l: Lpdo) -> BoundaryChannel:
 
 def check_cptp(c: BoundaryChannel) -> float:
     """Residual ||sum K^dag K - I||_max (1.0 for an empty Kraus list)."""
-    d = c.chi * c.q
-    acc = np.zeros((d, d), dtype=complex)
-    for k in c.kraus:
-        acc += dagger(k) @ k
-    return max_abs(acc - np.eye(d))
+    return isometry_residual(np.reshape(c.kraus, (-1, c.chi * c.q)))
 
 
 def apply_channel(c: BoundaryChannel, rho: np.ndarray,

@@ -394,11 +394,13 @@ def make_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="solvcirc",
                                 description="solvable brickwork circuit toolkit")
     sub = p.add_subparsers(dest="command", required=True)
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", required=True)
+    config.add_argument("--seed", type=int,
+                        help="override the config-level seed")
 
-    c = sub.add_parser("check", help="solvability report for a gate/MPS pair")
-    c.add_argument("--config", required=True)
-    c.add_argument("--seed", type=int,
-                   help="override the config-level seed")
+    c = sub.add_parser("check", parents=[config],
+                       help="solvability report for a gate/MPS pair")
     c.add_argument("--tol", type=float, default=1e-8)
     c.add_argument("--require", default="left",
                    help="comma list among left,right,soliton,dual")
@@ -412,35 +414,24 @@ def make_parser() -> argparse.ArgumentParser:
     g.add_argument("--out")
     g.set_defaults(func=cmd_gen_gate)
 
-    e = sub.add_parser("evolve", help="hidden-Markov evolution to CSV")
-    e.add_argument("--config", required=True)
-    e.add_argument("--seed", type=int,
-                   help="override the config-level seed")
+    e = sub.add_parser("evolve", parents=[config], help="hidden-Markov evolution to CSV")
     e.add_argument("--out")
     e.set_defaults(func=cmd_evolve)
 
-    o = sub.add_parser("oracle", help="engine vs full-chain cross validation")
-    o.add_argument("--config", required=True)
-    o.add_argument("--seed", type=int,
-                   help="override the config-level seed")
+    o = sub.add_parser("oracle", parents=[config], help="engine vs full-chain cross validation")
     o.add_argument("--tol", type=float, default=1e-9)
     o.add_argument("--layer-order", choices=["even_first", "odd_first"])
     o.add_argument("--out")
     o.set_defaults(func=cmd_oracle)
 
-    r = sub.add_parser("renyi", help="replica transfer-matrix quantities to CSV")
-    r.add_argument("--config", required=True)
-    r.add_argument("--seed", type=int,
-                   help="override the config-level seed")
+    r = sub.add_parser("renyi", parents=[config], help="replica transfer-matrix quantities to CSV")
     r.add_argument("--oracle", action="store_true",
                    help="add brute-force chain cross-check column")
     r.add_argument("--out")
     r.set_defaults(func=cmd_renyi)
 
-    f = sub.add_parser("fixed-point", help="influence-matrix fixed-point residual")
-    f.add_argument("--config", required=True)
-    f.add_argument("--seed", type=int,
-                   help="override the config-level seed")
+    f = sub.add_parser("fixed-point", parents=[config],
+                       help="influence-matrix fixed-point residual")
     f.add_argument("--tol", type=float, default=1e-8)
     f.add_argument("--tsteps", type=int)
     f.set_defaults(func=cmd_fixed_point)

@@ -158,21 +158,22 @@ def brickwork_unitary(gate: TwoSiteGate, l_r: int) -> np.ndarray:
     """
     if l_r < 2:
         raise ValueError("l_r must be >= 2")
-    q = gate.q
-    dim = q ** l_r
-    even = np.eye(dim, dtype=complex)
-    for x in range(0, l_r - 1, 2):
-        even = _embed(gate.matrix, q, l_r, x) @ even
-    odd = np.eye(dim, dtype=complex)
-    for x in range(1, l_r - 1, 2):
-        odd = _embed(gate.matrix, q, l_r, x) @ odd
-    return odd @ even
+    return _gates_unitary(gate.matrix, gate.q, l_r, _period_bonds(l_r))
 
 
-def _embed(u: np.ndarray, q: int, n: int, x: int) -> np.ndarray:
-    left = np.eye(q ** x) if x else np.eye(1)
-    right = np.eye(q ** (n - x - 2)) if n - x - 2 else np.eye(1)
-    return kron(left, u, right)
+def _period_bonds(l_r: int) -> list[int]:
+    """Left sites x of the bonds (x, x+1) of one period, as applied: even
+    bonds, then odd bonds."""
+    return [*range(0, l_r - 1, 2), *range(1, l_r - 1, 2)]
+
+
+def _gates_unitary(u: np.ndarray, q: int, n: int, xs: list[int]) -> np.ndarray:
+    """The q^n x q^n unitary of the gate ``u`` on bonds (x, x+1) of n sites,
+    for x in ``xs``, applied in that order."""
+    out = np.eye(q ** n, dtype=complex)
+    for x in xs:
+        out = kron(np.eye(q ** x), u, np.eye(q ** (n - x - 2))) @ out
+    return out
 
 
 def _brickwork_blocks(q: int, l_r: int) -> list[tuple[int, int, list[int]]]:
@@ -187,7 +188,7 @@ def _brickwork_blocks(q: int, l_r: int) -> list[tuple[int, int, list[int]]]:
     period gate by gate.
     """
     blocks: list[tuple[int, int, list[int]]] = []
-    for x in [*range(0, l_r - 1, 2), *range(1, l_r - 1, 2)]:
+    for x in _period_bonds(l_r):
         target = None
         for i in range(len(blocks) - 1, -1, -1):
             lo, hi, _ = blocks[i]
@@ -222,11 +223,8 @@ def conjugate_brickwork(rho: np.ndarray, gate: TwoSiteGate, l_r: int,
     d = rho.shape[0]
     batches = []
     for lo, hi, xs in _brickwork_blocks(q, l_r):
-        u = gate.matrix
-        if hi - lo > 2:
-            u = np.eye(q ** (hi - lo), dtype=complex)
-            for x in xs:
-                u = _embed(gate.matrix, q, hi - lo, x - lo) @ u
+        u = gate.matrix if hi - lo == 2 else \
+            _gates_unitary(gate.matrix, q, hi - lo, [x - lo for x in xs])
         # A stride-0 broadcast of the block drops numpy's matmul off BLAS.
         batches.append(np.broadcast_to(u, (d // q ** (l_r - lo),) + u.shape).copy())
     if work is None:
@@ -329,7 +327,7 @@ def local_expectation(s: JointState, site: int, op: np.ndarray) -> float:
     op = np.asarray(op, dtype=complex)
     if op.shape != (s.q, s.q):
         raise ValueError(f"operator must be {s.q}x{s.q}")
-    if not hermiticity_residual(op) <= 1e-10:  # NaN fails too
+    if not (np.all(np.isfinite(op)) and hermiticity_residual(op) <= 1e-10):  # non-finite: no scan
         raise ValueError("operator must be Hermitian")
     r = s.rho.reshape(s.chi, s.q ** site, s.q, s.q ** (s.l_r - site - 1),
                       s.chi, s.q ** site, s.q, s.q ** (s.l_r - site - 1))

@@ -11,8 +11,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import (PAULI, dagger, expm_hermitian_generator, haar_unitary,
-                     kron, max_abs, reshuffle, unitarity_residual)
+from .linalg import (PAULI, expm_hermitian_generator, haar_unitary,
+                     isometry_residual, kron, max_abs, reshuffle, unitarity_residual)
 
 UNITARY_ATOL = 1e-10
 
@@ -228,8 +228,7 @@ def swap_conjugate(gate: TwoSiteGate) -> TwoSiteGate:
 
 def is_dual_unitary(gate: TwoSiteGate) -> float:
     """Residual ||(U^R)^dag U^R - I||_max; ~0 declares the gate dual unitary."""
-    ur = reshuffle(gate.matrix, gate.q)
-    return max_abs(dagger(ur) @ ur - np.eye(gate.q ** 2))
+    return isometry_residual(reshuffle(gate.matrix, gate.q))
 
 
 # Families a config may give by explicit parameters: the builder and the

@@ -31,6 +31,9 @@ _GEMM_BLOCK = 2 ** 18
 # and a D=512 evolve row took about 1000 minor page faults (median); at this
 # size the median row takes none (BENCH_engine_buffers.json).
 _HERM_BLOCK = 2 ** 15
+# reduced_density sums its gemm over row blocks of this many amplitudes
+# (1 MiB of complex128), in place of one conjugate copy of the whole state.
+_ROW_BLOCK = 2 ** 16
 # range_sketch: width of the Gaussian range probe and the smallest dimension
 # that takes it (8 probe widths).  PROBE_RESIDUAL_TOL is the residual norm
 # below which a sketch certifies the range (well under the 1e-10 positivity
@@ -62,9 +65,17 @@ def max_abs(m: np.ndarray) -> float:
     return float(np.max(np.abs(m))) if np.asarray(m).size else 0.0
 
 
+def isometry_residual(stack: np.ndarray) -> float:
+    """||sum_k M_k^dag M_k - I||_max over the matrices M_k on the last two
+    axes of ``stack``, as one gemm on the (-1, cols) view; on one matrix it is
+    ``max_abs(dagger(u) @ u - I)`` bit for bit, on an empty stack 1.0."""
+    m = np.asarray(stack)
+    m = m.reshape(-1, m.shape[-1])
+    return max_abs(dagger(m) @ m - np.eye(m.shape[1]))
+
+
 def unitarity_residual(u: np.ndarray) -> float:
-    u = np.asarray(u)
-    return max_abs(dagger(u) @ u - np.eye(u.shape[0]))
+    return isometry_residual(u)
 
 
 def hermiticity_residual(m: np.ndarray) -> float:
@@ -244,6 +255,20 @@ def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> 
         t = np.trace(t, axis1=i, axis2=i + t.ndim // 2)
     dk = int(np.prod([dims[i] for i in keep])) if keep else 1
     return t.reshape(dk, dk)
+
+
+def reduced_density(psi: np.ndarray, dr: int) -> np.ndarray:
+    """Tr_left |psi><psi| for a pure state ``psi`` whose last factor has
+    dimension ``dr``: sum over rows l of m[l]^T conj(m[l]) for m = psi as
+    (rest, dr), one gemm per block of ``_ROW_BLOCK`` amplitudes, so only a
+    block is ever conjugated."""
+    m = psi.reshape(-1, dr)
+    out = np.zeros((dr, dr), dtype=complex)
+    step = max(1, _ROW_BLOCK // dr)
+    for s in range(0, m.shape[0], step):
+        b = m[s:s + step]
+        out += b.T @ b.conj()
+    return out
 
 
 def reshuffle(u: np.ndarray, q: int) -> np.ndarray:

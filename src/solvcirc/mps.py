@@ -12,9 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dagger, max_abs
+from .linalg import isometry_residual
 
 RANK_RTOL = 1e-10
+# Largest canonical-form residual a channel or transfer-matrix builder takes.
+CANONICAL_ATOL = 1e-10
 
 
 @dataclass
@@ -70,33 +72,22 @@ class Lpdo:
 
 def check_left_canonical(t: MpsTensor) -> float:
     """Residual ||sum_a A^(a)dag A^(a) - I||_max."""
-    acc = sum(dagger(m) @ m for m in t.mats)
-    return max_abs(acc - np.eye(t.chi))
+    return isometry_residual(t.mats)
 
 
 def check_right_canonical(t: MpsTensor) -> float:
     """Residual ||sum_a A^(a) A^(a)dag - I||_max."""
-    acc = sum(m @ dagger(m) for m in t.mats)
-    return max_abs(acc - np.eye(t.chi))
+    return isometry_residual(t.mats.conj().transpose(0, 2, 1))
 
 
 def check_two_site_canonical(t: TwoSiteMps) -> float:
     """Residual of sum_{a,b} (A^(a) B^(b))dag A^(a) B^(b) = I_chi."""
-    acc = np.zeros((t.chi, t.chi), dtype=complex)
-    for a in range(t.q):
-        for b in range(t.q):
-            ab = t.mats_a[a] @ t.mats_b[b]
-            acc += dagger(ab) @ ab
-    return max_abs(acc - np.eye(t.chi))
+    return isometry_residual(np.matmul(t.mats_a[:, None], t.mats_b[None]))
 
 
 def lpdo_check_canonical(l: Lpdo) -> float:
     """Residual of sum_{gamma,a} A^(a,gamma)dag A^(a,gamma) = I_chi."""
-    acc = np.zeros((l.chi, l.chi), dtype=complex)
-    for a in range(l.q):
-        for g in range(l.d):
-            acc += dagger(l.mats[a, g]) @ l.mats[a, g]
-    return max_abs(acc - np.eye(l.chi))
+    return isometry_residual(l.mats)
 
 
 def subspace_dimension(t: MpsTensor) -> int:
@@ -170,18 +161,18 @@ def two_site_from_pair(a: MpsTensor, b: MpsTensor) -> TwoSiteMps:
     return TwoSiteMps(a.q, a.chi, a.chi, a.mats.copy(), b.mats.copy())
 
 
-def physical_matrices(state: MpsTensor | TwoSiteMps | Lpdo) -> list[np.ndarray]:
-    """The per-level matrices whose kets span H_A, for solvability checks.
+def physical_matrices(state: MpsTensor | TwoSiteMps | Lpdo) -> np.ndarray:
+    """The (q, chi, chip) stack of per-level matrices whose kets span H_A,
+    for solvability checks.
 
     The solvable condition involves only the tensor carrying even (A) sites;
     for an LPDO the purification index is flattened into the column space,
     leaving the spanned ket set unchanged.
     """
     if isinstance(state, MpsTensor):
-        return [state.mats[a] for a in range(state.q)]
+        return state.mats
     if isinstance(state, TwoSiteMps):
-        return [state.mats_a[a] for a in range(state.q)]
+        return state.mats_a
     if isinstance(state, Lpdo):
-        return [state.mats[a].transpose(1, 0, 2).reshape(state.chi, state.d * state.chi)
-                for a in range(state.q)]
+        return state.mats.transpose(0, 2, 1, 3).reshape(state.q, state.chi, -1)
     raise TypeError(f"unsupported state type {type(state).__name__}")

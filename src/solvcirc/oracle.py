@@ -19,13 +19,10 @@ from .gates import TwoSiteGate
 # Gates go through the module-level name _apply_pair: benchmarks/spans.py
 # counts oracle gate applications by wrapping it.
 from .linalg import apply_two_site as _apply_pair
-from .linalg import renyi_trace
+from .linalg import reduced_density, renyi_trace
 from .mps import MpsTensor, left_block
 
 DEFAULT_AMPLITUDE_CAP = 2 ** 20
-# _reduced_right sums its gemm over row blocks of this many amplitudes
-# (1 MiB of complex128), in place of one conjugate copy of the whole chain.
-_ROW_BLOCK = 2 ** 16
 
 
 @dataclass
@@ -94,29 +91,9 @@ def _period_sites(l_left: int, l_r: int, layer_order: str = "even_first") -> lis
     return [1 + x + l_left for x in first + second]
 
 
-def _period(psi: np.ndarray, u: np.ndarray, dims: list[int], sites: list[int]) -> np.ndarray:
-    for p in sites:
-        psi = _apply_pair(psi, u, dims, p, p + 1)
-    return psi
-
-
 def _chain_dims(spec: ChainSpec) -> list[int]:
     bond = spec.chi if spec.purify else 1
     return [bond] + [spec.q] * (spec.l_left + spec.l_r)
-
-
-def _reduced_right(psi: np.ndarray, dr: int) -> np.ndarray:
-    """Reduced density matrix of the last factor, of dimension ``dr``, of
-    the pure chain ``psi``: sum over rows l of m[l]^T conj(m[l]) for
-    m = psi as (rest, dr), one gemm per block of ``_ROW_BLOCK`` amplitudes,
-    so only a block is ever conjugated."""
-    m = psi.reshape(-1, dr)
-    out = np.zeros((dr, dr), dtype=complex)
-    step = max(1, _ROW_BLOCK // dr)
-    for s in range(0, m.shape[0], step):
-        b = m[s:s + step]
-        out += b.T @ b.conj()
-    return out
 
 
 def evolve_chain(spec: ChainSpec) -> list[np.ndarray]:
@@ -125,10 +102,11 @@ def evolve_chain(spec: ChainSpec) -> list[np.ndarray]:
     dims = _chain_dims(spec)
     sites = _period_sites(spec.l_left, spec.l_r, spec.layer_order)
     dr = spec.q ** spec.l_r
-    out = [_reduced_right(psi, dr)]
+    out = [reduced_density(psi, dr)]
     for _ in range(spec.tmax):
-        psi = _period(psi, spec.gate.matrix, dims, sites)
-        out.append(_reduced_right(psi, dr))
+        for p in sites:  # one reference, rebound: a gate holds its input and output
+            psi = _apply_pair(psi, spec.gate.matrix, dims, p, p + 1)
+        out.append(reduced_density(psi, dr))
     return out
 
 
@@ -156,5 +134,6 @@ def renyi_trace_chain(gate: TwoSiteGate, mps: MpsTensor, n: int, t: int,
     dims = [chi] + [q] * (l_left + l_r) + [chi]
     sites = _period_sites(l_left, l_r)
     for _ in range(t):
-        psi = _period(psi, gate.matrix, dims, sites)
-    return renyi_trace(_reduced_right(psi, q ** l_r * chi), n)
+        for p in sites:
+            psi = _apply_pair(psi, gate.matrix, dims, p, p + 1)
+    return renyi_trace(reduced_density(psi, q ** l_r * chi), n)

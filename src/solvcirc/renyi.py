@@ -18,11 +18,10 @@ import numpy as np
 
 from .errors import CapacityError, DominanceError
 from .linalg import max_abs, renyi_trace, von_neumann_entropy
-from .mps import MpsTensor, check_left_canonical, check_right_canonical
+from .mps import CANONICAL_ATOL, MpsTensor, check_left_canonical, check_right_canonical
 
 TRANSFER_DIM_CAP = 4096
 TEMPORAL_AMPLITUDE_CAP = 2 ** 20
-CANONICAL_ATOL = 1e-10
 DOMINANCE_RTOL = 1e-8
 
 

@@ -72,58 +72,39 @@ def gate_from_json(obj: dict) -> TwoSiteGate:
                        obj.get("family", "custom"), params, obj.get("seed"))
 
 
-def mps_to_json(t: MpsTensor) -> dict:
-    return {"q": t.q, "chi": t.chi,
-            "mats": [matrix_to_json(t.mats[a]) for a in range(t.q)]}
+# kind -> (class, integer fields, {JSON key: matrix-stack attribute}); the
+# class takes the integer fields, then the stacks, in this order.
+LEFT_STATE_KINDS = {
+    "mps": (MpsTensor, ("q", "chi"), {"mats": "mats"}),
+    "two_site": (TwoSiteMps, ("q", "chi", "chip"), {"matsA": "mats_a", "matsB": "mats_b"}),
+    "lpdo": (Lpdo, ("q", "chi", "d"), {"mats": "mats"}),
+}
 
 
-def mps_from_json(obj: dict) -> MpsTensor:
-    mats = np.stack([matrix_from_json(m) for m in obj["mats"]])
-    return MpsTensor(int(obj["q"]), int(obj["chi"]), mats)
+def _stack_to_json(s: np.ndarray):
+    """A stack of matrices as nested lists of matrix objects."""
+    return matrix_to_json(s) if s.ndim == 2 else [_stack_to_json(m) for m in s]
 
 
-def two_site_to_json(t: TwoSiteMps) -> dict:
-    return {"q": t.q, "chi": t.chi, "chip": t.chip,
-            "matsA": [matrix_to_json(t.mats_a[a]) for a in range(t.q)],
-            "matsB": [matrix_to_json(t.mats_b[a]) for a in range(t.q)]}
-
-
-def two_site_from_json(obj: dict) -> TwoSiteMps:
-    a = np.stack([matrix_from_json(m) for m in obj["matsA"]])
-    b = np.stack([matrix_from_json(m) for m in obj["matsB"]])
-    return TwoSiteMps(int(obj["q"]), int(obj["chi"]), int(obj["chip"]), a, b)
-
-
-def lpdo_to_json(l: Lpdo) -> dict:
-    return {"q": l.q, "chi": l.chi, "d": l.d,
-            "mats": [[matrix_to_json(l.mats[a, g]) for g in range(l.d)]
-                     for a in range(l.q)]}
-
-
-def lpdo_from_json(obj: dict) -> Lpdo:
-    mats = np.stack([np.stack([matrix_from_json(m) for m in row])
-                     for row in obj["mats"]])
-    return Lpdo(int(obj["q"]), int(obj["chi"]), int(obj["d"]), mats)
+def _stack_from_json(obj) -> np.ndarray:
+    if isinstance(obj, list):
+        return np.stack([_stack_from_json(m) for m in obj])
+    return matrix_from_json(obj)
 
 
 def left_state_to_json(state: MpsTensor | TwoSiteMps | Lpdo) -> dict:
     """The object a config's ``"mps": {"file": ...}`` reads."""
-    if isinstance(state, MpsTensor):
-        return {"kind": "mps", **mps_to_json(state)}
-    if isinstance(state, TwoSiteMps):
-        return {"kind": "two_site", **two_site_to_json(state)}
-    if isinstance(state, Lpdo):
-        return {"kind": "lpdo", **lpdo_to_json(state)}
+    for kind, (cls, ints, stacks) in LEFT_STATE_KINDS.items():
+        if isinstance(state, cls):
+            return {"kind": kind, **{f: getattr(state, f) for f in ints},
+                    **{k: _stack_to_json(getattr(state, a)) for k, a in stacks.items()}}
     raise TypeError(f"unsupported state type {type(state).__name__}")
 
 
 def left_state_from_json(obj: dict) -> MpsTensor | TwoSiteMps | Lpdo:
     _require_object(obj, "left-state file")
     kind = obj.get("kind", "mps")
-    if kind == "mps":
-        return mps_from_json(obj)
-    if kind == "two_site":
-        return two_site_from_json(obj)
-    if kind == "lpdo":
-        return lpdo_from_json(obj)
-    raise ValueError(f"unknown left-state kind '{kind}'")
+    if not isinstance(kind, str) or kind not in LEFT_STATE_KINDS:
+        raise ValueError(f"unknown left-state kind '{kind}'")
+    cls, ints, stacks = LEFT_STATE_KINDS[kind]
+    return cls(*[int(obj[f]) for f in ints], *[_stack_from_json(obj[k]) for k in stacks])

@@ -19,7 +19,8 @@ import numpy as np
 from .channel import kraus_from_mps
 from .errors import CapacityError
 from .gates import TwoSiteGate, is_dual_unitary, swap_conjugate
-from .linalg import PAULI, apply_two_site, dagger, kron, max_abs, reshuffle
+from .linalg import (PAULI, apply_two_site, dagger, kron, max_abs, reduced_density,
+                     reshuffle)
 from .mps import Lpdo, MpsTensor, TwoSiteMps, left_block, physical_matrices
 
 IM_ENTRY_CAP = 2 ** 24
@@ -43,11 +44,14 @@ class SolvabilityReport:
         return d
 
 
-def _solvable_left_detail(u: np.ndarray, q: int, mats: list[np.ndarray]):
-    ur = reshuffle(u, q)
+def _solvable_left_detail(gate: TwoSiteGate, state: MpsTensor | TwoSiteMps | Lpdo):
+    q = gate.q
+    stack = physical_matrices(state)  # (q, chi, chip)
+    if stack.shape[0] != q:
+        raise ValueError(f"gate q={q} does not match tensor q={stack.shape[0]}")
+    ur = reshuffle(gate.matrix, q)
     urd = dagger(ur)
     iq = np.eye(q)
-    stack = np.stack(mats)  # (q, chi, chip)
     chi, chip = stack.shape[1], stack.shape[2]
     worst = 0.0
     worst_fro = 0.0
@@ -69,10 +73,7 @@ def _solvable_left_detail(u: np.ndarray, q: int, mats: list[np.ndarray]):
 
 def check_solvable_left(u: TwoSiteGate, a: MpsTensor | TwoSiteMps | Lpdo) -> float:
     """Max-norm residual of the left-chirality solvable condition."""
-    mats = physical_matrices(a)
-    if len(mats) != u.q:
-        raise ValueError(f"gate q={u.q} does not match tensor q={len(mats)}")
-    return _solvable_left_detail(u.matrix, u.q, mats)[0]
+    return _solvable_left_detail(u, a)[0]
 
 
 def check_solvable_right(u: TwoSiteGate, a: MpsTensor | TwoSiteMps | Lpdo) -> float:
@@ -94,11 +95,8 @@ def check_soliton(u: TwoSiteGate) -> float:
 
 
 def solvability_report(u: TwoSiteGate, a: MpsTensor | TwoSiteMps | Lpdo) -> SolvabilityReport:
-    mats = physical_matrices(a)
-    if len(mats) != u.q:
-        raise ValueError(f"gate q={u.q} does not match tensor q={len(mats)}")
-    left, pair, left_fro = _solvable_left_detail(u.matrix, u.q, mats)
-    right, _, right_fro = _solvable_left_detail(swap_conjugate(u).matrix, u.q, mats)
+    left, pair, left_fro = _solvable_left_detail(u, a)
+    right, _, right_fro = _solvable_left_detail(swap_conjugate(u), a)
     return SolvabilityReport(
         left_residual=left,
         right_residual=right,
@@ -257,8 +255,8 @@ def influence_matrix_bruteforce(u: TwoSiteGate, a: MpsTensor, tsteps: int,
         psi = apply_two_site(psi, u.matrix, dims, pos(-1), len(dims) - 1)
         for x in odd_bonds:
             psi = apply_two_site(psi, u.matrix, dims, pos(x), pos(x) + 1)
-    keep = [1 + l_left] + list(range(2 + l_left, len(dims)))
-    rho = _partial_trace_keep(psi, dims, keep)
+    # the cut bond and the probes are the last factors
+    rho = reduced_density(psi, chi * q ** (2 * tsteps))
     nleg = 1 + 2 * tsteps
     shape = [chi] + [q] * (2 * tsteps)
     r = rho.reshape(*shape, *shape)
@@ -267,12 +265,3 @@ def influence_matrix_bruteforce(u: TwoSiteGate, a: MpsTensor, tsteps: int,
         perm += [i, nleg + i]
     r = np.transpose(r, perm)
     return r.reshape((chi * chi,) + (q * q,) * (2 * tsteps))
-
-
-def _partial_trace_keep(psi: np.ndarray, dims: list[int], keep: list[int]) -> np.ndarray:
-    t = psi.reshape(dims)
-    traced = [i for i in range(len(dims)) if i not in keep]
-    t = np.transpose(t, traced + keep)
-    dk = int(np.prod([dims[i] for i in keep]))
-    m = t.reshape(-1, dk)
-    return np.einsum('lo,lp->op', m, m.conj(), optimize=True)

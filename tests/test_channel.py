@@ -172,6 +172,34 @@ class TestKrausFromLpdo:
         assert check_cptp(ch) < 1e-12
 
 
+def built_channel(kind, q, chi, seed):
+    """A channel from a random canonical left state of the given kind; the
+    two-site cell has chip = 3 - chi != chi."""
+    rng = make_rng(seed)
+    if kind == "mps":
+        return kraus_from_mps(random_left_canonical(q, chi, rng))
+    if kind == "lpdo":
+        return kraus_from_lpdo(random_lpdo(q, chi, 2, rng))
+    chip = 3 - chi
+    a = haar_isometry(q * chi, chip, rng).reshape(q, chi, chip)
+    b = haar_isometry(q * chip, chi, rng).reshape(q, chip, chi)
+    return kraus_from_two_site(TwoSiteMps(q, chi, chip, a, b))
+
+
+class TestCptpProperty:
+    """Every built channel is CPTP, and ``check_cptp`` (one gemm over the
+    stacked Kraus list) agrees with the operator-by-operator sum."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["mps", "two_site", "lpdo"]), q=st.sampled_from([2, 3, 4]),
+           chi=st.sampled_from([1, 2]), seed=st.integers(0, 2 ** 31 - 1))
+    def test_built_channels_are_cptp(self, kind, q, chi, seed):
+        ch = built_channel(kind, q, chi, seed)
+        ref = max_abs(sum(dagger(k) @ k for k in ch.kraus) - np.eye(chi * q))
+        assert check_cptp(ch) < 1e-12
+        assert abs(check_cptp(ch) - ref) <= 1e-14
+
+
 class TestCheckCptp:
     def test_scaled_kraus(self):
         ch = kraus_from_mps(product_state_mps([1, 0]))

@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 from solvcirc.errors import CapacityError, PositivityError
 from solvcirc.linalg import (_PROBE_WIDTH, PAULI, apply_two_site, dagger,
                              expm_hermitian_generator, haar_unitary,
-                             hermiticity_residual, kron, make_rng, max_abs,
-                             min_eig_lower_bound, partial_trace, renyi_trace,
-                             reshuffle, trace_distance, von_neumann_entropy)
+                             hermiticity_residual, isometry_residual, kron,
+                             make_rng, max_abs, min_eig_lower_bound, partial_trace,
+                             reduced_density, renyi_trace, reshuffle,
+                             trace_distance, unitarity_residual, von_neumann_entropy)
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 
@@ -416,3 +417,64 @@ class TestHermiticityResidual:
         m = np.eye(d, dtype=complex)
         m[i, i] = np.nan
         assert np.isnan(hermiticity_residual(m))
+
+
+def random_complex(shape, rng):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestIsometryResidual:
+    """One gemm on the (-1, cols) view against the sum over the stack."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 31 - 1),
+           lead=st.lists(st.integers(1, 4), min_size=0, max_size=2),
+           rows=st.integers(1, 6), cols=st.integers(1, 6))
+    def test_matches_the_per_matrix_sum(self, seed, lead, rows, cols):
+        shape = (*lead, rows, cols)
+        stack = random_complex(shape, make_rng(seed)) / np.sqrt(np.prod(shape[:-1]))
+        mats = stack.reshape(-1, rows, cols)
+        acc = sum(dagger(m) @ m for m in mats)
+        ref = max_abs(acc - np.eye(cols))
+        assert abs(isometry_residual(stack) - ref) <= 1e-14
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 31 - 1), rows=st.integers(1, 9),
+           cols=st.integers(1, 9), unitary=st.booleans())
+    def test_one_matrix_bit_for_bit(self, seed, rows, cols, unitary):
+        rng = make_rng(seed)
+        u = haar_unitary(rows, rng) if unitary else random_complex((rows, cols), rng)
+        ref = max_abs(dagger(u) @ u - np.eye(u.shape[1]))
+        assert isometry_residual(u) == ref
+        if unitary:
+            assert unitarity_residual(u) == ref
+
+    def test_isometries_and_empty_stack(self):
+        rng = make_rng(11)
+        v, _ = np.linalg.qr(random_complex((12, 3), rng))
+        assert isometry_residual(v.reshape(4, 3, 3)) < 1e-14
+        assert isometry_residual(np.zeros((0, 3))) == 1.0
+
+
+class TestReshuffleProperty:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 31 - 1), q=st.sampled_from([2, 3, 4]))
+    def test_involution(self, seed, q):
+        u = random_complex((q * q, q * q), make_rng(seed))
+        assert np.array_equal(reshuffle(reshuffle(u, q), q), u)
+
+
+class TestReducedDensity:
+    @pytest.mark.parametrize("dims", [[2, 3], [3, 2, 4], [2, 2, 2, 2, 2]])
+    def test_matches_the_partial_trace(self, dims):
+        psi = random_complex(int(np.prod(dims)), make_rng(len(dims)))
+        rho = np.outer(psi, psi.conj())
+        ref = partial_trace(rho, dims, [len(dims) - 1])
+        assert max_abs(reduced_density(psi, dims[-1]) - ref) < 1e-12
+
+    def test_blocks_sum_to_one_gemm(self, monkeypatch):
+        import solvcirc.linalg as la
+        psi = random_complex(2 ** 12, make_rng(3))
+        whole = reduced_density(psi, 8)
+        monkeypatch.setattr(la, "_ROW_BLOCK", 64)  # 8 rows a block, 64 blocks
+        assert max_abs(reduced_density(psi, 8) - whole) < 1e-11

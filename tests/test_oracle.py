@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from solvcirc.errors import CapacityError
 from solvcirc.evolve import EvolutionConfig, states, subsystem_density
 from solvcirc.gates import TwoSiteGate, random_gate, swap_matrix
-from solvcirc.linalg import make_rng, max_abs, trace_distance
+from solvcirc.linalg import _ROW_BLOCK, make_rng, max_abs, trace_distance
 from solvcirc.mps import ghz_cluster_family, left_block, product_state_mps
 from solvcirc.oracle import (ChainSpec, build_initial_chain, evolve_chain,
                              renyi_trace_chain)
@@ -232,3 +234,40 @@ class TestRenyiChain:
         mps = ghz_cluster_family(np.pi / 4, 2)
         with pytest.raises(ValueError):
             renyi_trace_chain(gate, mps, 2, 2, l_left=4)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that numpy and Python allocate during ``fn()``, above what
+    was allocated before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestChainMemory:
+    """On a 2^18-amplitude chain (4 MiB, larger than a 1 MiB row block of
+    ``reduced_density``) each loop holds at most the two states of one gate,
+    its input and its output, plus one row block."""
+
+    STATE = 16 * 2 ** 18
+    BUDGET = 2 * STATE + 16 * _ROW_BLOCK
+
+    def test_evolve_chain(self):
+        rng = make_rng(40)
+        gate = random_gate("q2_qt2", rng)
+        mps = ghz_cluster_family(np.pi / 4, 2)
+        spec = ChainSpec(gate, mps, random_right_kets(2, 2 ** 4, rng), 13, 4, 2)
+        assert spec.chi * 2 ** (spec.l_left + spec.l_r) * 16 == self.STATE
+        assert traced_peak(lambda: evolve_chain(spec)) <= self.BUDGET
+
+    def test_renyi_trace_chain(self):
+        gate = random_gate("q2_qt2", make_rng(41))
+        mps = ghz_cluster_family(np.pi / 4, 2)
+        # 2 bond legs x 2^16 sites = 2^18 amplitudes
+        assert traced_peak(lambda: renyi_trace_chain(gate, mps, 2, 1, l_left=12, l_r=4)) \
+            <= self.BUDGET

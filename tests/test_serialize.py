@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +7,8 @@ from solvcirc.linalg import make_rng, max_abs
 from solvcirc.mps import ghz_cluster_family, random_left_canonical, random_lpdo, two_site_from_pair
 from solvcirc.gates import random_gate
 from solvcirc import serialize as ser
+
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
 def test_matrix_round_trip():
@@ -36,7 +39,9 @@ def test_gate_round_trip():
 
 def test_mps_round_trip():
     t = ghz_cluster_family(0.6, 4)
-    back = ser.mps_from_json(json.loads(json.dumps(ser.mps_to_json(t))))
+    obj = ser.left_state_to_json(t)
+    assert obj["kind"] == "mps"
+    back = ser.left_state_from_json(json.loads(json.dumps(obj)))
     assert back.q == 4 and back.chi == 2
     assert max_abs(back.mats - t.mats) == 0
 
@@ -56,3 +61,41 @@ def test_lpdo_round_trip():
     back = ser.left_state_from_json(json.loads(json.dumps(ser.left_state_to_json(l))))
     assert back.d == 3
     assert max_abs(back.mats - l.mats) == 0
+
+
+# tests/data/left_state_<kind>.json hold one small fixed tensor of each kind,
+# written by ``left_state_to_json`` as ``json.dumps(obj, indent=2)`` plus a
+# newline: they pin the file format, key order included.
+@pytest.mark.parametrize("kind,shapes", [
+    ("mps", {"mats": (2, 2, 2)}),
+    ("two_site", {"mats_a": (2, 1, 2), "mats_b": (2, 2, 1)}),
+    ("lpdo", {"mats": (2, 2, 1, 1)}),
+])
+def test_left_state_format_pinned(kind, shapes):
+    text = (DATA_DIR / f"left_state_{kind}.json").read_text()
+    state = ser.left_state_from_json(json.loads(text))
+    assert type(state) is ser.LEFT_STATE_KINDS[kind][0]
+    for attr, shape in shapes.items():
+        assert getattr(state, attr).shape == shape
+    assert json.dumps(ser.left_state_to_json(state), indent=2) + "\n" == text
+
+
+def test_left_state_kind_defaults_to_mps():
+    obj = json.loads((DATA_DIR / "left_state_mps.json").read_text())
+    del obj["kind"]
+    assert max_abs(ser.left_state_from_json(obj).mats
+                   - ser.left_state_from_json({"kind": "mps", **obj}).mats) == 0
+
+
+@pytest.mark.parametrize("kind", ["tensor", ["mps"], None])
+def test_left_state_unknown_kind(kind):
+    obj = json.loads((DATA_DIR / "left_state_mps.json").read_text())
+    with pytest.raises(ValueError, match="unknown left-state kind"):
+        ser.left_state_from_json({**obj, "kind": kind})
+
+
+@pytest.mark.parametrize("mats", ["ab", 3, None, [[{"rows": 1}]]])
+def test_left_state_malformed_stack_is_a_config_error(mats):
+    obj = json.loads((DATA_DIR / "left_state_mps.json").read_text())
+    with pytest.raises((ValueError, KeyError, TypeError)):
+        ser.left_state_from_json({**obj, "mats": mats})

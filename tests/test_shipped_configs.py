@@ -11,6 +11,11 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
+def columns(csv_text: str, *cols: int) -> list[list[str]]:
+    """The given columns of every line, header included, as text."""
+    return [[line.split(",")[c] for c in cols] for line in csv_text.strip().split("\n")]
+
+
 def test_config_dir_present():
     assert CONFIG_DIR.is_dir()
     assert len(list(CONFIG_DIR.glob("*.json"))) >= 6
@@ -23,6 +28,11 @@ def test_shipped_oracle_configs_agree(name, tmp_path):
     assert code == 0
     for line in out.read_text().strip().split("\n")[1:]:
         assert float(line.split(",")[1]) < 1e-10
+    # tests/data/<config>.csv is the committed output of `solvcirc oracle`.
+    # The t, oracle_entropy and engine_entropy columns are pinned;
+    # trace_distance is round-off that depends on the BLAS, so it is not.
+    pinned = (DATA_DIR / name.replace(".json", ".csv")).read_text()
+    assert columns(out.read_text(), 0, 2, 3) == columns(pinned, 0, 2, 3)
 
 
 def test_shipped_configs_pass_check(tmp_path):

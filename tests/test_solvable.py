@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solvcirc.errors import CapacityError
-from solvcirc.gates import TwoSiteGate, random_gate, swap_matrix
+from solvcirc.gates import TwoSiteGate, random_gate, swap_conjugate, swap_matrix
 from solvcirc.linalg import make_rng, max_abs
 from solvcirc.mps import ghz_cluster_family, product_state_mps, MpsTensor
 from solvcirc.solvable import (build_influence_matrix_dense,
@@ -85,6 +87,36 @@ class TestSolvableRight:
         for _ in range(5):
             g = random_gate("q2_qt1", rng)
             assert check_solvable_right(swap_conjugate(g), prod) < 1e-10
+
+
+# (family, q, qt, chi, solvable in both chiralities): chi=1 pairs take the
+# product state |0>, chi=2 pairs the GHZ-cluster tensor on q levels.
+CHIRAL_CASES = [
+    ("q2_qt1", 2, 2, 1, False), ("both_chirality_q2", 2, 2, 1, True),
+    ("general", 2, 1, 1, False), ("general", 3, 1, 1, False), ("general", 4, 1, 1, False),
+    ("both_chirality_q4plus", 4, 2, 1, True),
+    ("q2_qt2", 2, 2, 2, False), ("general", 2, 2, 2, False), ("general", 3, 2, 2, False),
+    ("general", 4, 2, 2, False), ("both_chirality_q4plus", 4, 2, 2, True),
+]
+
+
+class TestChiralityProperty:
+    """swap_conjugate exchanges the two chiralities of a solvable pair."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=st.sampled_from(CHIRAL_CASES), seed=st.integers(0, 2 ** 31 - 1),
+           theta=st.floats(0.05, np.pi / 4))
+    def test_swap_conjugate_swaps_chirality(self, case, seed, theta):
+        family, q, qt, chi, both = case
+        g = random_gate(family, make_rng(seed), q=q, qt=qt)
+        t = product_state_mps(np.eye(q)[0]) if chi == 1 else ghz_cluster_family(theta, q)
+        s = swap_conjugate(g)
+        left, right = check_solvable_left(g, t), check_solvable_right(g, t)
+        assert left < 1e-10
+        assert abs(check_solvable_right(s, t) - left) < 1e-12
+        assert abs(check_solvable_left(s, t) - right) < 1e-12
+        if both:
+            assert right < 1e-10
 
 
 class TestSoliton:
