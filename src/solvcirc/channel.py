@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import isometry_residual, require_buffer
+from .linalg import dagger, isometry_residual, require_buffer
 from .mps import (CANONICAL_ATOL, Lpdo, MpsTensor, TwoSiteMps, check_left_canonical,
                   check_two_site_canonical, lpdo_check_canonical)
 
@@ -40,6 +40,7 @@ class BoundaryChannel:
             if k.shape != (d, d):
                 raise ValueError(f"Kraus operator shape {k.shape} != ({d},{d})")
         self._super: np.ndarray | None = None
+        self._range: np.ndarray | None = None
 
     def superoperator(self) -> np.ndarray:
         """sum_mu K_mu (x) K_mu^* on the doubled boundary space (cached)."""
@@ -50,6 +51,21 @@ class BoundaryChannel:
                 acc += np.kron(k, k.conj())
             self._super = acc
         return self._super
+
+    def range_basis(self) -> np.ndarray:
+        """An orthonormal basis W (chi*q x r) of the range of
+        sum_mu K_mu K_mu^dag, where every output of the channel lies (cached).
+
+        W holds the eigenvectors whose eigenvalues exceed numpy's
+        ``matrix_rank`` tolerance (largest eigenvalue x chi*q x machine
+        epsilon).  r is chi for a pure MPS and at most d*chi for an LPDO.
+        """
+        if self._range is None:
+            d = self.chi * self.q
+            cat = np.concatenate(self.kraus, axis=1)
+            lam, vecs = np.linalg.eigh(cat @ dagger(cat))
+            self._range = vecs[:, lam > lam.max() * d * np.finfo(float).eps]
+        return self._range
 
 
 def _kraus(left: np.ndarray, right: np.ndarray) -> list[np.ndarray]:

@@ -45,6 +45,21 @@ EXIT_TABLE = (
 
 SCHEMA_VERSIONS = ("1",)
 
+# The keys a config may hold in each object; any other key is a
+# configuration error, so a misspelt optional key is not silently ignored.
+# A gate's explicit ``params`` may hold its family's parameter names.
+# ``temporal_t`` (the temporal-state t list) is read by the benchmark's renyi
+# workload, whose config runs through `solvcirc renyi` in its tests; the
+# CLI only checks that it lists integers.
+CONFIG_KEYS = {
+    "config": {"version", "seed", "gate", "mps", "right_state", "l_r", "tmax", "l_left",
+               "n_list", "t_list", "temporal_t", "observables", "layer_order", "purify"},
+    "gate": {"family", "q", "qt", "seed", "params", "file"},
+    "mps": {"family", "q", "theta", "ket", "file"},
+    "right_state": {"product", "kets", "mps_continuation"},
+    "observable": {"site", "op"},
+}
+
 
 def _json_int(value, name: str) -> int:
     """A config field that must be a JSON integer: bool, float and str are
@@ -96,6 +111,14 @@ def _capacity_cap(default: int) -> int:
     return int(env) if env else default
 
 
+def _check_keys(node, allowed, where: str):
+    """ValueError naming the keys of ``node`` outside ``allowed``; a node
+    that is not an object is left to the field's own check."""
+    unknown = sorted(set(node) - allowed) if isinstance(node, dict) else []
+    if unknown:
+        raise ValueError(f"unknown key(s) in {where}: {', '.join(map(repr, unknown))}")
+
+
 def load_config(path: str, seed_override: int | None = None) -> dict:
     with open(path) as fh:
         cfg = json.load(fh)
@@ -104,6 +127,16 @@ def load_config(path: str, seed_override: int | None = None) -> dict:
     version = str(cfg.get("version", ""))
     if version not in SCHEMA_VERSIONS:
         raise ValueError(f"unrecognized config schema version {version!r}")
+    _check_keys(cfg, CONFIG_KEYS["config"], "config")
+    _json_int_list(cfg.get("temporal_t", []), "temporal_t")
+    for key in ("gate", "mps", "right_state"):
+        _check_keys(cfg.get(key), CONFIG_KEYS[key], key)
+    gate = cfg.get("gate")
+    if isinstance(gate, dict) and gate.get("family") in EXPLICIT_FAMILIES:
+        _check_keys(gate.get("params"), set(EXPLICIT_FAMILIES[gate["family"]][1]), "gate params")
+    observables = cfg.get("observables")
+    for o in observables if isinstance(observables, list) else []:
+        _check_keys(o, CONFIG_KEYS["observable"], "observable")
     if seed_override is not None:
         cfg["seed"] = seed_override
         if "gate" in cfg and "seed" in cfg["gate"]:

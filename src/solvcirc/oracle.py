@@ -74,11 +74,12 @@ def build_initial_chain(spec: ChainSpec) -> np.ndarray:
     block = left_block(spec.mps, spec.l_left)
     if not spec.purify:
         block = block[:1]  # close the far end with the first bond vector
-    psi = np.einsum('mxj,jr->mxr', block, spec.right_kets, optimize=True).reshape(-1)
+    psi = (block.reshape(-1, spec.chi) @ spec.right_kets).reshape(-1)
     nrm = np.linalg.norm(psi)
     if nrm == 0:
         raise ValueError("initial chain has zero norm")
-    return psi / nrm
+    psi /= nrm
+    return psi
 
 
 def _period_sites(l_left: int, l_r: int, layer_order: str = "even_first") -> list[int]:

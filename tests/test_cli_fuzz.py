@@ -1,7 +1,8 @@
 """In-process fuzzing of the CLI on mutations of the shipped configs.
 
-Each mutation drops one key, gives one field a value of the wrong JSON type
-or negates one number; the over-cap runs shrink ``SOLVCIRC_CAP``.  Whatever
+Each mutation drops one key, gives one field a value of the wrong JSON type,
+negates one number or adds an unknown key to one object; the over-cap runs
+shrink ``SOLVCIRC_CAP``.  Whatever
 the input, a run must end with a documented exit code (0/1/2/3) and at most
 one stderr line, never an exception out of ``main`` (a traceback from the
 console script).
@@ -66,7 +67,31 @@ def negated(value):
     return [-value if value else -1]
 
 
+# Unknown keys added to the top level and to each object below it (gate,
+# mps, right_state, observables).
+UNKNOWN_KEYS = {"bogus_key": 1, "extra": {"x": 1}}
+
+
+def unknown_key_mutations(cfg):
+    for path in [(), *paths(cfg)]:
+        node = cfg
+        for key in path:
+            node = node[key]
+        if not isinstance(node, dict):
+            continue
+        for key, value in UNKNOWN_KEYS.items():
+            mutant = copy.deepcopy(cfg)
+            target = mutant
+            for k in path:
+                target = target[k]
+            target[key] = value
+            yield f"unknown {'.'.join(map(str, path + (key,)))}", mutant
+
+
 def mutations(cfg, kind):
+    if kind == "unknown_key":
+        yield from unknown_key_mutations(cfg)
+        return
     for path in paths(cfg):
         *head, last = path
         parent = cfg
@@ -114,12 +139,39 @@ def faults(name, cases, tmp_path, capsys):
     return found
 
 
-@pytest.mark.parametrize("kind", ["drop", "wrong_type", "negative"])
+@pytest.mark.parametrize("kind", ["drop", "wrong_type", "negative", "unknown_key"])
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_mutated_shipped_config(name, kind, tmp_path, capsys):
     cases = list(mutations(base_config(name), kind))
     assert cases
     assert faults(name, cases, tmp_path, capsys) == []
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_unknown_keys_refused(name, tmp_path, capsys):
+    cases = list(mutations(base_config(name), "unknown_key"))
+    labels = {label.rsplit(".", 1)[0] for label, _ in cases}
+    assert {"unknown bogus_key", "unknown gate", "unknown mps", "unknown right_state"} <= labels
+    cfg_path = tmp_path / "c.json"
+    for label, mutant in cases:
+        cfg_path.write_text(json.dumps(mutant))
+        for command in COMMANDS[name]:
+            argv = command + ["--config", str(cfg_path)]
+            if command[0] in ("evolve", "oracle", "renyi"):
+                argv += ["--out", str(tmp_path / "out")]
+            code, err = run_cli(argv, capsys)
+            assert code == 2, (command, label, err)
+            assert err.startswith("configuration error: unknown key") and err.count("\n") == 1
+            assert not (tmp_path / "out").exists()
+
+
+def test_temporal_t_is_a_known_integer_list(tmp_path, capsys):
+    # the benchmark's renyi config carries temporal_t through `solvcirc renyi`
+    cfg_path = tmp_path / "c.json"
+    argv = ["renyi", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    for value, code in [([1, 2], 0), ("12", 2), ([1.5], 2)]:
+        cfg_path.write_text(json.dumps(dict(base_config("renyi_cluster.json"), temporal_t=value)))
+        assert run_cli(argv, capsys)[0] == code, value
 
 
 # Float and bool fields, each with a subcommand that reads it: every wrong

@@ -266,13 +266,22 @@ def wide_config(tmax=2):
                            product_right_kets(2, 2, 9, 0), 9, tmax)
 
 
+def q3_config(tmax=2):
+    """q=3, chi=2, L_R=5: D = 486.  The channel compresses ancilla (x) site 0
+    only 3-fold (chi q / r = 6 / 2), so the engine steps D x D."""
+    gate = random_gate("general", make_rng(4), q=3, qt=2)
+    return EvolutionConfig(gate, ghz_cluster_family(0.6, 3),
+                           product_right_kets(2, 3, 5, 1), 5, tmax)
+
+
 def reference_step_rho(rho, cfg):
     return apply_channel(cfg.channel, conjugate_brickwork(rho, cfg.gate, cfg.l_r))
 
 
 class TestEngineBuffers:
-    """A period runs in its input plus two D x D arrays, with the arithmetic
-    of the copying path: every result is bit-identical to it."""
+    """A period of the D x D route runs in its input plus two D x D arrays,
+    with the arithmetic of the copying path: every result is bit-identical
+    to it."""
 
     def test_conjugate_brickwork_lands_in_the_second_buffer(self):
         rng = make_rng(50)
@@ -291,7 +300,7 @@ class TestEngineBuffers:
             with pytest.raises(ValueError):
                 conjugate_brickwork(rho, gate, 3, work=work)
 
-    @pytest.mark.parametrize("make_cfg", [saturation_config, wide_config])
+    @pytest.mark.parametrize("make_cfg", [q3_config, wide_config])
     def test_step_with_and_without_scratch(self, make_cfg):
         cfg = make_cfg(tmax=3)
         s = list(states(cfg))[-1]
@@ -303,7 +312,7 @@ class TestEngineBuffers:
         assert with_scratch._herm == without._herm == hermiticity_residual(without.rho)
 
     def test_scratch_is_taken_from_the_input(self):
-        cfg = saturation_config(tmax=1)
+        cfg = q3_config(tmax=1)
         s0, s1 = states(cfg)
         assert s0._scratch is None and s1._scratch is not None
         scratch = s1._scratch
@@ -311,7 +320,7 @@ class TestEngineBuffers:
         assert s1._scratch is None and s2._scratch is scratch
 
     def test_two_steps_of_one_state_share_no_memory(self):
-        cfg = saturation_config(tmax=2)
+        cfg = q3_config(tmax=2)
         s = list(states(cfg))[1]
         first, second = step(s, cfg), step(s, cfg)
         assert np.array_equal(first.rho, second.rho)
@@ -320,14 +329,14 @@ class TestEngineBuffers:
                 assert not np.shares_memory(a, b)
 
     def test_stream_shares_no_memory(self):
-        held = [a for s in list(states(saturation_config(tmax=4))) for a in _arrays(s)]
+        held = [a for s in list(states(q3_config(tmax=4))) for a in _arrays(s)]
         assert len(held) == 6  # five rho and the last state's scratch
         for i, a in enumerate(held):
             for b in held[i + 1:]:
                 assert not np.shares_memory(a, b)
 
     def test_min_eig_work_buffer(self):
-        cfg = saturation_config(tmax=4)
+        cfg = q3_config(tmax=4)
         for s in states(cfg):
             lent = s.invariant_residuals()["min_eig"]
             assert lent == min_eig_lower_bound(s.rho)
@@ -339,7 +348,7 @@ class TestEngineBuffers:
             min_eig_lower_bound(h, work=h)
 
     def test_hermiticity_scanned_once_per_row(self, monkeypatch):
-        cfg = saturation_config(tmax=2)
+        cfg = q3_config(tmax=2)
         s1 = list(states(cfg))[1]
         calls = []
         real = evolve.hermiticity_residual

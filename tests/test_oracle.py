@@ -265,6 +265,14 @@ class TestChainMemory:
         assert spec.chi * 2 ** (spec.l_left + spec.l_r) * 16 == self.STATE
         assert traced_peak(lambda: evolve_chain(spec)) <= self.BUDGET
 
+    def test_build_initial_chain(self):
+        # the left block and the state, divided in place: no more than one
+        # gate of the loop holds
+        rng = make_rng(42)
+        spec = ChainSpec(random_gate("q2_qt2", rng), ghz_cluster_family(np.pi / 4, 2),
+                         random_right_kets(2, 2 ** 4, rng), 13, 4, 2)
+        assert traced_peak(lambda: build_initial_chain(spec)) <= 2 * self.STATE
+
     def test_renyi_trace_chain(self):
         gate = random_gate("q2_qt2", make_rng(41))
         mps = ghz_cluster_family(np.pi / 4, 2)

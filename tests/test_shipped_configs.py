@@ -64,6 +64,21 @@ def test_saturation_config_reaches_max_entropy(tmp_path):
             assert abs(float(got[col]) - float(want[col])) <= 1e-12
 
 
+def test_rank_saturation_config_pinned(tmp_path):
+    # tests/data/rank_saturation_q2_evolve.csv is the committed output of
+    # `solvcirc evolve --config configs/rank_saturation_q2.json`, which runs
+    # on the D x D route.  As in the CI step, t, S_ent and the observables
+    # are pinned byte for byte; trace_residual and min_eig are BLAS round-off.
+    out = tmp_path / "rank.csv"
+    code = main(["evolve", "--config", str(CONFIG_DIR / "rank_saturation_q2.json"),
+                 "--out", str(out)])
+    assert code == 0
+    pinned = (DATA_DIR / "rank_saturation_q2_evolve.csv").read_text()
+    n_cols = len(pinned.split("\n")[0].split(","))
+    keep = (0, 1, *range(4, n_cols))
+    assert columns(out.read_text(), *keep) == columns(pinned, *keep)
+
+
 def test_renyi_config_cross_checks(tmp_path):
     out = tmp_path / "renyi.csv"
     code = main(["renyi", "--config", str(CONFIG_DIR / "renyi_cluster.json"),
