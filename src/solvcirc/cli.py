@@ -162,7 +162,9 @@ def build_gate(cfg: dict) -> TwoSiteGate:
         if family not in EXPLICIT_FAMILIES:
             raise ValueError(f"family {family!r} does not accept explicit params")
         builder, names = EXPLICIT_FAMILIES[family]
-        p = {k: ser.param_from_json(v) for k, v in _section(spec, "params").items()}
+        # a scalar must be a finite number; a matrix is checked as it is decoded
+        p = {k: ser.param_from_json(v) if isinstance(v, (dict, list))
+             else _json_float(v, f"gate param {k}") for k, v in _section(spec, "params").items()}
         return builder(*[_json_int(spec[n], f"gate {n}") if n in ("q", "qt") else p[n]
                          for n in names])
     rng = _gate_rng(cfg, spec)
@@ -301,7 +303,7 @@ def cmd_check(args) -> int:
         val = values[key]
         if val is None:
             raise ValueError(f"residual {key!r} undefined for q={gate.q}")
-        if val >= args.tol:
+        if not val < args.tol:
             return EXIT_FAIL
     return EXIT_OK
 
@@ -474,6 +476,10 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     try:
+        # check, oracle and fixed-point fail a residual >= --tol: a NaN
+        # tolerance would pass every residual
+        if not 0 < getattr(args, "tol", 1.0) <= sys.float_info.max:
+            raise ValueError(f"--tol must be a finite number > 0, got {args.tol}")
         return args.func(args)
     except tuple(c for classes, _, _ in EXIT_TABLE for c in classes) as exc:
         code, label = next((code, label) for classes, code, label in EXIT_TABLE

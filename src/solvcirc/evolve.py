@@ -47,11 +47,9 @@ class JointState:
     dimensions and W, with rho = (W (x) I) sigma (W (x) I)^dag; ``rho`` is
     then expanded on each read.  Assigning ``rho`` makes the state dense.
     Privately it caches, for the matrix it holds, the Hermiticity residual
-    of ``step``'s drift check and the spectral data of the diagnostics (the
-    range sketch of a dense rho, the eigh of herm(sigma)), and carries the
-    scratch of the next ``step``: one D x D buffer, which
-    ``invariant_residuals`` borrows too, or the range period's two, in which
-    ``entanglement_entropy`` forms rho_R.
+    of ``step``'s drift check and the range sketch of the diagnostics, and
+    carries the scratch of the next ``step`` (one D x D buffer, or the range
+    period's two), in whose head the diagnostics work until then.
     """
 
     def __init__(self, chi: int, q: int, l_r: int, rho: np.ndarray, t: int = 0):
@@ -64,7 +62,7 @@ class JointState:
                   t: int = 0) -> JointState:
         s = cls.__new__(cls)
         s.chi, s.q, s.l_r, s.t, s._scratch = chi, q, l_r, t, None
-        s._held, s._w, s._herm, s._sketch, s._eig = sigma, w, None, None, None
+        s._held, s._w, s._herm, s._sketch = sigma, w, None, None
         return s
 
     @property
@@ -78,46 +76,45 @@ class JointState:
         if value.shape != (d, d):
             raise ValueError(f"rho shape {value.shape} != ({d},{d})")
         # what was computed from the old state is stale
-        self._held, self._w, self._herm, self._sketch, self._eig = value, None, None, None, None
+        self._held, self._w, self._herm, self._sketch = value, None, None, None
 
     def invariant_residuals(self) -> dict:
         """Trace and Hermiticity residuals of the held matrix, and a
         certified lower bound on the smallest eigenvalue of the Hermitian
-        part of rho.
+        part of rho: ``min_eig_lower_bound`` of the held matrix, with its
+        range sketch, less delta ||sigma||_F on a range state.
 
-        On a dense state the bound is ``min_eig_lower_bound`` (equal to the
-        dense eigensolve unless rho has low rank).  On a range state rho's
-        nonzero eigenvalues are those of G^(1/2) herm(sigma) G^(1/2), with
-        G = W^dag W (x) I, so by Ostrowski's theorem lambda_min >=
-        min(lambda_min(herm sigma), 0) - delta ||herm sigma||_2 with
-        delta = ||W^dag W - I||_2 (round-off for W from ``eigh``).
+        There rho = S sigma S^dag with S = W (x) I (D x n, D >= 4n): rho has
+        D - n zero eigenvalues, and the others are those of G^(1/2)
+        herm(sigma) G^(1/2), G = S^dag S.  By Ostrowski's theorem the k-th is
+        theta_k lambda_k(herm sigma), |theta_k - 1| <= delta =
+        ||W^dag W - I||_2, and |lambda_k| <= ||sigma||_F, so lambda_min >=
+        min(lambda_min(herm sigma), 0) - delta ||sigma||_F.
         """
         m = self._held
         tr = float(np.trace(m).real)
         herm = self._herm if self._herm is not None else hermiticity_residual(m)
-        if self._w is None:
-            min_eig = min_eig_lower_bound(m, work=self._scratch, sketch=self.range_sketch())
-        else:
-            lam, w = self._spectrum()[0], self._w
+        min_eig = min_eig_lower_bound(m, work=self._idle(m.shape[0]), sketch=self.range_sketch())
+        if self._w is not None:
+            w = self._w
             delta = float(np.linalg.norm(dagger(w) @ w - np.eye(w.shape[1]), 2))
-            min_eig = min(float(lam[0]), 0.0) - delta * max(-float(lam[0]), float(lam[-1]))
+            min_eig = min(min_eig, 0.0) - delta * float(np.linalg.norm(m))
         return {"trace": abs(tr - 1.0), "hermiticity": herm, "min_eig": min_eig}
 
     def range_sketch(self) -> tuple | None:
-        """``linalg.range_sketch`` of rho, formed once per rho (in the
-        scratch buffer of a dense state) and shared by the dense state's
+        """``linalg.range_sketch`` of the held matrix (rho, or sigma on a
+        range state), formed once per state and shared by
         ``invariant_residuals`` and ``entanglement_entropy``."""
         if self._sketch is None:
-            self._sketch = range_sketch(self.rho, work=self._scratch if self._w is None else None)
+            self._sketch = range_sketch(self._held, work=self._idle(self._held.shape[0]))
         return self._sketch
 
-    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """eigh of herm(sigma), once per range state."""
-        if self._eig is None:
-            h = self._held + dagger(self._held)
-            h /= 2
-            self._eig = np.linalg.eigh(h)
-        return self._eig
+    def _idle(self, d: int) -> np.ndarray | None:
+        """A d x d array in the head of the scratch, or None without one."""
+        if self._scratch is None:
+            return None
+        buf = self._scratch if self._w is None else self._scratch[0]
+        return buf.reshape(-1)[:d * d].reshape(d, d)
 
 
 def _sandwich(w: np.ndarray, m: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
@@ -174,7 +171,7 @@ class EvolutionConfig:
         if self.right_kets.shape != (chi, q ** self.l_r):
             raise ValueError(f"right_kets must have shape ({chi}, {q ** self.l_r})")
         resid = check_solvable_left(self.gate, self.mps)
-        if resid > SOLVABLE_GATE_TOL:
+        if not resid <= SOLVABLE_GATE_TOL:
             raise ValueError(
                 f"gate/left-state pair violates the solvable condition "
                 f"(residual {resid:.2e}); the Markov embedding would be unsound")
@@ -394,7 +391,7 @@ def step(s: JointState, cfg: EvolutionConfig) -> JointState:
         rho = _sandwich(dagger(w), rho, work=scratch[0])
     tr_drift = abs(float(np.trace(rho).real) - 1.0)
     herm_drift = hermiticity_residual(rho)
-    if tr_drift > DRIFT_TOL or herm_drift > DRIFT_TOL:
+    if not (tr_drift <= DRIFT_TOL and herm_drift <= DRIFT_TOL):
         raise NumericalDriftError(
             f"state invariants drifted: trace {tr_drift:.2e}, hermiticity {herm_drift:.2e}")
     if w is not None:
@@ -449,33 +446,23 @@ def _ancilla_span(range_q: np.ndarray, chi: int) -> np.ndarray:
 def entanglement_entropy(s: JointState) -> float:
     """Von Neumann entropy (nats) of the subsystem density matrix.
 
-    Given a basis Q (D x k) of rho's range, rho_R = sum_a rho[a, :, a, :]
-    has its range in the span of the ancilla blocks Q_a: the entropy comes
+    When the state's range sketch (Q, A, resid) certifies the held matrix
+    (resid <= ``PROBE_RESIDUAL_TOL``), rho's range lies in that of R = Q,
+    or of R = (W (x) I) Q on a range state, and rho_R = sum_a rho[a, :, a, :]
+    has its range in the span of the ancilla blocks R_a: the entropy comes
     from the Ritz values of rho_R on that span, which ``von_neumann_entropy``
-    certifies in turn.  Q is the range sketch of a dense state when its
-    residual is at most ``PROBE_RESIDUAL_TOL``, and (W (x) I) V on a range
-    state when chi k <= D / (2 chi), V being the eigenvectors of herm(sigma)
-    above numpy's ``matrix_rank`` tolerance.  Otherwise it is the dense
-    eigensolve.
+    certifies in turn.  Otherwise it is the dense eigensolve.
     """
-    basis = None
-    if s._w is None:
-        sketch = s.range_sketch()
-        if sketch is not None and sketch[2] <= PROBE_RESIDUAL_TOL:
-            basis = _ancilla_span(sketch[0], s.chi)
-        return von_neumann_entropy(subsystem_density(s), basis=basis)
-    lam, vecs = s._spectrum()
-    mag = np.abs(lam)
-    keep = mag > mag.max() * lam.size * np.finfo(float).eps
-    d = s.q ** s.l_r
-    if 2 * s.chi * np.count_nonzero(keep) <= d:
-        v = vecs[:, keep]
-        range_q = (s._w @ v.reshape(s._w.shape[1], -1)).reshape(-1, v.shape[1])
+    sketch, basis = s.range_sketch(), None
+    if sketch is not None and sketch[2] <= PROBE_RESIDUAL_TOL:
+        range_q = sketch[0]
+        if s._w is not None:
+            range_q = (s._w @ range_q.reshape(s._w.shape[1], -1)).reshape(-1, range_q.shape[1])
         basis = _ancilla_span(range_q, s.chi)
-    # rho_R is formed in the idle period buffers of a stepped state
-    out = np.empty((d, d), dtype=complex) if s._scratch is None else \
-        s._scratch[0].reshape(-1)[:d * d].reshape(d, d)
-    return von_neumann_entropy(_range_density(s, out), basis=basis)
+    # a stepped range state forms rho_R in its idle period buffers
+    out = s._idle(s.q ** s.l_r) if s._w is not None else None
+    rho_r = subsystem_density(s) if out is None else _range_density(s, out)
+    return von_neumann_entropy(rho_r, basis=basis)
 
 
 def local_expectation(s: JointState, site: int, op: np.ndarray) -> float:

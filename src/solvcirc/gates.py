@@ -32,7 +32,7 @@ class TwoSiteGate:
         if self.matrix.shape != (self.q * self.q, self.q * self.q):
             raise ValueError(f"gate matrix shape {self.matrix.shape} does not match q={self.q}")
         resid = unitarity_residual(self.matrix)
-        if resid > UNITARY_ATOL:
+        if not resid <= UNITARY_ATOL:  # NaN fails too
             raise ValueError(f"gate is not unitary (residual {resid:.2e})")
 
 
@@ -85,7 +85,7 @@ def _check_unitary_arg(u: np.ndarray, dim: int, name: str) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.shape != (dim, dim):
         raise ValueError(f"{name} must be {dim}x{dim}, got {u.shape}")
-    if unitarity_residual(u) > UNITARY_ATOL:
+    if not unitarity_residual(u) <= UNITARY_ATOL:
         raise ValueError(f"{name} is not unitary")
     return u
 

@@ -45,30 +45,26 @@ class SolvabilityReport:
 
 
 def _solvable_left_detail(gate: TwoSiteGate, state: MpsTensor | TwoSiteMps | Lpdo):
+    """(max-norm residual, worst pair (j, j', k, k'), largest Frobenius norm)
+    of the left condition, all pairs in one batched product; the worst pair
+    is the first maximum in (j, k, j', k') order, and NaN propagates."""
     q = gate.q
     stack = physical_matrices(state)  # (q, chi, chip)
     if stack.shape[0] != q:
         raise ValueError(f"gate q={q} does not match tensor q={stack.shape[0]}")
     ur = reshuffle(gate.matrix, q)
-    urd = dagger(ur)
-    iq = np.eye(q)
     chi, chip = stack.shape[1], stack.shape[2]
-    worst = 0.0
-    worst_fro = 0.0
-    worst_pair = (0, 0, 0, 0)
-    for j in range(chi):
-        for k in range(chip):
-            ket = stack[:, j, k]
-            for jp in range(chi):
-                for kp in range(chip):
-                    x = np.outer(ket, stack[:, jp, kp].conj())
-                    diff = ur @ kron(x, iq) @ urd - kron(iq, x)
-                    r = max_abs(diff)
-                    if r > worst:
-                        worst = r
-                        worst_pair = (j, jp, k, kp)
-                    worst_fro = max(worst_fro, float(np.linalg.norm(diff)))
-    return worst, worst_pair, worst_fro
+    kets = stack.reshape(q, -1).T  # row j chip + k is |A_jk>
+    # x[m, n, a, c] = <a|A_m><A_n|c>, and the krons as broadcast products
+    x = kets[:, None, :, None] * kets.conj()[None, :, None, :]
+    iq = np.eye(q)
+    x_i = (x[:, :, :, None, :, None] * iq[:, None, :]).reshape(-1, q * q, q * q)
+    i_x = (iq[:, None, :, None] * x[:, :, None, :, None, :]).reshape(x_i.shape)
+    diff = ur @ x_i @ dagger(ur) - i_x
+    resid = np.abs(diff).reshape(len(diff), -1).max(axis=1)
+    i = int(np.argmax(resid))  # the first maximum, or the first NaN
+    (j, k), (jp, kp) = (divmod(m, chip) for m in divmod(i, chi * chip))
+    return float(resid[i]), (j, jp, k, kp), float(np.linalg.norm(diff, axis=(1, 2)).max())
 
 
 def check_solvable_left(u: TwoSiteGate, a: MpsTensor | TwoSiteMps | Lpdo) -> float:
@@ -124,21 +120,20 @@ def _channel_supertensor(a: MpsTensor) -> np.ndarray:
     return sup.reshape(chi * chi, q * q, chi * chi, q * q)
 
 
-def _im_capacity_check(a: MpsTensor, tsteps: int, cap: int):
+def _im_capacity_check(a: MpsTensor, tsteps: int):
     entries = (a.chi ** 2) * (a.q ** (4 * tsteps))
-    if entries > cap:
-        raise CapacityError(f"influence matrix would hold {entries} entries (cap {cap})")
+    if entries > IM_ENTRY_CAP:
+        raise CapacityError(f"influence matrix would hold {entries} entries (cap {IM_ENTRY_CAP})")
 
 
-def build_influence_matrix_open(a: MpsTensor, tsteps: int,
-                                cap: int = IM_ENTRY_CAP) -> np.ndarray:
+def build_influence_matrix_open(a: MpsTensor, tsteps: int) -> np.ndarray:
     """Influence matrix with the t=0 bond left open.
 
     Axes: [bond(chi^2), s_1_in, s_1_out, ..., s_T_in, s_T_out] with q^2 legs;
     s_t_in enters the boundary channel at period t, s_t_out returns to the
     subsystem.  The t=T end is closed with the bond trace.
     """
-    _im_capacity_check(a, tsteps, cap)
+    _im_capacity_check(a, tsteps)
     chi, q = a.chi, a.q
     if tsteps == 0:
         # open bond, trace closure only
@@ -154,15 +149,14 @@ def build_influence_matrix_open(a: MpsTensor, tsteps: int,
     return np.tensordot(x, tr, axes=([x.ndim - 1], [0]))
 
 
-def build_influence_matrix_dense(a: MpsTensor, tsteps: int,
-                                 cap: int = IM_ENTRY_CAP) -> np.ndarray:
+def build_influence_matrix_dense(a: MpsTensor, tsteps: int) -> np.ndarray:
     """Dense vectorized influence matrix over the 2T doubled multitime legs.
 
     The t=0 bond is contracted with the maximally correlated ancilla pair of
     the joint-state convention (weight 1/chi on every doubled bond index);
     T=0 yields the scalar 1.
     """
-    im = build_influence_matrix_open(a, tsteps, cap)
+    im = build_influence_matrix_open(a, tsteps)
     boundary = np.full(a.chi * a.chi, 1.0 / a.chi, dtype=complex)
     return np.tensordot(boundary, im, axes=([0], [0]))
 
@@ -212,22 +206,20 @@ def spatial_transfer_apply(im: np.ndarray, u: TwoSiteGate, a: MpsTensor,
     return x
 
 
-def verify_im_fixed_point(u: TwoSiteGate, a: MpsTensor, tsteps: int,
-                          cap: int = IM_ENTRY_CAP) -> float:
+def verify_im_fixed_point(u: TwoSiteGate, a: MpsTensor, tsteps: int) -> float:
     """Residual ||T_spatial(IM) - IM||_max on the open-bond influence matrix.
 
     Runs for any gate so that non-solvable controls report a large residual;
     callers wanting a hard precondition should gate on check_solvable_left
     first.
     """
-    im = build_influence_matrix_open(a, tsteps, cap)
+    im = build_influence_matrix_open(a, tsteps)
     out = spatial_transfer_apply(im, u, a, tsteps)
     return max_abs(out - im)
 
 
 def influence_matrix_bruteforce(u: TwoSiteGate, a: MpsTensor, tsteps: int,
-                                l_left: int | None = None,
-                                cap: int = IM_ENTRY_CAP) -> np.ndarray:
+                                l_left: int | None = None) -> np.ndarray:
     """Open-bond influence matrix contracted directly from a finite left chain.
 
     Materializes l_left sites of the left region (far bond purified), applies
@@ -239,7 +231,7 @@ def influence_matrix_bruteforce(u: TwoSiteGate, a: MpsTensor, tsteps: int,
     q, chi = a.q, a.chi
     if l_left is None:
         l_left = 2 * tsteps + 2
-    _im_capacity_check(a, tsteps, cap)
+    _im_capacity_check(a, tsteps)
     # state factors: [far(chi)] [sites -L..-1] [cut(chi)]; probes appended per period
     psi = left_block(a, l_left).reshape(-1)
     dims = [chi] + [q] * l_left + [chi]

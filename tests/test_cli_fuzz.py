@@ -13,7 +13,10 @@ from pathlib import Path
 
 import pytest
 
+from solvcirc import serialize as ser
 from solvcirc.cli import main
+from solvcirc.gates import EXPLICIT_FAMILIES, cartan_gate, random_gate
+from solvcirc.linalg import make_rng
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -235,3 +238,55 @@ def test_file_holding_a_non_object(name, key, tmp_path, capsys):
             code, err = run_cli(argv, capsys)
             assert code == 2, (command, text, err)
             assert err.startswith("configuration error: ") and err.count("\n") == 1
+
+
+def explicit_gate_config(family):
+    """A config whose gate is given by explicit params (no shipped config
+    has any), copied from ``gate_to_json`` of a drawn member of ``family``."""
+    q = 4 if family in ("general", "both_chirality_q4plus") else 2
+    gate = cartan_gate(0.3, 0.2, 0.1) if family == "cartan" else \
+        random_gate(family, make_rng(5), q=q, qt=2)
+    params = json.loads(json.dumps(ser.gate_to_json(gate)["params"]))
+    base = base_config("oracle_q4_general.json" if q == 4 else "oracle_q2_dressed_swap.json")
+    return dict(base, gate={"family": family, "q": q, "qt": 2, "params": params})
+
+
+@pytest.mark.parametrize("family", sorted(EXPLICIT_FAMILIES))
+def test_non_finite_scalar_params_refused(family, tmp_path, capsys):
+    # json.load reads the NaN and Infinity literals; a scalar gate param
+    # holding one is refused by every subcommand, where a NaN phi used to
+    # pass `check` (left_residual 0.0) and `fixed-point` and fail `evolve`
+    # with exit 1
+    cfg = explicit_gate_config(family)
+    scalars = [k for k, v in cfg["gate"]["params"].items() if not isinstance(v, (dict, list))]
+    assert scalars
+    cfg_path, out = tmp_path / "c.json", tmp_path / "out"
+    for key in scalars:
+        for value in (float("nan"), float("inf"), float("-inf")):
+            mutant = copy.deepcopy(cfg)
+            mutant["gate"]["params"][key] = value
+            cfg_path.write_text(json.dumps(mutant))
+            assert "NaN" in cfg_path.read_text() or "Infinity" in cfg_path.read_text()
+            for argv in (["check"], ["fixed-point"], ["evolve", "--out", str(out)]):
+                code, err = run_cli(argv + ["--config", str(cfg_path)], capsys)
+                assert code == 2, (argv, key, value, err)
+                assert err == f"configuration error: gate param {key} must be a finite number, " \
+                              f"got {json.dumps(value)}\n"
+                assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-8"])
+@pytest.mark.parametrize("command", ["check", "oracle", "fixed-point"])
+def test_tol_must_be_finite_and_positive(command, tol, tmp_path, capsys):
+    name = {"check": "oracle_q4_general.json", "oracle": "oracle_q2_dressed_swap.json",
+            "fixed-point": "fixed_point_q2.json"}[command]
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(base_config(name)))
+    argv = [command, "--config", str(cfg_path)]
+    if command == "oracle":
+        argv += ["--out", str(tmp_path / "out")]
+    assert run_cli(argv, capsys)[0] == 0
+    code, err = run_cli(argv + [f"--tol={tol}"], capsys)
+    assert code == 2
+    assert err.startswith("configuration error: --tol must be a finite number > 0")
+    assert err.count("\n") == 1

@@ -200,9 +200,17 @@ class TestSharedSketch:
         assert abs(entanglement_entropy(s) - dense_entropy(s)) <= 1e-12
 
     def test_small_joint_state_has_no_sketch(self):
+        # the probe floor is D = 128: below it min_eig and S_ent are the
+        # dense eigensolves bit for bit, from it the sketch serves both
+        small = JointState(2, 2, 5, random_state(64, 3, make_rng(47)))
+        assert small.range_sketch() is None and range_sketch(small.rho) is None
+        assert entanglement_entropy(small) == dense_entropy(small)
+        assert small.invariant_residuals()["min_eig"] == dense_min_eig(small.rho)
         s = JointState(2, 2, 6, random_state(128, 3, make_rng(47)))
-        assert s.range_sketch() is None and range_sketch(s.rho) is None
-        assert entanglement_entropy(s) == dense_entropy(s)
+        assert s.range_sketch()[2] <= PROBE_RESIDUAL_TOL
+        assert abs(entanglement_entropy(s) - dense_entropy(s)) <= 1e-12
+        exact = dense_min_eig(s.rho)
+        assert exact - 1e-12 <= s.invariant_residuals()["min_eig"] <= exact + 1e-14
 
 
 class TestObservables:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from solvcirc import evolve
 from solvcirc.channel import apply_channel
-from solvcirc.errors import CapacityError
+from solvcirc.errors import CapacityError, NumericalDriftError
 from solvcirc.evolve import (DENSITY_ENTRY_CAP, EvolutionConfig, JointState,
                              brickwork_unitary, conjugate_brickwork, entanglement_entropy,
                              initial_joint_state, joint_dimension,
@@ -43,6 +43,12 @@ class TestConfig:
         kets = product_right_kets(1, 2, 2, 0)
         with pytest.raises(ValueError, match="solvable"):
             EvolutionConfig(gate, product_state_mps([1, 0]), kets, 2, 3)
+
+    def test_rejects_a_nan_solvability_residual(self):
+        gate = random_gate("q2_qt1", make_rng(1))
+        gate.matrix = np.full_like(gate.matrix, np.nan)  # past the gate's own check
+        with pytest.raises(ValueError, match="residual nan"):
+            EvolutionConfig(gate, product_state_mps([1, 0]), product_right_kets(1, 2, 2, 0), 2, 1)
 
     def test_rejects_negative_tmax(self):
         rng = make_rng(2)
@@ -228,6 +234,13 @@ class TestStep:
             assert res["hermiticity"] < 1e-12
             assert res["min_eig"] > -1e-8
         assert s.t == 100
+
+    def test_nan_state_drifts(self):
+        cfg = saturation_config(tmax=0)
+        s = initial_joint_state(cfg)
+        s.rho = np.full_like(s.rho, np.nan)
+        with pytest.raises(NumericalDriftError, match="trace nan"):
+            step(s, cfg)
 
     def test_min_eig_bounds_the_dense_value(self):
         # D = 512 and rank far below it: the low-rank probe certifies min_eig

@@ -78,6 +78,13 @@ class TestFamilies:
         with pytest.raises(ValueError):
             gate_q2_qt2(0.1, np.array([[1, 1], [0, 1]], dtype=complex))
 
+    def test_nan_is_not_unitary(self):
+        # a NaN residual fails the tolerance test instead of passing it
+        with pytest.raises(ValueError, match="gate is not unitary"):
+            gate_q2_qt2(np.nan, np.eye(2))
+        with pytest.raises(ValueError, match="u is not unitary"):
+            gate_q2_qt2(0.1, np.full((2, 2), np.nan))
+
     def test_general_swap_point(self):
         q = 4
         g = gate_general(q, 2, 0.0, np.eye(q), [np.eye(2)] * q, [np.eye(q)] * q)

@@ -6,13 +6,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from solvcirc import evolve
 from solvcirc.channel import apply_channel
 from solvcirc.evolve import (SOLVABLE_GATE_TOL, EvolutionConfig, JointState,
                              conjugate_brickwork, entanglement_entropy,
                              initial_joint_state, local_expectation, states,
                              step, subsystem_density)
 from solvcirc.gates import random_gate
-from solvcirc.linalg import dagger, make_rng, max_abs, trace_distance
+from solvcirc.linalg import (PROBE_RESIDUAL_TOL, dagger, make_rng, max_abs,
+                             trace_distance, von_neumann_entropy)
 from solvcirc.mps import (MpsTensor, ghz_cluster_family, product_state_mps,
                           random_lpdo, two_site_from_pair)
 from solvcirc.oracle import ChainSpec, evolve_chain
@@ -98,6 +100,24 @@ class TestRangeRoute:
 
     @settings(max_examples=15, deadline=None)
     @given(family=st.sampled_from(["swap", "general", "both_chirality_q4plus"]),
+           kind=st.sampled_from(["mps", "two_site", "lpdo"]), seed=st.integers(0, 2 ** 31 - 1))
+    def test_rows_at_the_probe_floor_match_the_dense_state(self, family, kind, seed):
+        # q = 4, chi = 2, l_r = 4: sigma has n = 128, so its range sketch
+        # (or, uncertified, the dense fallback) serves min_eig and S_ent
+        cfg = case(family, 4, kind, 2, seed, l_r=4, tmax=3)
+        assume(cfg.range_basis() is not None)  # an LPDO with d = 2 keeps the D x D route
+        for s in states(cfg):
+            if s.t == 0:
+                continue
+            assert s._held.shape == (128, 128)
+            rho = s.rho
+            dense = JointState(s.chi, s.q, s.l_r, rho, s.t)
+            assert abs(entanglement_entropy(s) - entanglement_entropy(dense)) <= 1e-12
+            exact = exact_min_eig(rho)
+            assert exact - 1e-12 <= s.invariant_residuals()["min_eig"] <= exact + 1e-14
+
+    @settings(max_examples=15, deadline=None)
+    @given(family=st.sampled_from(["swap", "general", "both_chirality_q4plus"]),
            chi=st.sampled_from([1, 2]), seed=st.integers(0, 2 ** 31 - 1))
     def test_engine_equals_the_chain_oracle(self, family, chi, seed):
         cfg = case(family, 4, "mps", chi, seed, l_r=2, tmax=3)
@@ -145,45 +165,78 @@ def range_state(sigma, w=None, l_r=2):
     return JointState._in_range(2, 4, l_r, sigma, w, 1)
 
 
-def planted_sigma(lam, rng):
-    n = len(lam)
+def planted_sigma(lam, rng, n=None):
+    """A Hermitian n x n sigma with eigenvalues ``lam`` and n - len(lam)
+    zeros (n = len(lam) by default)."""
+    n = len(lam) if n is None else n
     v, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    v = v[:, :len(lam)]
     return (v * lam) @ dagger(v)
+
+
+def exact_min_eig(rho):
+    return np.linalg.eigvalsh((rho + dagger(rho)) / 2).min()
 
 
 class TestRangeDiagnostics:
     def test_planted_negative_eigenvalue_is_reported(self):
-        rng = make_rng(63)
-        lam = np.concatenate([[-1e-9], rng.uniform(0.5, 1.5, 7)])
-        lam[1:] *= (1 + 1e-9) / lam[1:].sum()
-        s = range_state(planted_sigma(lam, rng))
-        res = s.invariant_residuals()
-        assert res["min_eig"] <= -1e-9
-        assert res["trace"] <= 1e-14
-        rho = s.rho
-        assert abs(np.linalg.eigvalsh((rho + dagger(rho)) / 2).min() + 1e-9) <= 1e-14
+        # n = 8 takes the dense eigensolve of sigma, n = 128 its range sketch
+        for l_r, n in [(2, 8), (4, 128)]:
+            rng = make_rng(63)
+            lam = np.concatenate([[-1e-9], rng.uniform(0.5, 1.5, 7)])
+            lam[1:] *= (1 + 1e-9) / lam[1:].sum()
+            s = range_state(planted_sigma(lam, rng, n), l_r=l_r)
+            sketch = s.range_sketch()
+            assert (sketch is not None and sketch[2] <= PROBE_RESIDUAL_TOL) == (n == 128)
+            res = s.invariant_residuals()
+            assert res["min_eig"] <= -1e-9
+            assert res["trace"] <= 1e-14
+            assert abs(exact_min_eig(s.rho) + 1e-9) <= 1e-14
 
     def test_min_eig_accounts_for_a_non_isometric_basis(self):
         # W^dag W = (1 + 1e-3)^2 I: rho's eigenvalues are sigma's times
-        # (1 + 1e-3)^2, so a negative one lies below lambda_min(sigma)
-        rng = make_rng(64)
-        lam = np.concatenate([[-0.1], rng.uniform(0.5, 1.5, 7)])
-        base = range_state(np.eye(8) / 8)
-        s = range_state(planted_sigma(lam, rng), w=base._w * (1 + 1e-3))
-        rho = s.rho
-        exact = np.linalg.eigvalsh((rho + dagger(rho)) / 2).min()
-        assert exact < -0.1 - 1e-4
-        assert s.invariant_residuals()["min_eig"] <= exact
+        # (1 + 1e-3)^2, so a negative one lies below lambda_min(sigma), on
+        # the dense eigensolve of sigma (n = 8) and on its sketch (n = 128)
+        for l_r, n in [(2, 8), (4, 128)]:
+            rng = make_rng(64)
+            lam = np.concatenate([[-0.1], rng.uniform(0.5, 1.5, 7)])
+            base = range_state(np.eye(n) / n, l_r=l_r)
+            s = range_state(planted_sigma(lam, rng, n), w=base._w * (1 + 1e-3), l_r=l_r)
+            exact = exact_min_eig(s.rho)
+            assert exact < -0.1 - 1e-4
+            assert s.invariant_residuals()["min_eig"] <= exact
 
-    def test_one_eigh_per_row(self, monkeypatch):
+    def test_one_sketch_per_row(self, monkeypatch):
+        # n = 128: min_eig and S_ent share one range sketch of sigma, and
+        # neither runs an eigh
         rng = make_rng(65)
-        s = range_state(planted_sigma(np.full(8, 1 / 8), rng))
-        calls = []
-        real = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h.shape) or real(h))
+        s = range_state(planted_sigma(np.full(8, 1 / 8), rng, 128), l_r=4)
+        sketches, eighs = [], []
+        real_sketch, real_eigh = evolve.range_sketch, np.linalg.eigh
+        monkeypatch.setattr(evolve, "range_sketch",
+                            lambda h, work=None: sketches.append(h.shape) or real_sketch(h, work))
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: eighs.append(1) or real_eigh(*a, **k))
         s.invariant_residuals()
         entanglement_entropy(s)
-        assert calls == [(8, 8)]
+        assert sketches == [(128, 128)] and eighs == []
+
+    def test_rank_40_sigma_takes_the_dense_fallback(self, monkeypatch):
+        # an uncertified sketch of sigma: min_eig is the dense eigensolve of
+        # herm(sigma) less delta ||sigma||_F, and S_ent the dense eigensolve
+        # of rho_R, with no Ritz basis
+        rng = make_rng(68)
+        lam = rng.uniform(0.5, 1.5, 40)
+        s = range_state(planted_sigma(lam / lam.sum(), rng, 128), l_r=4)
+        assert s.range_sketch()[2] > PROBE_RESIDUAL_TOL
+        w, sigma = s._w, s._held
+        delta = np.linalg.norm(dagger(w) @ w - np.eye(w.shape[1]), 2)
+        want = min(exact_min_eig(sigma), 0.0) - delta * np.linalg.norm(sigma)
+        assert s.invariant_residuals()["min_eig"] == want
+        bases = []
+        monkeypatch.setattr(evolve, "von_neumann_entropy",
+                            lambda rho, basis=None: bases.append(basis) or von_neumann_entropy(rho))
+        assert entanglement_entropy(s) == von_neumann_entropy(subsystem_density(s))
+        assert bases == [None]
 
     def test_low_rank_row_takes_the_ritz_values(self, monkeypatch):
         # l_r = 4 (rho_R is 256 x 256), sigma of rank 3: no dense eigensolve
@@ -201,9 +254,11 @@ class TestRangeDiagnostics:
 
     def test_assigning_rho_makes_the_state_dense(self):
         rng = make_rng(67)
-        s = range_state(planted_sigma(np.full(8, 1 / 8), rng))
+        s = range_state(planted_sigma(np.full(8, 1 / 8), rng, 128), l_r=4)
         rho = s.rho
         s.invariant_residuals()
+        assert s._sketch is not None
         s.rho = rho
-        assert s._w is None and s._eig is None
+        assert s._w is None and s._sketch is None
         assert np.array_equal(s.rho, rho)
+        assert s.range_sketch()[0].shape == (rho.shape[0], 32)

@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from solvcirc.errors import CapacityError
 from solvcirc.gates import TwoSiteGate, random_gate, swap_conjugate, swap_matrix
-from solvcirc.linalg import make_rng, max_abs
-from solvcirc.mps import ghz_cluster_family, product_state_mps, MpsTensor
-from solvcirc.solvable import (build_influence_matrix_dense,
+from solvcirc.linalg import dagger, kron, make_rng, max_abs, reshuffle
+from solvcirc.mps import (ghz_cluster_family, physical_matrices, product_state_mps,
+                          random_lpdo, two_site_from_pair, MpsTensor)
+from solvcirc.solvable import (_solvable_left_detail, build_influence_matrix_dense,
                                build_influence_matrix_open,
                                check_solvable_left, check_solvable_right,
                                check_soliton, influence_matrix_bruteforce,
@@ -52,6 +53,52 @@ class TestSolvableLeft:
         r1 = check_solvable_left(g, t)
         r2 = check_solvable_left(g, rotated)
         assert r1 < 1e-10 and r2 < 1e-10
+
+
+def loop_left_detail(gate, state):
+    """The left condition pair by pair, in (j, k, j', k') order: the
+    reference for the batched ``_solvable_left_detail``."""
+    q, stack = gate.q, physical_matrices(state)
+    ur, iq = reshuffle(gate.matrix, q), np.eye(q)
+    worst, worst_fro, worst_pair = 0.0, 0.0, (0, 0, 0, 0)
+    for j in range(stack.shape[1]):
+        for k in range(stack.shape[2]):
+            for jp in range(stack.shape[1]):
+                for kp in range(stack.shape[2]):
+                    x = np.outer(stack[:, j, k], stack[:, jp, kp].conj())
+                    diff = ur @ kron(x, iq) @ dagger(ur) - kron(iq, x)
+                    if max_abs(diff) > worst:
+                        worst, worst_pair = max_abs(diff), (j, jp, k, kp)
+                    worst_fro = max(worst_fro, float(np.linalg.norm(diff)))
+    return worst, worst_pair, worst_fro
+
+
+class TestBatchedLeftCheck:
+    @settings(max_examples=30, deadline=None)
+    @given(family_q=st.sampled_from([("swap", 2), ("swap", 3), ("general", 4), ("haar", 2),
+                                     ("haar", 3), ("q2_qt2", 2), ("both_chirality_q4plus", 4)]),
+           kind=st.sampled_from(["mps", "two_site", "lpdo"]), seed=st.integers(0, 2 ** 31 - 1))
+    def test_matches_the_pair_loop(self, family_q, kind, seed):
+        family, q = family_q
+        rng = make_rng(seed)
+        gate = random_gate(family, rng, q=q, qt=2)
+        one = lambda: ghz_cluster_family(rng.uniform(0.1, np.pi / 4), q)
+        state = {"mps": one, "two_site": lambda: two_site_from_pair(one(), one()),
+                 "lpdo": lambda: random_lpdo(q, 2, 2, rng)}[kind]()
+        worst, pair, fro = _solvable_left_detail(gate, state)
+        want = loop_left_detail(gate, state)
+        # the same products, so the same max-norm bits and the same first maximum
+        assert (worst, pair) == want[:2]
+        assert abs(fro - want[2]) <= 1e-15 * max(1.0, want[2])
+
+    def test_nan_propagates(self):
+        gate = swap_gate(2)
+        gate.matrix = gate.matrix.copy()
+        gate.matrix[3, 3] = np.nan  # past the gate's own check
+        worst, pair, fro = _solvable_left_detail(gate, ghz_cluster_family(0.5, 2))
+        assert np.isnan(worst) and np.isnan(fro)
+        assert pair == (0, 0, 0, 0)
+        assert np.isnan(check_solvable_left(gate, ghz_cluster_family(0.5, 2)))
 
 
 class TestSolvableRight:
