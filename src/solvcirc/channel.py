@@ -59,12 +59,14 @@ class BoundaryChannel:
         W holds the eigenvectors whose eigenvalues exceed numpy's
         ``matrix_rank`` tolerance (largest eigenvalue x chi*q x machine
         epsilon).  r is chi for a pure MPS and at most d*chi for an LPDO.
+        Every state the engine steps holds this one array, so it is read-only.
         """
         if self._range is None:
             d = self.chi * self.q
             cat = np.concatenate(self.kraus, axis=1)
             lam, vecs = np.linalg.eigh(cat @ dagger(cat))
             self._range = vecs[:, lam > lam.max() * d * np.finfo(float).eps]
+            self._range.flags.writeable = False
         return self._range
 
 

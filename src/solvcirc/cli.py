@@ -27,6 +27,7 @@ from .errors import CapacityError, DominanceError, NumericalDriftError, Positivi
 from .gates import EXPLICIT_FAMILIES, TwoSiteGate, random_gate
 from .linalg import PAULI, make_rng, trace_distance, von_neumann_entropy
 from .mps import MpsTensor, ghz_cluster_family, product_state_mps
+from .serialize import json_float, json_int
 from .solvable import check_solvable_left, solvability_report, verify_im_fixed_point
 
 EXIT_OK = 0
@@ -61,27 +62,10 @@ CONFIG_KEYS = {
 }
 
 
-def _json_int(value, name: str) -> int:
-    """A config field that must be a JSON integer: bool, float and str are
-    refused, not truncated or parsed."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
-    return value
-
-
 def _json_int_list(value, name: str) -> list[int]:
     if not isinstance(value, list):
         raise ValueError(f"{name} must be a list of integers, got {json.dumps(value)}")
-    return [_json_int(v, f"{name} entry") for v in value]
-
-
-def _json_float(value, name: str) -> float:
-    """A config field that must be a finite JSON number (an integer is taken
-    as its float): bool, str and NaN or infinite values are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not abs(value) <= sys.float_info.max:
-        raise ValueError(f"{name} must be a finite number, got {json.dumps(value)}")
-    return float(value)
+    return [json_int(v, f"{name} entry") for v in value]
 
 
 def _json_bool(value, name: str) -> bool:
@@ -94,7 +78,7 @@ def _json_bool(value, name: str) -> bool:
 def _json_ket(value, name: str) -> np.ndarray:
     """A ket written as a list of [re, im] pairs of JSON numbers."""
     entry = f"{name} entry"
-    return np.array([complex(_json_float(re, entry), _json_float(im, entry))
+    return np.array([complex(json_float(re, entry), json_float(im, entry))
                      for re, im in value])
 
 
@@ -146,8 +130,8 @@ def load_config(path: str, seed_override: int | None = None) -> dict:
 
 def _gate_rng(cfg: dict, gate_spec: dict) -> np.random.Generator:
     if gate_spec.get("seed") is not None:
-        return make_rng(_json_int(gate_spec["seed"], "gate seed"))
-    base = _json_int(cfg.get("seed", 0), "seed")
+        return make_rng(json_int(gate_spec["seed"], "gate seed"))
+    base = json_int(cfg.get("seed", 0), "seed")
     child = np.random.SeedSequence(base).spawn(1)[0]
     return np.random.default_rng(child)
 
@@ -164,12 +148,12 @@ def build_gate(cfg: dict) -> TwoSiteGate:
         builder, names = EXPLICIT_FAMILIES[family]
         # a scalar must be a finite number; a matrix is checked as it is decoded
         p = {k: ser.param_from_json(v) if isinstance(v, (dict, list))
-             else _json_float(v, f"gate param {k}") for k, v in _section(spec, "params").items()}
-        return builder(*[_json_int(spec[n], f"gate {n}") if n in ("q", "qt") else p[n]
+             else json_float(v, f"gate param {k}") for k, v in _section(spec, "params").items()}
+        return builder(*[json_int(spec[n], f"gate {n}") if n in ("q", "qt") else p[n]
                          for n in names])
     rng = _gate_rng(cfg, spec)
-    return random_gate(family, rng, q=_json_int(spec.get("q", 2), "gate q"),
-                       qt=_json_int(spec.get("qt", 2), "gate qt"), seed=spec.get("seed"))
+    return random_gate(family, rng, q=json_int(spec.get("q", 2), "gate q"),
+                       qt=json_int(spec.get("qt", 2), "gate qt"), seed=spec.get("seed"))
 
 
 def build_mps(cfg: dict):
@@ -179,8 +163,8 @@ def build_mps(cfg: dict):
             return ser.left_state_from_json(json.load(fh))
     family = spec["family"]
     if family == "ghz_cluster":
-        return ghz_cluster_family(_json_float(spec["theta"], "mps theta"),
-                                  _json_int(spec["q"], "mps q"))
+        return ghz_cluster_family(json_float(spec["theta"], "mps theta"),
+                                  json_int(spec["q"], "mps q"))
     if family == "product":
         return product_state_mps(_json_ket(spec["ket"], "mps ket"))
     raise ValueError(f"unknown mps family {family!r}")
@@ -216,8 +200,8 @@ def build_right_kets(cfg: dict, mps, l_r: int) -> np.ndarray:
 def build_engine(cfg: dict, gate: TwoSiteGate, mps) -> ev.EvolutionConfig:
     """The engine config, its size checked against the capacity cap before
     the q^l_r right kets are built."""
-    l_r = _json_int(cfg["l_r"], "l_r")
-    tmax = _json_int(cfg["tmax"], "tmax")
+    l_r = json_int(cfg["l_r"], "l_r")
+    tmax = json_int(cfg["tmax"], "tmax")
     cap = _capacity_cap(ev.DENSITY_ENTRY_CAP)
     ev.joint_dimension(mps.chi, mps.q, l_r, cap)
     kets = build_right_kets(cfg, mps, l_r)
@@ -227,10 +211,10 @@ def build_engine(cfg: dict, gate: TwoSiteGate, mps) -> ev.EvolutionConfig:
 def build_observables(cfg: dict, q: int) -> list[tuple[int, str, np.ndarray]]:
     """(site, tag, matrix) per configured observable, sites checked against
     l_r before any engine is built."""
-    l_r = _json_int(cfg["l_r"], "l_r")
+    l_r = json_int(cfg["l_r"], "l_r")
     obs = []
     for o in cfg.get("observables", []):
-        site, tag = _json_int(o["site"], "observable site"), o["op"]
+        site, tag = json_int(o["site"], "observable site"), o["op"]
         if not 0 <= site < l_r:
             raise ValueError(f"observable site {site} out of range for l_r={l_r}")
         if not isinstance(tag, str):
@@ -353,7 +337,7 @@ def cmd_oracle(args) -> int:
         raise ValueError("the chain oracle supports one-site MPS left states")
     econf = build_engine(cfg, gate, mps)
     layer_order = args.layer_order or cfg.get("layer_order", "even_first")
-    l_left = _json_int(cfg["l_left"], "l_left")
+    l_left = json_int(cfg["l_left"], "l_left")
     spec = orc.ChainSpec(gate, mps, econf.right_kets, l_left, econf.l_r,
                          econf.tmax, layer_order=layer_order,
                          purify=_json_bool(cfg.get("purify", True), "purify"),
@@ -417,7 +401,7 @@ def cmd_fixed_point(args) -> int:
     mps = build_mps(cfg)
     if not isinstance(mps, MpsTensor):
         raise ValueError("fixed-point check requires a one-site MPS")
-    tsteps = args.tsteps if args.tsteps is not None else _json_int(cfg.get("tmax", 2), "tmax")
+    tsteps = args.tsteps if args.tsteps is not None else json_int(cfg.get("tmax", 2), "tmax")
     solv = check_solvable_left(gate, mps)
     resid = verify_im_fixed_point(gate, mps, tsteps)
     print(json.dumps({"tsteps": tsteps, "solvable_left_residual": solv,

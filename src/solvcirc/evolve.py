@@ -16,8 +16,7 @@ from .channel import (BoundaryChannel, apply_channel, kraus_from_lpdo,
                       kraus_from_mps, kraus_from_two_site)
 from .errors import CapacityError, NumericalDriftError
 from .linalg import (PROBE_RESIDUAL_TOL, dagger, hermiticity_residual, kron,
-                     min_eig_lower_bound, range_sketch, require_buffer,
-                     von_neumann_entropy)
+                     min_eig_lower_bound, range_sketch, von_neumann_entropy)
 from .mps import Lpdo, MpsTensor, TwoSiteMps, left_block
 from .gates import TwoSiteGate
 from .solvable import check_solvable_left
@@ -27,43 +26,42 @@ DRIFT_TOL = 1e-8
 # Entries of the D x D joint density matrix (D = chi q^L_R) an engine may
 # hold; 2^24 is D = 4096.
 DENSITY_ENTRY_CAP = 2 ** 24
-# conjugate_brickwork fuses gates into blocks on w adjacent sites with
+# _brickwork_rows fuses gates into blocks on w adjacent sites with
 # q^w <= BLOCK_LEVEL_CAP: four blocks for a q=2, L_R=10 period, and one gate
 # per block at q >= 3.  A cap of 64 conjugated no faster at q = 2.
 BLOCK_LEVEL_CAP = 16
-# A config takes the range route (see EvolutionConfig.range_basis) when its
-# channel compresses ancilla (x) site 0 at least this much, chi q / r >= 4.
-# One period's D x n gemms with Y against the fused brickwork: q=4 3.6 vs
-# 8.3 ms at D=512 and 202 vs 287 ms at D=2048; q=3 108 vs 92 ms at D=1458;
-# q=2 451 vs 235 ms at D=2048.
+# A range state whose channel compresses ancilla (x) site 0 at least this
+# much, chi q / r >= 4, applies Y = (I_chi (x) U_R)(W (x) I) as the cached
+# D x n gemm (``EvolutionConfig.range_rows``); any other state applies it
+# matrix-free, lifting by W and running ``_brickwork_rows``.  Y sigma Y^dag by
+# the gemm against matrix-free (GHZ cluster, 2-core Xeon, OpenBLAS): q=4 3.6 vs
+# 6.0 ms at D=512 and 198 vs 172 ms at D=2048; q=3 102 vs 57 ms at D=1458; q=2
+# 462 vs 202 ms at D=2048.
 _RANGE_MIN_COMPRESSION = 4
 
 
 class JointState:
     """Density matrix on ancilla (x) q^{L_R} at integer time t.
 
-    A state holds rho itself (a dense state) or, once ``step`` takes the
-    range route (``EvolutionConfig.range_basis``), sigma on n = r q^{L_R-1}
-    dimensions and W, with rho = (W (x) I) sigma (W (x) I)^dag; ``rho`` is
-    then expanded on each read.  Assigning ``rho`` makes the state dense.
-    Privately it caches, for the matrix it holds, the Hermiticity residual
-    of ``step``'s drift check and the range sketch of the diagnostics, and
-    carries the scratch of the next ``step`` (one D x D buffer, or the range
-    period's two), in whose head the diagnostics work until then.
+    Without ``w`` a state holds rho itself (a dense state: rho(0), or an
+    assigned ``rho``).  With ``w`` (chi q x r) it holds sigma on
+    n = r q^{L_R-1} dimensions, rho = (W (x) I) sigma (W (x) I)^dag, and
+    ``rho`` is expanded on each read: every state ``step`` returns is held
+    so, in the boundary channel's output range.  Assigning ``rho`` makes the
+    state dense.  Privately it caches, for the matrix it holds, the
+    Hermiticity residual of ``step``'s drift check and the range sketch of
+    the diagnostics, and a stepped state carries one D x D buffer for the
+    next ``step``, in whose head the diagnostics work until then.
     """
 
-    def __init__(self, chi: int, q: int, l_r: int, rho: np.ndarray, t: int = 0):
+    def __init__(self, chi: int, q: int, l_r: int, rho: np.ndarray, t: int = 0,
+                 w: np.ndarray | None = None):
         self.chi, self.q, self.l_r, self.t = chi, q, l_r, t
         self._scratch = None
-        self.rho = rho
-
-    @classmethod
-    def _in_range(cls, chi: int, q: int, l_r: int, sigma: np.ndarray, w: np.ndarray,
-                  t: int = 0) -> JointState:
-        s = cls.__new__(cls)
-        s.chi, s.q, s.l_r, s.t, s._scratch = chi, q, l_r, t, None
-        s._held, s._w, s._herm, s._sketch = sigma, w, None, None
-        return s
+        if w is None:
+            self.rho = rho
+        else:
+            self._held, self._w, self._herm, self._sketch = rho, w, None, None
 
     @property
     def rho(self) -> np.ndarray:
@@ -84,7 +82,7 @@ class JointState:
         part of rho: ``min_eig_lower_bound`` of the held matrix, with its
         range sketch, less delta ||sigma||_F on a range state.
 
-        There rho = S sigma S^dag with S = W (x) I (D x n, D >= 4n): rho has
+        There rho = S sigma S^dag with S = W (x) I (D x n, D >= n): rho has
         D - n zero eigenvalues, and the others are those of G^(1/2)
         herm(sigma) G^(1/2), G = S^dag S.  By Ostrowski's theorem the k-th is
         theta_k lambda_k(herm sigma), |theta_k - 1| <= delta =
@@ -111,10 +109,12 @@ class JointState:
 
     def _idle(self, d: int) -> np.ndarray | None:
         """A d x d array in the head of the scratch, or None without one."""
-        if self._scratch is None:
-            return None
-        buf = self._scratch if self._w is None else self._scratch[0]
-        return buf.reshape(-1)[:d * d].reshape(d, d)
+        return None if self._scratch is None else _head(self._scratch, (d, d))
+
+
+def _head(buf: np.ndarray, shape: tuple) -> np.ndarray:
+    """A C-ordered array of ``shape`` on the first entries of ``buf``."""
+    return buf.reshape(-1)[:shape[0] * shape[1]].reshape(shape)
 
 
 def _sandwich(w: np.ndarray, m: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
@@ -123,8 +123,7 @@ def _sandwich(w: np.ndarray, m: np.ndarray, work: np.ndarray | None = None) -> n
     on the column legs.  The intermediate (w (x) I) m is formed in the head
     of ``work`` when given (a complex128 array sharing no memory with m)."""
     shape = (w.shape[0], m.size // w.shape[1])
-    half = np.empty(shape, dtype=complex) if work is None else \
-        work.reshape(-1)[:shape[0] * shape[1]].reshape(shape)
+    half = np.empty(shape, dtype=complex) if work is None else _head(work, shape)
     np.matmul(w, m.reshape(w.shape[1], -1), out=half)
     half = half.reshape(-1, w.shape[1], m.shape[1] // w.shape[1])
     return np.matmul(w.conj(), half).reshape(half.shape[0], -1)
@@ -184,21 +183,11 @@ class EvolutionConfig:
     def q(self) -> int:
         return self.channel.q
 
-    def range_basis(self) -> np.ndarray | None:
-        """W = ``channel.range_basis()`` (chi q x r) when the config takes
-        the range route, chi q >= ``_RANGE_MIN_COMPRESSION`` r; else None.
-
-        Every output of the channel lies in range(W (x) I), so on this route
-        a stepped state is held as sigma on n = r q^{L_R - 1} dimensions.
-        """
-        w = self.channel.range_basis()
-        return w if self.chi * self.q >= _RANGE_MIN_COMPRESSION * w.shape[1] else None
-
     def range_rows(self) -> np.ndarray:
-        """Y = (I_chi (x) U_R)(W (x) I), D x n, built on first use by
-        ``_brickwork_rows`` and cached (range route only)."""
+        """Y = (I_chi (x) U_R)(W (x) I), D x n with W = ``channel.range_basis()``,
+        built on first use by ``_brickwork_rows`` and cached."""
         if self._y is None:
-            wi = np.kron(self.range_basis(), np.eye(self.q ** (self.l_r - 1)))
+            wi = np.kron(self.channel.range_basis(), np.eye(self.q ** (self.l_r - 1)))
             # wi is free after the first block, so it serves as the second buffer
             self._y = _brickwork_rows(wi, self.gate, self.l_r, (np.empty_like(wi), wi))
         return self._y
@@ -221,7 +210,7 @@ def brickwork_unitary(gate: TwoSiteGate, l_r: int) -> np.ndarray:
     boundary: odd-bond gates (1,2),(3,4),... composed after even-bond gates
     (0,1),(2,3),...
 
-    Dense q^{L_R} x q^{L_R} reference for ``conjugate_brickwork``; the engine
+    Dense q^{L_R} x q^{L_R} reference for ``_brickwork_rows``; the engine
     never builds it.
     """
     if l_r < 2:
@@ -297,32 +286,6 @@ def _brickwork_rows(m: np.ndarray, gate: TwoSiteGate, l_r: int,
     return m
 
 
-def conjugate_brickwork(rho: np.ndarray, gate: TwoSiteGate, l_r: int,
-                        work: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """(I_chi (x) U_R) rho (I_chi (x) U_R)^dag by ``_brickwork_rows``.
-
-    The column legs are the row legs of the conjugate transpose, so the
-    result is (U (U rho)^dag)^dag.  Cost O(sum_blocks q^w D^2) with two
-    D x D buffers, the pair ``work`` when given (C-contiguous complex128,
-    sharing no memory with ``rho`` or each other) and fresh ones otherwise.
-    The buffers are written an even number of times, so the result is
-    ``work[1]``; ``rho`` is left as it is.
-    """
-    d = rho.shape[0]
-    if work is None:
-        bufs = [np.empty((d, d), dtype=complex), np.empty((d, d), dtype=complex)]
-    else:
-        bufs = [require_buffer(work[0], (d, d), "work[0]", rho),
-                require_buffer(work[1], (d, d), "work[1]", rho, work[0])]
-    m = rho
-    for _ in range(2):
-        m = _brickwork_rows(m, gate, l_r, bufs)
-        spare = bufs[1] if m is bufs[0] else bufs[0]
-        np.conjugate(m.T, out=spare)
-        m, bufs = spare, [m, spare]
-    return m
-
-
 def initial_joint_state(cfg: EvolutionConfig) -> JointState:
     """rho(0) = |Psi~><Psi~| with |Psi~> = sum_j |j) (x) |Psi_R^j>, unit trace."""
     psi = cfg.right_kets.reshape(-1)
@@ -333,31 +296,58 @@ def initial_joint_state(cfg: EvolutionConfig) -> JointState:
     return JointState(cfg.chi, cfg.q, cfg.l_r, np.outer(psi, psi.conj()), 0)
 
 
-def _range_period(sigma: np.ndarray, y: np.ndarray, channel: BoundaryChannel,
-                  bufs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """M[Y sigma Y^dag]: Y sigma and Y^* (D x n each, n <= D/4) are formed
-    in the head of ``bufs[1]``, Y sigma Y^dag in ``bufs[0]``, which the
-    channel clobbers, and the result in ``bufs[1]``."""
-    head = bufs[1].reshape(-1)
-    y_sigma = head[:y.size].reshape(y.shape)
-    y_conj = head[y.size:2 * y.size].reshape(y.shape)
-    np.matmul(y, sigma, out=y_sigma)
-    np.conjugate(y, out=y_conj)
-    np.matmul(y_sigma, y_conj.T, out=bufs[0])
-    return apply_channel(channel, bufs[0], out=bufs[1])
+def _conjugate(held: np.ndarray, w: np.ndarray | None, gate: TwoSiteGate, l_r: int,
+               bufs: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Y held Y^dag with Y = (I_chi (x) U_R)(w (x) I), or I_chi (x) U_R
+    without ``w``, matrix-free in the two D x D arrays ``bufs``.
+
+    The column legs are the row legs of the conjugate transpose, so the
+    result is (Y (Y held)^dag)^dag: twice a lift by w (one gemm on the row
+    legs, into the head of a buffer), ``_brickwork_rows`` and a conjugate
+    transpose.  Without ``w`` no lift is made and the passes are the gate
+    blocks of the period alone.  Returns the result and the other buffer;
+    ``held`` is left as it is.
+    """
+    x, y = bufs
+    m = held
+    for _ in range(2):
+        if w is not None:
+            lifted = _head(x, (x.shape[0], m.shape[1]))
+            np.matmul(w, m.reshape(w.shape[1], -1), out=lifted.reshape(w.shape[0], -1))
+            m, x, y = lifted, y, x
+        views = (_head(x, m.shape), _head(y, m.shape))
+        m = _brickwork_rows(m, gate, l_r, views)
+        if m is views[1]:
+            x, y = y, x
+        # m is in x; its conjugate transpose goes to y, and the next pass
+        # writes first into x
+        spare = _head(y, m.shape[::-1])
+        np.conjugate(m.T, out=spare)
+        m = spare
+    return y, x
 
 
-def _dense_period(s: JointState, cfg: EvolutionConfig) -> tuple[np.ndarray, np.ndarray]:
-    """M[U_R rho U_R^dag] and the scratch buffer, which is taken off ``s``
-    (allocated when ``s`` has none)."""
-    scratch, s._scratch = s._scratch, None
-    s._sketch = None  # its Q would outlive the diagnostics of s, held through the period
-    rho = s.rho
-    if scratch is None:
-        scratch = np.empty(rho.shape, dtype=complex)
-    new = np.empty(rho.shape, dtype=complex)
-    conjugate_brickwork(rho, cfg.gate, cfg.l_r, work=(new, scratch))
-    return apply_channel(cfg.channel, scratch, out=new), scratch
+def _period(s: JointState, cfg: EvolutionConfig, bufs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """sigma' = (W^dag (x) I) M[Y held Y^dag] (W (x) I), formed in the two
+    D x D arrays ``bufs``, which hold nothing of it on return.
+
+    Y is applied by the cached D x n gemm (``range_rows``) when ``s`` holds
+    the config's W and the channel compresses ancilla (x) site 0 at least
+    ``_RANGE_MIN_COMPRESSION``-fold, else by ``_conjugate``.
+    """
+    w = cfg.channel.range_basis()
+    if s._w is w and cfg.chi * cfg.q >= _RANGE_MIN_COMPRESSION * w.shape[1]:
+        y = cfg.range_rows()
+        # Y held and Y^* (D x n each, n <= D/4) in the head of bufs[1]
+        y_held, y_conj = np.split(_head(bufs[1], (2 * y.shape[0], y.shape[1])), 2)
+        np.matmul(y, s._held, out=y_held)
+        np.conjugate(y, out=y_conj)
+        np.matmul(y_held, y_conj.T, out=bufs[0])
+        rho, spare = bufs
+    else:
+        rho, spare = _conjugate(s._held, s._w, cfg.gate, cfg.l_r, bufs)
+    out = apply_channel(cfg.channel, rho, out=spare)
+    return _sandwich(dagger(w), out, work=rho)
 
 
 def step(s: JointState, cfg: EvolutionConfig) -> JointState:
@@ -367,37 +357,25 @@ def step(s: JointState, cfg: EvolutionConfig) -> JointState:
     drift under repeated products); the spectral positivity residual is
     available through ``invariant_residuals``.
 
-    A dense state runs the period in two D x D arrays besides ``s.rho``:
-    one fresh array for the result and the scratch buffer taken from ``s``
-    (allocated when it has none).  On the range route that result is
-    projected to sigma; a range state instead steps as
-    sigma' = (W^dag (x) I) M[Y sigma Y^dag] (W (x) I) in the two D x D
-    arrays it carries, and a range result carries both arrays on.  The
-    scratch is cleared on ``s``, so stepping ``s`` again never shares memory
-    with either result.  The drift checks run on the held matrix.
+    The result is a range state, sigma' with W = ``channel.range_basis()``,
+    whatever ``s`` holds.  The period runs in two D x D arrays besides the
+    held matrix: the buffer ``s`` carries (allocated when it has none),
+    which is cleared on ``s`` and carried on by the result, so stepping
+    ``s`` again never shares memory with it, and one fresh array, freed on
+    return.  The drift checks run on sigma'.
     """
-    w = cfg.range_basis()
-    if w is not None and s._w is w:
-        scratch, s._scratch = s._scratch, None
-        if scratch is None:
-            d = s.chi * s.q ** s.l_r
-            scratch = (np.empty((d, d), dtype=complex), np.empty((d, d), dtype=complex))
-        rho = _range_period(s._held, cfg.range_rows(), cfg.channel, scratch)
-    else:
-        rho, scratch = _dense_period(s, cfg)
-        if w is not None:
-            scratch = (scratch, rho)  # both free once rho is projected
-    if w is not None:
-        rho = _sandwich(dagger(w), rho, work=scratch[0])
-    tr_drift = abs(float(np.trace(rho).real) - 1.0)
-    herm_drift = hermiticity_residual(rho)
+    scratch, s._scratch = s._scratch, None
+    s._sketch = None  # its Q lies in the scratch, which the period overwrites
+    d = s.chi * s.q ** s.l_r
+    if scratch is None:
+        scratch = np.empty((d, d), dtype=complex)
+    sigma = _period(s, cfg, (scratch, np.empty((d, d), dtype=complex)))
+    tr_drift = abs(float(np.trace(sigma).real) - 1.0)
+    herm_drift = hermiticity_residual(sigma)
     if not (tr_drift <= DRIFT_TOL and herm_drift <= DRIFT_TOL):
         raise NumericalDriftError(
             f"state invariants drifted: trace {tr_drift:.2e}, hermiticity {herm_drift:.2e}")
-    if w is not None:
-        out = JointState._in_range(s.chi, s.q, s.l_r, rho, w, s.t + 1)
-    else:
-        out = JointState(s.chi, s.q, s.l_r, rho, s.t + 1)
+    out = JointState(s.chi, s.q, s.l_r, sigma, s.t + 1, w=cfg.channel.range_basis())
     out._scratch, out._herm = scratch, herm_drift
     return out
 
@@ -459,7 +437,7 @@ def entanglement_entropy(s: JointState) -> float:
         if s._w is not None:
             range_q = (s._w @ range_q.reshape(s._w.shape[1], -1)).reshape(-1, range_q.shape[1])
         basis = _ancilla_span(range_q, s.chi)
-    # a stepped range state forms rho_R in its idle period buffers
+    # a stepped state forms rho_R in the buffer it carries
     out = s._idle(s.q ** s.l_r) if s._w is not None else None
     rho_r = subsystem_density(s) if out is None else _range_density(s, out)
     return von_neumann_entropy(rho_r, basis=basis)

@@ -6,6 +6,7 @@ first factor being the left site.  SWAP acts as S|c,d> = |d,c>.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -28,6 +29,8 @@ class TwoSiteGate:
     seed: int | None = None
 
     def __post_init__(self):
+        if isinstance(self.q, bool) or not isinstance(self.q, numbers.Integral) or self.q < 2:
+            raise ValueError(f"gate q must be an integer >= 2, got {self.q!r}")
         self.matrix = np.asarray(self.matrix, dtype=complex)
         if self.matrix.shape != (self.q * self.q, self.q * self.q):
             raise ValueError(f"gate matrix shape {self.matrix.shape} does not match q={self.q}")

@@ -2,14 +2,36 @@
 
 Matrix schema: {"rows": r, "cols": c, "data": [[re, im], ...]} row-major.
 All file I/O lives in the CLI; these helpers only translate objects.
+``json_int`` and ``json_float`` are the strict readers of JSON scalars, for
+these objects and for the CLI's config fields alike.
 """
 from __future__ import annotations
+
+import json
+import sys
 
 import numpy as np
 
 from .gates import TwoSiteGate
 from .linalg import require_finite
 from .mps import Lpdo, MpsTensor, TwoSiteMps
+
+
+def json_int(value, name: str) -> int:
+    """A field that must be a JSON integer: bool, float and str are
+    refused, not truncated or parsed."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def json_float(value, name: str) -> float:
+    """A field that must be a finite JSON number (an integer is taken as its
+    float): bool, str and NaN or infinite values are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} must be a finite number, got {json.dumps(value)}")
+    return float(value)
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
@@ -21,11 +43,12 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
+    rows, cols = json_int(obj["rows"], "matrix rows"), json_int(obj["cols"], "matrix cols")
     data = obj["data"]
     if len(data) != rows * cols:
         raise ValueError(f"matrix data length {len(data)} != {rows}*{cols}")
-    flat = np.array([complex(re, im) for re, im in data])
+    flat = np.array([complex(json_float(re, "matrix entry"), json_float(im, "matrix entry"))
+                     for re, im in data])
     return require_finite(flat.reshape(rows, cols))
 
 
@@ -68,7 +91,7 @@ def _require_object(obj, what: str) -> None:
 def gate_from_json(obj: dict) -> TwoSiteGate:
     _require_object(obj, "gate file")
     params = {k: param_from_json(v) for k, v in obj.get("params", {}).items()}
-    return TwoSiteGate(int(obj["q"]), matrix_from_json(obj["matrix"]),
+    return TwoSiteGate(json_int(obj["q"], "gate file q"), matrix_from_json(obj["matrix"]),
                        obj.get("family", "custom"), params, obj.get("seed"))
 
 
@@ -107,4 +130,5 @@ def left_state_from_json(obj: dict) -> MpsTensor | TwoSiteMps | Lpdo:
     if not isinstance(kind, str) or kind not in LEFT_STATE_KINDS:
         raise ValueError(f"unknown left-state kind '{kind}'")
     cls, ints, stacks = LEFT_STATE_KINDS[kind]
-    return cls(*[int(obj[f]) for f in ints], *[_stack_from_json(obj[k]) for k in stacks])
+    return cls(*[json_int(obj[f], f"left-state {f}") for f in ints],
+               *[_stack_from_json(obj[k]) for k in stacks])

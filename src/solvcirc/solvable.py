@@ -120,7 +120,11 @@ def _channel_supertensor(a: MpsTensor) -> np.ndarray:
     return sup.reshape(chi * chi, q * q, chi * chi, q * q)
 
 
-def _im_capacity_check(a: MpsTensor, tsteps: int):
+def _im_horizon_check(a: MpsTensor, tsteps: int):
+    """tsteps >= 0 (ValueError) and an influence matrix within the cap
+    (CapacityError)."""
+    if tsteps < 0:
+        raise ValueError(f"tsteps must be >= 0, got {tsteps}")
     entries = (a.chi ** 2) * (a.q ** (4 * tsteps))
     if entries > IM_ENTRY_CAP:
         raise CapacityError(f"influence matrix would hold {entries} entries (cap {IM_ENTRY_CAP})")
@@ -133,7 +137,7 @@ def build_influence_matrix_open(a: MpsTensor, tsteps: int) -> np.ndarray:
     s_t_in enters the boundary channel at period t, s_t_out returns to the
     subsystem.  The t=T end is closed with the bond trace.
     """
-    _im_capacity_check(a, tsteps)
+    _im_horizon_check(a, tsteps)
     chi, q = a.chi, a.q
     if tsteps == 0:
         # open bond, trace closure only
@@ -231,7 +235,7 @@ def influence_matrix_bruteforce(u: TwoSiteGate, a: MpsTensor, tsteps: int,
     q, chi = a.q, a.chi
     if l_left is None:
         l_left = 2 * tsteps + 2
-    _im_capacity_check(a, tsteps)
+    _im_horizon_check(a, tsteps)
     # state factors: [far(chi)] [sites -L..-1] [cut(chi)]; probes appended per period
     psi = left_block(a, l_left).reshape(-1)
     dims = [chi] + [q] * l_left + [chi]

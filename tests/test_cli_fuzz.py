@@ -19,6 +19,7 @@ from solvcirc.gates import EXPLICIT_FAMILIES, cartan_gate, random_gate
 from solvcirc.linalg import make_rng
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 # Subcommands run on each shipped config; `check` reads every config.
 COMMANDS = {
@@ -290,3 +291,85 @@ def test_tol_must_be_finite_and_positive(command, tol, tmp_path, capsys):
     assert code == 2
     assert err.startswith("configuration error: --tol must be a finite number > 0")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("q", ["-1", "0", "1"])
+def test_gen_gate_refuses_a_nonsense_local_dimension(q, tmp_path, capsys):
+    out = tmp_path / "gate.json"
+    code, err = run_cli(["gen-gate", "--family", "haar", "--q", q, "--out", str(out)], capsys)
+    assert code == 2 and err.startswith("configuration error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_negative_horizon_refused(tmp_path, capsys):
+    # T < 0 used to print "fixed_point_residual": 0.0 and exit 0
+    cfg_path = tmp_path / "c.json"
+    argv = ["fixed-point", "--config", str(cfg_path)]
+    cases = [(dict(base_config("fixed_point_q2.json"), tmax=-1), []),
+             (base_config("fixed_point_q2.json"), ["--tsteps", "-1"])]
+    for cfg, extra in cases:
+        cfg_path.write_text(json.dumps(cfg))
+        code, err = run_cli(argv + extra, capsys)
+        assert code == 2, (extra, err)
+        assert err == "configuration error: tsteps must be >= 0, got -1\n"
+
+
+# The strict fields of a {"file": ...} input: a gate or left-state file's
+# integer fields, each matrix's rows and cols, and each [re, im] entry.
+FILE_INT_FIELDS = {"q", "chi", "chip", "d", "rows", "cols"}
+
+
+def file_field_mutations(obj):
+    """(label, mutant) for each strict field of a gate or left-state file
+    object, given a float, bool or str value in turn."""
+    for path in paths(obj):
+        *head, last = path
+        parent = obj
+        for key in head:
+            parent = parent[key]
+        value = parent[last]
+        if last in FILE_INT_FIELDS:
+            values = [value + 0.9, float(value), True, str(value)]
+        elif len(path) >= 3 and path[-3] == "data":
+            values = [True, str(value)]
+        else:
+            continue
+        for bad in values:
+            mutant = copy.deepcopy(obj)
+            target = mutant
+            for key in head:
+                target = target[key]
+            target[last] = bad
+            yield f"{'.'.join(map(str, path))} -> {json.dumps(bad)}", mutant
+
+
+def file_objects(tmp_path, capsys):
+    """(section, file object) pairs: a gen-gate file and the pinned
+    left-state files."""
+    gate_path = tmp_path / "gate.json"
+    assert run_cli(["gen-gate", "--family", "q2_qt2", "--seed", "3", "--out", str(gate_path)],
+                   capsys)[0] == 0
+    yield "gate", json.loads(gate_path.read_text())
+    for kind in ("mps", "two_site", "lpdo"):
+        yield "mps", json.loads((DATA_DIR / f"left_state_{kind}.json").read_text())
+
+
+def test_file_inputs_refuse_lax_scalars(tmp_path, capsys):
+    # read by `check` through a q = 2 shipped config: a gate file's
+    # "q": 2.9 used to be truncated to 2 and a matrix's "rows": "4" parsed;
+    # the files as written still load
+    held, cfg_path = tmp_path / "held.json", tmp_path / "c.json"
+    argv = ["check", "--config", str(cfg_path)]
+    for section, obj in list(file_objects(tmp_path, capsys)):
+        cfg_path.write_text(json.dumps(dict(base_config("oracle_q2_dressed_swap.json"),
+                                            **{section: {"file": str(held)}})))
+        held.write_text(json.dumps(obj))
+        assert run_cli(argv, capsys) in ((0, ""), (1, ""))
+        cases = list(file_field_mutations(obj))
+        fields = {label.split(" ")[0].rsplit(".", 1)[-1] for label, _ in cases}
+        assert {"rows", "cols", "0", "1"} <= fields and fields & {"q", "chi"}
+        for label, mutant in cases:
+            held.write_text(json.dumps(mutant))
+            code, err = run_cli(argv, capsys)
+            assert code == 2, (section, label, err)
+            assert err.startswith("configuration error: ") and err.count("\n") == 1

@@ -11,15 +11,14 @@ from hypothesis import strategies as st
 from solvcirc import evolve
 from solvcirc.cli import build_engine, build_gate, build_mps, main
 from solvcirc.evolve import (BLOCK_LEVEL_CAP, EvolutionConfig, JointState,
-                             _brickwork_blocks, conjugate_brickwork,
-                             entanglement_entropy, local_expectation, states,
-                             subsystem_density)
+                             _brickwork_blocks, entanglement_entropy,
+                             local_expectation, states, subsystem_density)
 from solvcirc.gates import random_gate
 from solvcirc.linalg import (PROBE_RESIDUAL_TOL, dagger, hermiticity_residual,
                              make_rng, max_abs, min_eig_lower_bound,
                              partial_trace, range_sketch, von_neumann_entropy)
 from solvcirc.mps import ghz_cluster_family, product_state_mps, random_lpdo
-from test_evolve import GATE_FAMILIES, random_hermitian
+from test_evolve import GATE_FAMILIES, fused_conjugation, random_hermitian, reference_step_rho
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "rank_saturation_q2.json"
 
@@ -88,7 +87,7 @@ class TestFusedPeriod:
         rng = make_rng(seed)
         gate = random_gate(family, rng, q=q, qt=2)
         rho = random_hermitian(chi * q ** l_r, rng)
-        fused, ref = conjugate_brickwork(rho, gate, l_r), reference_conjugation(rho, gate, l_r)
+        fused, ref = fused_conjugation(rho, gate, l_r), reference_conjugation(rho, gate, l_r)
         if q >= 3:
             assert np.array_equal(fused, ref)
         else:
@@ -98,7 +97,7 @@ class TestFusedPeriod:
         rng = make_rng(40)
         gate = random_gate("general", rng, q=2, qt=2)
         rho = random_hermitian(2 ** 10, rng)
-        assert max_abs(conjugate_brickwork(rho, gate, 10)
+        assert max_abs(fused_conjugation(rho, gate, 10)
                        - reference_conjugation(rho, gate, 10)) < 1e-13
 
 
@@ -228,6 +227,9 @@ class TestRankSaturationConfig:
     each period up to D/chi = 256."""
 
     def test_rows_equal_the_dense_path(self, tmp_path):
+        # every row against the D x D period, never projected, within the
+        # tolerances of the range sketch: rows t >= 1 are range states, held
+        # as sigma, and the sketch certifies rho(0) (rank 1)
         out = tmp_path / "rank.csv"
         assert main(["evolve", "--config", str(CONFIG), "--out", str(out)]) == 0
         rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
@@ -236,16 +238,16 @@ class TestRankSaturationConfig:
         obs = [(o["site"], np.diag([1.0, -1.0])) for o in cfg["observables"]]
         saturated = 0
         assert len(rows) == cfg["tmax"] + 1
+        rho = None
         for row, s in zip(rows, states(econf)):
-            assert row[0] == str(s.t)
-            certified = s.range_sketch()[2] <= PROBE_RESIDUAL_TOL
-            s_dense, m_dense = dense_entropy(s), dense_min_eig(s.rho)
-            if certified:
-                assert abs(float(row[1]) - s_dense) <= 1e-12
-                assert m_dense - 1e-12 <= float(row[3]) <= m_dense + 1e-14
-            else:
-                assert row[1] == f"{s_dense:.12e}" and row[3] == f"{m_dense:.12e}"
-                saturated += np.linalg.matrix_rank(subsystem_density(s), 1e-10) == 256
+            rho = s.rho if rho is None else reference_step_rho(rho, econf)
+            assert row[0] == str(s.t) and (s._w is not None) == (s.t >= 1)
+            dense = JointState(s.chi, s.q, s.l_r, rho, s.t)
+            assert s._w is not None or s.range_sketch()[2] <= PROBE_RESIDUAL_TOL
+            s_dense, m_dense = dense_entropy(dense), dense_min_eig(rho)
+            assert abs(float(row[1]) - s_dense) <= 1e-12
+            assert m_dense - 1e-12 <= float(row[3]) <= m_dense + 1e-14
+            saturated += np.linalg.matrix_rank(subsystem_density(dense), 1e-10) == 256
             for cell, (site, op) in zip(row[4:], obs):
-                assert abs(float(cell) - reference_expectation(s, site, op)) <= 1e-12
+                assert abs(float(cell) - reference_expectation(dense, site, op)) <= 1e-12
         assert saturated >= 4

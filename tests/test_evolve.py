@@ -9,7 +9,7 @@ from solvcirc import evolve
 from solvcirc.channel import apply_channel
 from solvcirc.errors import CapacityError, NumericalDriftError
 from solvcirc.evolve import (DENSITY_ENTRY_CAP, EvolutionConfig, JointState,
-                             brickwork_unitary, conjugate_brickwork, entanglement_entropy,
+                             brickwork_unitary, entanglement_entropy,
                              initial_joint_state, joint_dimension,
                              local_expectation, mps_continuation_kets, states,
                              step, subsystem_density)
@@ -188,6 +188,14 @@ def dense_conjugation(rho, gate, chi, l_r):
     return u @ rho @ dagger(u)
 
 
+def fused_conjugation(rho, gate, l_r, w=None):
+    """Y rho Y^dag by the engine's matrix-free kernel, Y = (I_chi (x) U_R)
+    (w (x) I), or I_chi (x) U_R without ``w``."""
+    d = rho.shape[0] if w is None else rho.shape[0] * w.shape[0] // w.shape[1]
+    bufs = (np.empty((d, d), dtype=complex), np.empty((d, d), dtype=complex))
+    return evolve._conjugate(rho, w, gate, l_r, bufs)[0]
+
+
 def random_hermitian(d, rng):
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     h = a + dagger(a)
@@ -208,17 +216,17 @@ class TestMatrixFreePeriod:
         gate = random_gate(family, rng, q=q, qt=2)
         rho = random_hermitian(d, rng)
         expect = dense_conjugation(rho, gate, chi, l_r)
-        assert max_abs(conjugate_brickwork(rho, gate, l_r) - expect) < 1e-12
+        assert max_abs(fused_conjugation(rho, gate, l_r) - expect) < 1e-12
 
     def test_input_untouched_and_any_memory_order(self):
         rng = make_rng(30)
         gate = random_gate("haar", rng, q=3)
         rho = random_hermitian(2 * 27, rng)
         before = rho.copy()
-        out = conjugate_brickwork(rho, gate, 3)
+        out = fused_conjugation(rho, gate, 3)
         assert np.array_equal(rho, before)
         assert out.flags.c_contiguous
-        f_out = conjugate_brickwork(np.asfortranarray(rho), gate, 3)
+        f_out = fused_conjugation(np.asfortranarray(rho), gate, 3)
         assert np.array_equal(f_out, out)
         assert max_abs(out - dense_conjugation(rho, gate, 2, 3)) < 1e-12
 
@@ -268,12 +276,13 @@ class TestStep:
 
 
 def _arrays(obj):
-    """The numpy arrays held in the attributes of ``obj``, private ones too."""
-    return [v for v in vars(obj).values() if isinstance(v, np.ndarray)]
+    """The writable numpy arrays held in the attributes of ``obj``, private
+    ones too (the read-only W is the channel's, shared by every state)."""
+    return [v for v in vars(obj).values() if isinstance(v, np.ndarray) and v.flags.writeable]
 
 
 def wide_config(tmax=2):
-    """q=2, chi=2, L_R=9: D = 1024."""
+    """q=2, chi=2, L_R=9: D = 1024, sigma on n = 512."""
     gate = random_gate("general", make_rng(3), q=2, qt=2)
     return EvolutionConfig(gate, ghz_cluster_family(0.6, 2),
                            product_right_kets(2, 2, 9, 0), 9, tmax)
@@ -281,48 +290,52 @@ def wide_config(tmax=2):
 
 def q3_config(tmax=2):
     """q=3, chi=2, L_R=5: D = 486.  The channel compresses ancilla (x) site 0
-    only 3-fold (chi q / r = 6 / 2), so the engine steps D x D."""
+    only 3-fold (chi q / r = 6 / 2), so Y is applied matrix-free."""
     gate = random_gate("general", make_rng(4), q=3, qt=2)
     return EvolutionConfig(gate, ghz_cluster_family(0.6, 3),
                            product_right_kets(2, 3, 5, 1), 5, tmax)
 
 
 def reference_step_rho(rho, cfg):
-    return apply_channel(cfg.channel, conjugate_brickwork(rho, cfg.gate, cfg.l_r))
+    """One period on a D x D rho, never projected."""
+    return apply_channel(cfg.channel, dense_conjugation(rho, cfg.gate, cfg.chi, cfg.l_r))
+
+
+def rebuilt(s):
+    """A state holding a copy of what ``s`` holds, with no scratch."""
+    return JointState(s.chi, s.q, s.l_r, s._held.copy(), s.t, w=s._w)
 
 
 class TestEngineBuffers:
-    """A period of the D x D route runs in its input plus two D x D arrays,
-    with the arithmetic of the copying path: every result is bit-identical
-    to it."""
+    """A period runs in its input plus two D x D arrays, and a stepped
+    state carries one of them besides sigma."""
 
-    def test_conjugate_brickwork_lands_in_the_second_buffer(self):
+    def test_conjugation_runs_in_its_two_buffers(self):
+        # dense (no lift) and lifted by a non-isometric w, on a
+        # non-Hermitian input: the result is Y m Y^dag, not its adjoint
         rng = make_rng(50)
         gate = random_gate("haar", rng, q=3)
-        rho = random_hermitian(2 * 27, rng)
-        work = (np.empty_like(rho), np.empty_like(rho))
-        assert conjugate_brickwork(rho, gate, 3, work=work) is work[1]
-        assert np.array_equal(work[1], conjugate_brickwork(rho, gate, 3))
-
-    def test_conjugate_brickwork_rejects_aliased_work(self):
-        rng = make_rng(51)
-        gate = random_gate("haar", rng, q=2)
-        rho = random_hermitian(8, rng)
-        buf = np.empty_like(rho)
-        for work in ((buf, buf), (rho, buf), (buf, rho), (buf, np.empty((8, 8)))):
-            with pytest.raises(ValueError):
-                conjugate_brickwork(rho, gate, 3, work=work)
+        for w, n in ((None, 54), (rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2)), 18)):
+            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            before = m.copy()
+            bufs = (np.empty((54, 54), dtype=complex), np.empty((54, 54), dtype=complex))
+            out, other = evolve._conjugate(m, w, gate, 3, bufs)
+            assert np.array_equal(m, before)
+            assert {id(out), id(other)} == {id(b) for b in bufs}
+            lift = np.eye(54) if w is None else kron(w, np.eye(9))
+            y = kron(np.eye(2), brickwork_unitary(gate, 3)) @ lift
+            assert max_abs(out - y @ m @ dagger(y)) < 1e-12
 
     @pytest.mark.parametrize("make_cfg", [q3_config, wide_config])
     def test_step_with_and_without_scratch(self, make_cfg):
         cfg = make_cfg(tmax=3)
         s = list(states(cfg))[-1]
-        assert s._scratch is not None
-        bare = JointState(s.chi, s.q, s.l_r, s.rho.copy(), s.t)
+        assert s._scratch is not None and s._w is cfg.channel.range_basis()
+        bare = rebuilt(s)
         with_scratch, without = step(s, cfg), step(bare, cfg)
-        assert np.array_equal(with_scratch.rho, without.rho)
-        assert np.array_equal(with_scratch.rho, reference_step_rho(s.rho, cfg))
-        assert with_scratch._herm == without._herm == hermiticity_residual(without.rho)
+        assert np.array_equal(with_scratch._held, without._held)
+        assert max_abs(with_scratch.rho - reference_step_rho(bare.rho, cfg)) < 1e-13
+        assert with_scratch._herm == without._herm == hermiticity_residual(without._held)
 
     def test_scratch_is_taken_from_the_input(self):
         cfg = q3_config(tmax=1)
@@ -336,14 +349,15 @@ class TestEngineBuffers:
         cfg = q3_config(tmax=2)
         s = list(states(cfg))[1]
         first, second = step(s, cfg), step(s, cfg)
-        assert np.array_equal(first.rho, second.rho)
+        assert np.array_equal(first._held, second._held)
+        assert first._w is second._w is s._w
         for a in _arrays(first) + _arrays(s):
             for b in _arrays(second):
                 assert not np.shares_memory(a, b)
 
     def test_stream_shares_no_memory(self):
         held = [a for s in list(states(q3_config(tmax=4))) for a in _arrays(s)]
-        assert len(held) == 6  # five rho and the last state's scratch
+        assert len(held) == 6  # rho(0), four sigma and the last state's scratch
         for i, a in enumerate(held):
             for b in held[i + 1:]:
                 assert not np.shares_memory(a, b)
@@ -352,7 +366,8 @@ class TestEngineBuffers:
         cfg = q3_config(tmax=4)
         for s in states(cfg):
             lent = s.invariant_residuals()["min_eig"]
-            assert lent == min_eig_lower_bound(s.rho)
+            bare = JointState(s.chi, s.q, s.l_r, s._held, s.t, w=s._w)
+            assert lent == bare.invariant_residuals()["min_eig"]
         rng = make_rng(52)
         for h in (random_hermitian(512, rng), s.rho):  # dense and probe paths
             work = np.empty_like(h)
@@ -367,18 +382,22 @@ class TestEngineBuffers:
         real = evolve.hermiticity_residual
         monkeypatch.setattr(evolve, "hermiticity_residual", lambda m: calls.append(1) or real(m))
         res = s1.invariant_residuals()
-        assert calls == [] and res["hermiticity"] == real(s1.rho)
+        assert calls == [] and res["hermiticity"] == real(s1._held)
         step(s1, cfg)
         assert calls == [1]
-        bare = JointState(s1.chi, s1.q, s1.l_r, s1.rho, s1.t)
+        bare = JointState(s1.chi, s1.q, s1.l_r, s1._held, s1.t, w=s1._w)
         assert bare.invariant_residuals()["hermiticity"] == res["hermiticity"]
         assert calls == [1, 1]
 
     def test_memory_budget_at_d1024(self):
+        # the first period allocates both D x D buffers, a later one only
+        # the buffer its input does not carry; a stepped state carries one
+        # buffer and sigma (n = D / 2 here)
         cfg = wide_config()
         s = initial_joint_state(cfg)
         d2 = s.rho.size * 16
-        peaks = []
+        n2 = (s.rho.shape[0] // 2) ** 2 * 16
+        peaks, carried = [], []
         tracemalloc.start()
         try:
             for _ in range(3):
@@ -386,10 +405,13 @@ class TestEngineBuffers:
                 tracemalloc.reset_peak()
                 s = step(s, cfg)
                 peaks.append(tracemalloc.get_traced_memory()[1] - base)
+                carried.append(sum(a.nbytes for a in _arrays(s)))
         finally:
             tracemalloc.stop()
-        assert peaks[0] <= 2 * d2 + 2 ** 21
-        assert max(peaks[1:]) <= d2 + 2 ** 21
+        assert s._held.shape == (512, 512)
+        assert peaks[0] <= 2 * d2 + n2 + 2 ** 21
+        assert max(peaks[1:]) <= d2 + n2 + 2 ** 21
+        assert max(carried) <= d2 + n2
 
 
 class TestObservables:

@@ -176,3 +176,10 @@ class TestDualUnitary:
 def test_gate_validation_rejects_non_unitary():
     with pytest.raises(ValueError):
         TwoSiteGate(2, np.ones((4, 4)))
+
+
+@pytest.mark.parametrize("q", [-1, 0, 1, 2.0, True, "2"])
+def test_gate_validation_rejects_a_nonsense_local_dimension(q):
+    # q = -1 and q = 1 with a 1 x 1 matrix used to pass the shape check
+    with pytest.raises(ValueError, match="integer >= 2"):
+        TwoSiteGate(q, np.eye(1))

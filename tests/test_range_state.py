@@ -1,17 +1,17 @@
-"""The range route: a joint state held as sigma in the boundary channel's
-output range, rho = (W (x) I) sigma (W (x) I)^dag, when the channel
-compresses ancilla (x) site 0 at least 4-fold (q = 4 at r = chi)."""
+"""Range states: every stepped joint state is held as sigma in the boundary
+channel's output range, rho = (W (x) I) sigma (W (x) I)^dag.  A period
+applies Y = (I_chi (x) U_R)(W (x) I) as the cached D x n gemm when the
+channel compresses ancilla (x) site 0 at least 4-fold (q = 4 at r = chi),
+and matrix-free otherwise."""
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from solvcirc import evolve
-from solvcirc.channel import apply_channel
 from solvcirc.evolve import (SOLVABLE_GATE_TOL, EvolutionConfig, JointState,
-                             conjugate_brickwork, entanglement_entropy,
-                             initial_joint_state, local_expectation, states,
-                             step, subsystem_density)
+                             entanglement_entropy, initial_joint_state,
+                             local_expectation, states, step, subsystem_density)
 from solvcirc.gates import random_gate
 from solvcirc.linalg import (PROBE_RESIDUAL_TOL, dagger, make_rng, max_abs,
                              trace_distance, von_neumann_entropy)
@@ -19,6 +19,7 @@ from solvcirc.mps import (MpsTensor, ghz_cluster_family, product_state_mps,
                           random_lpdo, two_site_from_pair)
 from solvcirc.oracle import ChainSpec, evolve_chain
 from solvcirc.solvable import check_solvable_left
+from test_evolve import reference_step_rho
 
 # gate family -> the local dimensions it is drawn at
 FAMILIES = {"swap": (2, 3, 4), "general": (2, 3, 4), "q2_qt2": (2,),
@@ -54,9 +55,18 @@ def dense_rhos(cfg):
     rho = initial_joint_state(cfg).rho
     out = [rho]
     for _ in range(cfg.tmax):
-        rho = apply_channel(cfg.channel, conjugate_brickwork(rho, cfg.gate, cfg.l_r))
+        rho = reference_step_rho(rho, cfg)
         out.append(rho)
     return out
+
+
+def gemm_states(cfg):
+    """The states of ``cfg`` and how many periods applied Y as the cached
+    gemm (each such period reads ``cfg.range_rows()`` once)."""
+    calls = []
+    real = cfg.range_rows
+    cfg.range_rows = lambda: calls.append(1) or real()
+    return list(states(cfg)), len(calls)
 
 
 def outside_range(w, rho):
@@ -78,15 +88,19 @@ class TestRangeRoute:
         family, q = family_q
         cfg = case(family, q, kind, chi, seed)
         w = cfg.channel.range_basis()
-        route = cfg.range_basis() is not None
-        assert route == (cfg.chi * cfg.q >= 4 * w.shape[1])
+        held, gemms = gemm_states(cfg)
+        # Y is the cached gemm on every period after the first (which steps
+        # the dense rho(0)) exactly when chi q >= 4 r
+        assert gemms == (cfg.tmax - 1) * (cfg.chi * cfg.q >= 4 * w.shape[1])
         if q == 2 or w.shape[1] == cfg.chi * cfg.q:
-            assert not route
-        for s, ref in zip(states(cfg), dense_rhos(cfg)):
+            assert gemms == 0
+        for s, ref in zip(held, dense_rhos(cfg)):
             if s.t >= 1:
                 assert outside_range(w, ref) <= 1e-13
                 assert outside_range(w, dagger(ref)) <= 1e-13
-            assert (s._w is not None) == (route and s.t >= 1)
+                assert s._w is w and s._held.shape[0] == w.shape[1] * q ** (cfg.l_r - 1)
+            else:
+                assert s._w is None
             assert max_abs(s.rho - ref) <= 1e-13
             dense = JointState(s.chi, s.q, s.l_r, ref, s.t)
             assert abs(entanglement_entropy(s) - entanglement_entropy(dense)) <= 1e-12
@@ -105,7 +119,7 @@ class TestRangeRoute:
         # q = 4, chi = 2, l_r = 4: sigma has n = 128, so its range sketch
         # (or, uncertified, the dense fallback) serves min_eig and S_ent
         cfg = case(family, 4, kind, 2, seed, l_r=4, tmax=3)
-        assume(cfg.range_basis() is not None)  # an LPDO with d = 2 keeps the D x D route
+        assume(cfg.channel.range_basis().shape[1] == 2)  # an LPDO with d = 2 has n = 256
         for s in states(cfg):
             if s.t == 0:
                 continue
@@ -116,33 +130,54 @@ class TestRangeRoute:
             exact = exact_min_eig(rho)
             assert exact - 1e-12 <= s.invariant_residuals()["min_eig"] <= exact + 1e-14
 
-    @settings(max_examples=15, deadline=None)
-    @given(family=st.sampled_from(["swap", "general", "both_chirality_q4plus"]),
-           chi=st.sampled_from([1, 2]), seed=st.integers(0, 2 ** 31 - 1))
-    def test_engine_equals_the_chain_oracle(self, family, chi, seed):
-        cfg = case(family, 4, "mps", chi, seed, l_r=2, tmax=3)
-        assert isinstance(cfg.mps, MpsTensor) and cfg.range_basis() is not None
+    @settings(max_examples=30, deadline=None)
+    @given(family_q=draws["family_q"], chi=st.sampled_from([1, 2]), seed=st.integers(0, 2 ** 31 - 1))
+    def test_engine_equals_the_chain_oracle(self, family_q, chi, seed):
+        family, q = family_q
+        cfg = case(family, q, "mps", chi, seed, l_r=2, tmax=3)
+        assert isinstance(cfg.mps, MpsTensor)
         spec = ChainSpec(cfg.gate, cfg.mps, cfg.right_kets, 2 * cfg.tmax, cfg.l_r, cfg.tmax)
         for s, oracle_rho in zip(states(cfg), evolve_chain(spec)):
+            assert (s._w is not None) == (s.t >= 1)
             assert trace_distance(oracle_rho, subsystem_density(s)) < 1e-10
 
     @pytest.mark.parametrize("kind,q,chi,route", [
         ("mps", 4, 2, True), ("mps", 4, 1, True), ("two_site", 4, 2, True),
         ("mps", 3, 2, False), ("mps", 2, 2, False), ("two_site", 2, 2, False)])
     def test_route_rule(self, kind, q, chi, route):
+        # route: whether Y is the cached gemm (chi q >= 4 r)
         rng = make_rng(60)
         left = left_state(kind, q, chi, rng)
         kets = np.ones((left.chi, q ** 2))
-        cfg = EvolutionConfig(random_gate("swap", rng, q=q), left, kets, 2, 1)
-        assert (cfg.range_basis() is not None) == route
+        cfg = EvolutionConfig(random_gate("swap", rng, q=q), left, kets, 2, 2)
+        held, gemms = gemm_states(cfg)
+        assert gemms == int(route)
+        assert all(s._w is cfg.channel.range_basis() for s in held[1:])
 
     def test_full_rank_lpdo_never_takes_the_route(self):
+        # r = chi q: sigma has n = D and Y is applied matrix-free
         rng = make_rng(61)
         for q in (2, 3, 4):
-            lpdo = random_lpdo(q, 2, q, rng)  # r = chi q
-            cfg = EvolutionConfig(random_gate("swap", rng, q=q), lpdo, np.ones((2, q ** 2)), 2, 1)
-            assert cfg.channel.range_basis().shape[1] == 2 * q
-            assert cfg.range_basis() is None
+            lpdo = random_lpdo(q, 2, q, rng)
+            kets = rng.standard_normal((2, q ** 2)) + 1j * rng.standard_normal((2, q ** 2))
+            cfg = EvolutionConfig(random_gate("swap", rng, q=q), lpdo, kets, 2, 3)
+            w = cfg.channel.range_basis()
+            assert w.shape == (2 * q, 2 * q)
+            held, gemms = gemm_states(cfg)
+            assert gemms == 0
+            for s, ref in zip(held[1:], dense_rhos(cfg)[1:]):
+                assert s._w is w and s._held.shape == ref.shape
+                assert max_abs(s.rho - ref) <= 1e-13
+
+    def test_range_basis_is_shared_and_read_only(self):
+        cfg = EvolutionConfig(random_gate("general", make_rng(69), q=4, qt=2),
+                              ghz_cluster_family(0.6, 4), np.ones((2, 16)), 2, 2)
+        w = cfg.channel.range_basis()
+        assert w is cfg.channel.range_basis() and not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0, 0] = 1.0
+        held = list(states(cfg))
+        assert held[1]._w is held[2]._w is w
 
     def test_range_basis_keeps_the_exact_zero_rows(self):
         # GHZ cluster at q = 4: site 0 in {2, 3} is never written, so the
@@ -161,8 +196,8 @@ def range_state(sigma, w=None, l_r=2):
     """A range state on the q = 4 GHZ-cluster channel's basis (or ``w``)."""
     cfg = EvolutionConfig(random_gate("general", make_rng(62), q=4, qt=2),
                           ghz_cluster_family(0.6, 4), np.ones((2, 4 ** l_r)), l_r, 1)
-    w = cfg.range_basis() if w is None else w
-    return JointState._in_range(2, 4, l_r, sigma, w, 1)
+    w = cfg.channel.range_basis() if w is None else w
+    return JointState(2, 4, l_r, sigma, 1, w=w)
 
 
 def planted_sigma(lam, rng, n=None):

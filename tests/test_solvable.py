@@ -230,6 +230,17 @@ class TestInfluenceMatrix:
         with pytest.raises(CapacityError):
             build_influence_matrix_open(ghz_cluster_family(0.5, 4), 4)
 
+    def test_negative_horizon_refused(self):
+        # T = 0 is the open bond alone; T < 0 has no meaning, where it used
+        # to give the T = 0 matrix and a fixed-point residual of 0.0
+        gate, mps = random_gate("q2_qt2", make_rng(12)), ghz_cluster_family(np.pi / 4, 2)
+        assert verify_im_fixed_point(gate, mps, 0) < 1e-14
+        for call in (lambda: build_influence_matrix_open(mps, -1),
+                     lambda: influence_matrix_bruteforce(gate, mps, -1),
+                     lambda: verify_im_fixed_point(gate, mps, -1)):
+            with pytest.raises(ValueError, match="tsteps must be >= 0"):
+                call()
+
     def test_brute_force_agreement_solvable(self):
         rng = make_rng(10)
         cases = [
