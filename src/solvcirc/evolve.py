@@ -16,7 +16,8 @@ from .channel import (BoundaryChannel, apply_channel, kraus_from_lpdo,
                       kraus_from_mps, kraus_from_two_site)
 from .errors import CapacityError, NumericalDriftError
 from .linalg import (PROBE_RESIDUAL_TOL, dagger, hermiticity_residual, kron,
-                     min_eig_lower_bound, range_sketch, von_neumann_entropy)
+                     min_eig_lower_bound, range_sketch, unit_vector,
+                     von_neumann_entropy)
 from .mps import Lpdo, MpsTensor, TwoSiteMps, left_block
 from .gates import TwoSiteGate
 from .solvable import check_solvable_left
@@ -43,29 +44,38 @@ _RANGE_MIN_COMPRESSION = 4
 class JointState:
     """Density matrix on ancilla (x) q^{L_R} at integer time t.
 
-    Without ``w`` a state holds rho itself (a dense state: rho(0), or an
-    assigned ``rho``).  With ``w`` (chi q x r) it holds sigma on
-    n = r q^{L_R-1} dimensions, rho = (W (x) I) sigma (W (x) I)^dag, and
-    ``rho`` is expanded on each read: every state ``step`` returns is held
-    so, in the boundary channel's output range.  Assigning ``rho`` makes the
-    state dense.  Privately it caches, for the matrix it holds, the
-    Hermiticity residual of ``step``'s drift check and the range sketch of
-    the diagnostics, and a stepped state carries one D x D buffer for the
-    next ``step``, in whose head the diagnostics work until then.
+    It holds one of three forms; ``rho`` expands the first two on each read.
+    A length-D vector psi (passed as ``rho``) is a ket state, rho = psi
+    psi^dag: rho(0) is held so (``initial_joint_state``).  With ``w``
+    (chi q x r) it holds sigma on n = r q^{L_R-1} dimensions,
+    rho = (W (x) I) sigma (W (x) I)^dag: every state ``step`` returns is held
+    so, in the boundary channel's output range.  Any other D x D ``rho`` is
+    held as it is (a dense state), and assigning ``rho`` makes the state
+    dense.  Privately it caches, for what it holds, the Hermiticity
+    residual of ``step``'s drift check and the range sketch of the
+    diagnostics, and a stepped state carries one D x D buffer for the next
+    ``step``, in whose head the diagnostics work until then.
     """
 
     def __init__(self, chi: int, q: int, l_r: int, rho: np.ndarray, t: int = 0,
                  w: np.ndarray | None = None):
         self.chi, self.q, self.l_r, self.t = chi, q, l_r, t
         self._scratch = None
-        if w is None:
+        if w is None and np.ndim(rho) != 1:
             self.rho = rho
-        else:
-            self._held, self._w, self._herm, self._sketch = rho, w, None, None
+            return
+        if w is None:
+            rho = np.asarray(rho, dtype=complex)
+            if rho.shape != (chi * q ** l_r,):
+                raise ValueError(f"ket shape {rho.shape} != ({chi * q ** l_r},)")
+        self._held, self._w, self._herm, self._sketch = rho, w, None, None
 
     @property
     def rho(self) -> np.ndarray:
-        return self._held if self._w is None else _sandwich(self._w, self._held)
+        m = self._held
+        if m.ndim == 1:
+            return np.outer(m, m.conj())
+        return m if self._w is None else _sandwich(self._w, m)
 
     @rho.setter
     def rho(self, value: np.ndarray):
@@ -88,8 +98,15 @@ class JointState:
         theta_k lambda_k(herm sigma), |theta_k - 1| <= delta =
         ||W^dag W - I||_2, and |lambda_k| <= ||sigma||_F, so lambda_min >=
         min(lambda_min(herm sigma), 0) - delta ||sigma||_F.
+
+        A ket state's rho = psi psi^dag is Hermitian and positive
+        semidefinite by construction: its residuals are |psi^dag psi - 1|,
+        0.0 and 0.0, what the bound gives with its exact sketch.
         """
         m = self._held
+        if m.ndim == 1:
+            return {"trace": abs(float(np.vdot(m, m).real) - 1.0), "hermiticity": 0.0,
+                    "min_eig": 0.0}
         tr = float(np.trace(m).real)
         herm = self._herm if self._herm is not None else hermiticity_residual(m)
         min_eig = min_eig_lower_bound(m, work=self._idle(m.shape[0]), sketch=self.range_sketch())
@@ -102,9 +119,17 @@ class JointState:
     def range_sketch(self) -> tuple | None:
         """``linalg.range_sketch`` of the held matrix (rho, or sigma on a
         range state), formed once per state and shared by
-        ``invariant_residuals`` and ``entanglement_entropy``."""
+        ``invariant_residuals`` and ``entanglement_entropy``.  On a ket state
+        it is exact at any D and needs no probe:
+        (psi / ||psi|| as D x 1, [[psi^dag psi]], 0.0)."""
         if self._sketch is None:
-            self._sketch = range_sketch(self._held, work=self._idle(self._held.shape[0]))
+            m = self._held
+            if m.ndim == 1:
+                nrm2 = float(np.vdot(m, m).real)
+                self._sketch = ((m / np.sqrt(nrm2)).reshape(-1, 1),
+                                np.array([[nrm2]], dtype=complex), 0.0)
+            else:
+                self._sketch = range_sketch(m, work=self._idle(m.shape[0]))
         return self._sketch
 
     def _idle(self, d: int) -> np.ndarray | None:
@@ -287,13 +312,10 @@ def _brickwork_rows(m: np.ndarray, gate: TwoSiteGate, l_r: int,
 
 
 def initial_joint_state(cfg: EvolutionConfig) -> JointState:
-    """rho(0) = |Psi~><Psi~| with |Psi~> = sum_j |j) (x) |Psi_R^j>, unit trace."""
-    psi = cfg.right_kets.reshape(-1)
-    nrm = np.linalg.norm(psi)
-    if nrm == 0:
-        raise ValueError("all right kets are zero")
-    psi = psi / nrm
-    return JointState(cfg.chi, cfg.q, cfg.l_r, np.outer(psi, psi.conj()), 0)
+    """rho(0) = |Psi~><Psi~| with |Psi~> = sum_j |j) (x) |Psi_R^j>, unit
+    trace, held as the ket |Psi~> (D entries, no D x D array)."""
+    psi = unit_vector(cfg.right_kets.reshape(-1), "right kets")
+    return JointState(cfg.chi, cfg.q, cfg.l_r, psi, 0)
 
 
 def _conjugate(held: np.ndarray, w: np.ndarray | None, gate: TwoSiteGate, l_r: int,
@@ -331,12 +353,20 @@ def _period(s: JointState, cfg: EvolutionConfig, bufs: tuple[np.ndarray, np.ndar
     """sigma' = (W^dag (x) I) M[Y held Y^dag] (W (x) I), formed in the two
     D x D arrays ``bufs``, which hold nothing of it on return.
 
-    Y is applied by the cached D x n gemm (``range_rows``) when ``s`` holds
-    the config's W and the channel compresses ancilla (x) site 0 at least
-    ``_RANGE_MIN_COMPRESSION``-fold, else by ``_conjugate``.
+    On a ket state the brickwork runs on the vector, phi = (I_chi (x) U_R)
+    psi by ``_brickwork_rows`` on one column, and phi phi^dag is one outer
+    product.  Otherwise Y is applied by the cached D x n gemm
+    (``range_rows``) when ``s`` holds the config's W and the channel
+    compresses ancilla (x) site 0 at least ``_RANGE_MIN_COMPRESSION``-fold,
+    else by ``_conjugate``.
     """
     w = cfg.channel.range_basis()
-    if s._w is w and cfg.chi * cfg.q >= _RANGE_MIN_COMPRESSION * w.shape[1]:
+    if s._held.ndim == 1:
+        col = s._held.reshape(-1, 1)
+        phi = _brickwork_rows(col, cfg.gate, cfg.l_r, (np.empty_like(col), np.empty_like(col)))
+        np.multiply(phi, phi.conj().T, out=bufs[0])
+        rho, spare = bufs
+    elif s._w is w and cfg.chi * cfg.q >= _RANGE_MIN_COMPRESSION * w.shape[1]:
         y = cfg.range_rows()
         # Y held and Y^* (D x n each, n <= D/4) in the head of bufs[1]
         y_held, y_conj = np.split(_head(bufs[1], (2 * y.shape[0], y.shape[1])), 2)
@@ -359,7 +389,7 @@ def step(s: JointState, cfg: EvolutionConfig) -> JointState:
 
     The result is a range state, sigma' with W = ``channel.range_basis()``,
     whatever ``s`` holds.  The period runs in two D x D arrays besides the
-    held matrix: the buffer ``s`` carries (allocated when it has none),
+    held ket or matrix: the buffer ``s`` carries (allocated when it has none),
     which is cleared on ``s`` and carried on by the result, so stepping
     ``s`` again never shares memory with it, and one fresh array, freed on
     return.  The drift checks run on sigma'.
@@ -394,6 +424,9 @@ def states(cfg: EvolutionConfig) -> Iterator[JointState]:
 def subsystem_density(s: JointState) -> np.ndarray:
     """rho_R(t): the ancilla traced out, unit trace."""
     d = s.q ** s.l_r
+    if s._held.ndim == 1:
+        psi = s._held.reshape(s.chi, d)
+        return np.einsum('aj,ak->jk', psi, psi.conj())
     if s._w is None:
         r = s.rho.reshape(s.chi, d, s.chi, d)
         return np.einsum('ajak->jk', r)
@@ -446,8 +479,9 @@ def entanglement_entropy(s: JointState) -> float:
 def local_expectation(s: JointState, site: int, op: np.ndarray) -> float:
     """Tr[rho_R (I (x) ... op ... (x) I)] for a Hermitian one-site operator.
 
-    The one-site matrix is one einsum: over the joint rho on a dense
-    state, over W, sigma and W^* on a range state."""
+    The one-site matrix is one einsum: over psi and psi^* on a ket state,
+    over the joint rho on a dense state, over W, sigma and W^* on a range
+    state."""
     if not 0 <= site < s.l_r:
         raise ValueError(f"site {site} out of range for l_r={s.l_r}")
     op = np.asarray(op, dtype=complex)
@@ -455,7 +489,10 @@ def local_expectation(s: JointState, site: int, op: np.ndarray) -> float:
         raise ValueError(f"operator must be {s.q}x{s.q}")
     if not (np.all(np.isfinite(op)) and hermiticity_residual(op) <= 1e-10):  # non-finite: no scan
         raise ValueError("operator must be Hermitian")
-    if s._w is None:
+    if s._held.ndim == 1:
+        psi = s._held.reshape(s.chi, s.q ** site, s.q, s.q ** (s.l_r - site - 1))
+        rho_site = np.einsum('aibj,aicj->bc', psi, psi.conj())
+    elif s._w is None:
         r = s.rho.reshape(s.chi, s.q ** site, s.q, s.q ** (s.l_r - site - 1),
                           s.chi, s.q ** site, s.q, s.q ** (s.l_r - site - 1))
         rho_site = np.einsum('aibjaicj->bc', r)

@@ -253,6 +253,8 @@ def random_gate(family: str, rng: np.random.Generator, q: int = 2, qt: int = 2,
                 seed: int | None = None) -> TwoSiteGate:
     """Draw a random member of a named family (Haar blocks, uniform angles)."""
     two_pi = 2 * np.pi
+    if family in ("q2_qt1", "q2_qt2", "both_chirality_q2") and q != 2:
+        raise ValueError(f"family {family!r} is defined at q = 2 only, got q={q}")
     if family == "q2_qt1":
         return gate_q2_qt1(rng.uniform(0, two_pi), rng.uniform(0, two_pi),
                            rng.uniform(0, two_pi), rng.uniform(0, np.pi / 2),

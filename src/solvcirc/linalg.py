@@ -181,6 +181,31 @@ def require_finite(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def unit_vector(v: np.ndarray, name: str = "vector", out: np.ndarray | None = None) -> np.ndarray:
+    """v / ||v||_2 as a complex array, for any finite nonzero v: written
+    into ``out`` when given (a C-contiguous complex128 array of v's shape,
+    which may be v itself), else into a new array.
+
+    A ket is defined only up to scale, so v is first scaled by 2^-e, with e
+    the binary exponent (``np.frexp``) of its largest real or imaginary
+    part.  That scaling is exact, so the norm neither overflows nor
+    underflows, and wherever ``v / np.linalg.norm(v)`` does neither the
+    result is the same bit for bit.  ValueError for a zero or non-finite v.
+    """
+    v = np.ascontiguousarray(v, dtype=complex)
+    parts = v.reshape(-1).view(float)
+    hi, lo = float(parts.max(initial=0.0)), float(parts.min(initial=0.0))  # NaN propagates
+    if not (np.isfinite(hi) and np.isfinite(lo)):
+        raise ValueError(f"{name} contains non-finite entries")
+    peak = max(hi, -lo)
+    if peak == 0:
+        raise ValueError(f"{name}: all entries are zero")
+    out = np.empty_like(v) if out is None else require_buffer(out, v.shape, "out")
+    np.ldexp(parts, -int(np.frexp(peak)[1]), out=out.reshape(-1).view(float))
+    out /= np.linalg.norm(out)
+    return out
+
+
 def kron(*mats: np.ndarray) -> np.ndarray:
     """Kronecker product of one or more matrices, with a result-size cap
     (``DEFAULT_DIM_CAP`` entries per axis)."""

@@ -19,7 +19,7 @@ from .gates import TwoSiteGate
 # Gates go through the module-level name _apply_pair: benchmarks/spans.py
 # counts oracle gate applications by wrapping it.
 from .linalg import apply_two_site as _apply_pair
-from .linalg import reduced_density, renyi_trace
+from .linalg import reduced_density, renyi_trace, unit_vector
 from .mps import MpsTensor, left_block
 
 DEFAULT_AMPLITUDE_CAP = 2 ** 20
@@ -75,11 +75,7 @@ def build_initial_chain(spec: ChainSpec) -> np.ndarray:
     if not spec.purify:
         block = block[:1]  # close the far end with the first bond vector
     psi = (block.reshape(-1, spec.chi) @ spec.right_kets).reshape(-1)
-    nrm = np.linalg.norm(psi)
-    if nrm == 0:
-        raise ValueError("initial chain has zero norm")
-    psi /= nrm
-    return psi
+    return unit_vector(psi, "initial chain", out=psi)
 
 
 def _period_sites(l_left: int, l_r: int, layer_order: str = "even_first") -> list[int]:

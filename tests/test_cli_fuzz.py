@@ -301,6 +301,21 @@ def test_gen_gate_refuses_a_nonsense_local_dimension(q, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("family", ["q2_qt1", "q2_qt2", "both_chirality_q2"])
+def test_gen_gate_refuses_q_other_than_2_for_a_q2_family(family, tmp_path, capsys):
+    # "--family q2_qt1 --q 5" used to write a gate with "q": 2 and exit 0
+    out = tmp_path / "gate.json"
+    for q in ("3", "4", "5"):
+        code, err = run_cli(["gen-gate", "--family", family, "--q", q, "--seed", "1",
+                             "--out", str(out)], capsys)
+        assert code == 2 and err.startswith("configuration error: ") and err.count("\n") == 1
+        assert "q = 2 only" in err and not out.exists()
+    for extra in ([], ["--q", "2"]):
+        assert run_cli(["gen-gate", "--family", family, "--seed", "1", "--out", str(out)] + extra,
+                       capsys)[0] == 0
+        assert json.loads(out.read_text())["q"] == 2
+
+
 def test_negative_horizon_refused(tmp_path, capsys):
     # T < 0 used to print "fixed_point_residual": 0.0 and exit 0
     cfg_path = tmp_path / "c.json"

@@ -389,6 +389,23 @@ class TestEngineBuffers:
         assert bare.invariant_residuals()["hermiticity"] == res["hermiticity"]
         assert calls == [1, 1]
 
+    def test_initial_state_holds_its_ket_alone(self):
+        # rho(0) is held as its ket: D complex entries, where the dense
+        # rho(0) held 16 D^2 bytes (16 MiB here)
+        cfg = wide_config()
+        d = cfg.chi * cfg.q ** cfg.l_r
+        assert d == 1024
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            s = initial_joint_state(cfg)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert sum(a.nbytes for a in _arrays(s)) <= 16 * d
+        # the ket, plus the few hundred bytes of the object and array headers
+        assert held <= 16 * d + 2 ** 10
+
     def test_memory_budget_at_d1024(self):
         # the first period allocates both D x D buffers, a later one only
         # the buffer its input does not carry; a stepped state carries one

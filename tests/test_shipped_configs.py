@@ -66,9 +66,10 @@ def test_saturation_config_reaches_max_entropy(tmp_path):
 
 def test_rank_saturation_config_pinned(tmp_path):
     # tests/data/rank_saturation_q2_evolve.csv is the committed output of
-    # `solvcirc evolve --config configs/rank_saturation_q2.json`, which runs
-    # on the D x D route.  As in the CI step, t, S_ent and the observables
-    # are pinned byte for byte; trace_residual and min_eig are BLAS round-off.
+    # `solvcirc evolve --config configs/rank_saturation_q2.json`, which holds
+    # rho(0) as its ket and every later state in the channel's output range.
+    # As in the CI step, t, S_ent and the observables are pinned byte for
+    # byte; trace_residual and min_eig are BLAS round-off.
     out = tmp_path / "rank.csv"
     code = main(["evolve", "--config", str(CONFIG_DIR / "rank_saturation_q2.json"),
                  "--out", str(out)])
@@ -107,3 +108,62 @@ def test_fixed_point_config(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["fixed_point_residual"] < 1e-10
     assert payload["solvable_left_residual"] < 1e-10
+
+
+def ket_config(name, kets):
+    """The shipped config ``name`` with its right state given as explicit kets."""
+    cfg = json.loads((CONFIG_DIR / name).read_text())
+    cfg["right_state"] = {"kets": [[[z.real, z.imag] for z in row] for row in kets]}
+    return cfg
+
+
+def run_csv(command, cfg, tmp_path, capsys):
+    """(exit code, CSV text, stderr) of ``command`` on the config dict."""
+    path, out = tmp_path / "c.json", tmp_path / "o.csv"
+    path.write_text(json.dumps(cfg))
+    out.unlink(missing_ok=True)
+    code = main([command, "--config", str(path), "--out", str(out)])
+    return code, out.read_text() if out.exists() else None, capsys.readouterr().err
+
+
+KET_RUNS = [("evolve", "rank_saturation_q2.json", (2, 2 ** 8)),
+            ("oracle", "oracle_q2_dressed_swap.json", (2, 2 ** 3))]
+
+
+@pytest.mark.parametrize("command,name,shape", KET_RUNS)
+def test_kets_scaled_by_a_power_of_two_give_the_same_csv(command, name, shape, tmp_path, capsys):
+    # a ket is defined only up to scale: 2^700 used to overflow the norm and
+    # 2^-700 to underflow it, each a configuration error with exit 2
+    rng = np.random.default_rng(16)
+    kets = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    runs = [run_csv(command, ket_config(name, kets * s), tmp_path, capsys)
+            for s in (1.0, 2.0 ** 700, 2.0 ** -700)]
+    assert all(code == 0 and err == "" for code, _, err in runs)
+    assert runs[0][1] == runs[1][1] == runs[2][1]
+    # the product state written as kets, as the CI step runs it
+    product = np.zeros(shape, dtype=complex)
+    product[:, 0] = 2.0 ** 700
+    cfg = json.loads((CONFIG_DIR / name).read_text())
+    assert run_csv(command, ket_config(name, product), tmp_path, capsys)[1] == \
+        run_csv(command, cfg, tmp_path, capsys)[1]
+
+
+@pytest.mark.parametrize("command,name,shape", KET_RUNS)
+def test_huge_and_tiny_kets_run(command, name, shape, tmp_path, capsys):
+    rng = np.random.default_rng(17)
+    kets = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    ref = run_csv(command, ket_config(name, kets), tmp_path, capsys)[1]
+    for scale in (1e200, 1e-200):
+        code, text, err = run_csv(command, ket_config(name, kets * scale), tmp_path, capsys)
+        assert code == 0 and err == ""
+        for row, want in zip(text.strip().split("\n")[1:], ref.strip().split("\n")[1:]):
+            assert np.allclose([float(c) for c in row.split(",")],
+                               [float(c) for c in want.split(",")], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("command,name,shape", KET_RUNS)
+def test_zero_kets_refused(command, name, shape, tmp_path, capsys):
+    code, text, err = run_csv(command, ket_config(name, np.zeros(shape)), tmp_path, capsys)
+    assert code == 2 and text is None
+    assert err.startswith("configuration error: ") and "all entries are zero" in err
+    assert err.count("\n") == 1
