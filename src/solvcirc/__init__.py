@@ -19,8 +19,7 @@ from .gates import (PauliCoefficients, TwoSiteGate, cartan_gate,
                     gate_general, gate_q2_qt1, gate_q2_qt2, is_dual_unitary,
                     pauli_coefficients, random_gate, swap_conjugate, swap_matrix)
 from .linalg import (expm_hermitian_generator, haar_unitary, kron, make_rng,
-                     partial_trace, renyi_trace, reshuffle, trace_distance,
-                     von_neumann_entropy)
+                     renyi_trace, reshuffle, trace_distance, von_neumann_entropy)
 from .mps import (Lpdo, MpsTensor, TwoSiteMps, check_left_canonical,
                   check_right_canonical, check_two_site_canonical,
                   ghz_cluster_family, left_block, lpdo_check_canonical,

@@ -13,6 +13,11 @@ with Kraus operators listed in (a, g, a', g') row-major order.  A carries
 the left factor of each product and B the right one: for a pure MPS both
 are the one-site tensor, for the alternating cell they are its A and B
 tensors, and only an LPDO has a purification index g (of size 1 otherwise).
+
+The input site-0 index a' enters only through <a'|, so the channel reads its
+input X only through the trace over site 0: M(X) = N(Tr_0 X) with
+N(Z) = M(Z (x) |0><0|), |0> inserted as site 0.  ``apply_channel`` takes
+Z = Tr_0 X and returns M(X) in the coordinates of the output range.
 """
 from __future__ import annotations
 
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dagger, isometry_residual, require_buffer
+from .linalg import dagger, isometry_residual
 from .mps import (CANONICAL_ATOL, Lpdo, MpsTensor, TwoSiteMps, check_left_canonical,
                   check_two_site_canonical, lpdo_check_canonical)
 
@@ -41,6 +46,7 @@ class BoundaryChannel:
                 raise ValueError(f"Kraus operator shape {k.shape} != ({d},{d})")
         self._super: np.ndarray | None = None
         self._range: np.ndarray | None = None
+        self._input: np.ndarray | None = None
 
     def superoperator(self) -> np.ndarray:
         """sum_mu K_mu (x) K_mu^* on the doubled boundary space (cached)."""
@@ -68,6 +74,28 @@ class BoundaryChannel:
             self._range = vecs[:, lam > lam.max() * d * np.finfo(float).eps]
             self._range.flags.writeable = False
         return self._range
+
+    def input_kraus(self) -> np.ndarray:
+        """The minimal Kraus set P_nu (k x r x chi) of ``apply_channel``, of the
+        map z -> (W^dag (x) I) M(z (x) |0><0|) (W (x) I), W = ``range_basis()``
+        (cached, read-only).
+
+        The P_mu = W^dag K_mu (I_chi (x) |0>) are stacked as the rows vec(P_mu)
+        of V = U S Vh.  The Choi matrix V^T V^* = Vh^T S^2 Vh^* has the
+        eigenvectors Vh_nu^T and weights s_nu^2, so P_nu = s_nu Vh_nu, kept
+        for s_nu above numpy's ``matrix_rank`` tolerance (largest x
+        max(V.shape) x machine epsilon): at most r chi operators, chi^2 for
+        an MPS and chi for the GHZ-cluster MPS, where M has q^2.
+        """
+        if self._input is None:
+            w = self.range_basis()
+            ks = np.reshape(self.kraus, (-1, self.chi * self.q, self.chi, self.q))[..., 0]
+            v = np.matmul(dagger(w), ks).reshape(len(ks), -1)
+            _, s, vh = np.linalg.svd(v, full_matrices=False)
+            keep = s > s.max() * max(v.shape) * np.finfo(float).eps
+            self._input = (s[keep, None] * vh[keep]).reshape(-1, w.shape[1], self.chi)
+            self._input.flags.writeable = False
+        return self._input
 
 
 def _kraus(left: np.ndarray, right: np.ndarray) -> list[np.ndarray]:
@@ -119,34 +147,26 @@ def check_cptp(c: BoundaryChannel) -> float:
     return isometry_residual(np.reshape(c.kraus, (-1, c.chi * c.q)))
 
 
-def apply_channel(c: BoundaryChannel, rho: np.ndarray,
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """Apply the channel on ancilla (x) site0, identity on remaining factors.
+def apply_channel(c: BoundaryChannel, z: np.ndarray) -> np.ndarray:
+    """sigma' = sum_nu (P_nu (x) I) z (P_nu (x) I)^dag, P_nu = ``input_kraus()``.
 
-    ``rho`` is a density matrix on chi * q^{L_R}; the embedded Kraus action is
-    one superoperator gemm on the reshaped state, never materialized at full
-    dimension.  With ``out`` (a C-contiguous complex128 array of rho's shape
-    that shares no memory with it) the result is written there and ``rho``,
-    which must be C-contiguous complex128 too, is overwritten as the gemm's
-    product buffer: the call then holds no array beyond the two.  Without
-    ``out``, ``rho`` is left as it is and the same path runs on a copy.
+    ``z`` is Tr_0 X for a state X on chi * q^{L_R}: the trace over site 0,
+    on ancilla (x) sites 1.. (chi m x chi m, m = q^{L_R-1}).  The result is
+    (W^dag (x) I) M(X) (W (x) I) on r m dimensions, W = ``range_basis()``,
+    and M(X) = (W (x) I) sigma' (W (x) I)^dag, since M(X) = N(Tr_0 X) (module
+    docstring) and every output of M lies in range(W (x) I).  Each row leg
+    i of each P_nu is one product on z's row legs and one batched matmul by
+    P_nu^* on its column legs, added into the i-th row block of sigma', so
+    besides z and sigma' the call holds arrays of m (D/q) and m n entries.
     """
-    d = c.chi * c.q
-    shape = np.shape(rho)
-    if len(shape) != 2 or shape[0] != shape[1] or shape[0] % d != 0:
-        raise ValueError(f"state dimension {shape} incompatible with channel on {d}")
-    total = shape[0]
-    if out is None:
-        rho = np.array(rho, dtype=complex, order="C")
-        out = np.empty_like(rho)
-    else:
-        require_buffer(rho, (total, total), "rho")
-        require_buffer(out, (total, total), "out", rho)
-    rest = total // d
-    # out[(a,c) | x,y] = Super[(a,c),(b,e)] rho[(b,e) | x,y]
-    r = out.reshape(d * d, rest * rest)
-    np.copyto(r.reshape(d, d, rest, rest), rho.reshape(d, rest, d, rest).transpose(0, 2, 1, 3))
-    prod = rho.reshape(d * d, rest * rest)
-    np.matmul(c.superoperator(), r, out=prod)
-    np.copyto(out.reshape(d, rest, d, rest), prod.reshape(d, d, rest, rest).transpose(0, 2, 1, 3))
-    return out
+    shape = np.shape(z)
+    if len(shape) != 2 or shape[0] != shape[1] or shape[0] % c.chi != 0:
+        raise ValueError(f"input dimension {shape} incompatible with ancilla of {c.chi}")
+    ps = c.input_kraus()
+    m = shape[0] // c.chi
+    zr = np.asarray(z, dtype=complex).reshape(c.chi, -1)
+    out = np.zeros((ps.shape[1], m, ps.shape[1], m), dtype=complex)
+    for p in ps:
+        for i, row in enumerate(p):
+            out[i] += np.matmul(p.conj(), (row @ zr).reshape(m, c.chi, m))
+    return out.reshape(ps.shape[1] * m, -1)

@@ -16,7 +16,7 @@ from .channel import (BoundaryChannel, apply_channel, kraus_from_lpdo,
                       kraus_from_mps, kraus_from_two_site)
 from .errors import CapacityError, NumericalDriftError
 from .linalg import (PROBE_RESIDUAL_TOL, dagger, hermiticity_residual, kron,
-                     min_eig_lower_bound, range_sketch, unit_vector,
+                     min_eig_lower_bound, range_sketch, sandwich, unit_vector,
                      von_neumann_entropy)
 from .mps import Lpdo, MpsTensor, TwoSiteMps, left_block
 from .gates import TwoSiteGate
@@ -34,63 +34,49 @@ BLOCK_LEVEL_CAP = 16
 # A range state whose channel compresses ancilla (x) site 0 at least this
 # much, chi q / r >= 4, applies Y = (I_chi (x) U_R)(W (x) I) as the cached
 # D x n gemm (``EvolutionConfig.range_rows``); any other state applies it
-# matrix-free, lifting by W and running ``_brickwork_rows``.  Y sigma Y^dag by
-# the gemm against matrix-free (GHZ cluster, 2-core Xeon, OpenBLAS): q=4 3.6 vs
-# 6.0 ms at D=512 and 198 vs 172 ms at D=2048; q=3 102 vs 57 ms at D=1458; q=2
-# 462 vs 202 ms at D=2048.
+# matrix-free (``_traced_conjugation``).  A period by the gemm against
+# matrix-free (GHZ cluster, general gate, medians, 2-core Xeon, OpenBLAS): q=4
+# 2.3 vs 6.1 ms at D=512 and 65-69 vs 92-102 ms at D=2048; q=3 59-62 vs 64-76
+# ms at D=1458; q=2 47-54 vs 34-36 ms at D=1024 and 250-292 vs 147-156 ms at
+# D=2048.
 _RANGE_MIN_COMPRESSION = 4
+# ``_traced_conjugation`` applies Y to blocks of at most D / _PASS_SHARE
+# columns, so its two pass arrays hold D^2 / 8 entries together.
+_PASS_SHARE = 16
 
 
 class JointState:
     """Density matrix on ancilla (x) q^{L_R} at integer time t.
 
-    It holds one of three forms; ``rho`` expands the first two on each read.
-    A length-D vector psi (passed as ``rho``) is a ket state, rho = psi
-    psi^dag: rho(0) is held so (``initial_joint_state``).  With ``w``
-    (chi q x r) it holds sigma on n = r q^{L_R-1} dimensions,
-    rho = (W (x) I) sigma (W (x) I)^dag: every state ``step`` returns is held
-    so, in the boundary channel's output range.  Any other D x D ``rho`` is
-    held as it is (a dense state), and assigning ``rho`` makes the state
-    dense.  Privately it caches, for what it holds, the Hermiticity
+    It holds one of two forms, and ``rho`` expands either on each read.  A
+    length-D vector psi (no ``w``) is a ket state, rho = psi psi^dag: rho(0)
+    is held so (``initial_joint_state``).  With ``w`` (chi q x r) it holds
+    sigma on n = r q^{L_R-1} dimensions, rho = (W (x) I) sigma (W (x) I)^dag:
+    every state ``step`` returns is held so, in the boundary channel's
+    output range.  Privately it caches, for what it holds, the Hermiticity
     residual of ``step``'s drift check and the range sketch of the
-    diagnostics, and a stepped state carries one D x D buffer for the next
-    ``step``, in whose head the diagnostics work until then.
+    diagnostics.
     """
 
-    def __init__(self, chi: int, q: int, l_r: int, rho: np.ndarray, t: int = 0,
+    def __init__(self, chi: int, q: int, l_r: int, held: np.ndarray, t: int = 0,
                  w: np.ndarray | None = None):
         self.chi, self.q, self.l_r, self.t = chi, q, l_r, t
-        self._scratch = None
-        if w is None and np.ndim(rho) != 1:
-            self.rho = rho
-            return
         if w is None:
-            rho = np.asarray(rho, dtype=complex)
-            if rho.shape != (chi * q ** l_r,):
-                raise ValueError(f"ket shape {rho.shape} != ({chi * q ** l_r},)")
-        self._held, self._w, self._herm, self._sketch = rho, w, None, None
+            held = np.asarray(held, dtype=complex)
+            if held.shape != (chi * q ** l_r,):
+                raise ValueError(f"ket shape {held.shape} != ({chi * q ** l_r},)")
+        self._held, self._w, self._herm, self._sketch = held, w, None, None
 
     @property
     def rho(self) -> np.ndarray:
         m = self._held
-        if m.ndim == 1:
-            return np.outer(m, m.conj())
-        return m if self._w is None else _sandwich(self._w, m)
-
-    @rho.setter
-    def rho(self, value: np.ndarray):
-        d = self.chi * self.q ** self.l_r
-        value = np.asarray(value, dtype=complex)
-        if value.shape != (d, d):
-            raise ValueError(f"rho shape {value.shape} != ({d},{d})")
-        # what was computed from the old state is stale
-        self._held, self._w, self._herm, self._sketch = value, None, None, None
+        return np.outer(m, m.conj()) if self._w is None else sandwich(self._w, m)
 
     def invariant_residuals(self) -> dict:
         """Trace and Hermiticity residuals of the held matrix, and a
         certified lower bound on the smallest eigenvalue of the Hermitian
-        part of rho: ``min_eig_lower_bound`` of the held matrix, with its
-        range sketch, less delta ||sigma||_F on a range state.
+        part of rho: ``min_eig_lower_bound`` of sigma, with its range sketch,
+        less delta ||sigma||_F.
 
         There rho = S sigma S^dag with S = W (x) I (D x n, D >= n): rho has
         D - n zero eigenvalues, and the others are those of G^(1/2)
@@ -103,55 +89,31 @@ class JointState:
         semidefinite by construction: its residuals are |psi^dag psi - 1|,
         0.0 and 0.0, what the bound gives with its exact sketch.
         """
-        m = self._held
-        if m.ndim == 1:
+        m, w = self._held, self._w
+        if w is None:
             return {"trace": abs(float(np.vdot(m, m).real) - 1.0), "hermiticity": 0.0,
                     "min_eig": 0.0}
         tr = float(np.trace(m).real)
         herm = self._herm if self._herm is not None else hermiticity_residual(m)
-        min_eig = min_eig_lower_bound(m, work=self._idle(m.shape[0]), sketch=self.range_sketch())
-        if self._w is not None:
-            w = self._w
-            delta = float(np.linalg.norm(dagger(w) @ w - np.eye(w.shape[1]), 2))
-            min_eig = min(min_eig, 0.0) - delta * float(np.linalg.norm(m))
+        min_eig = min_eig_lower_bound(m, sketch=self.range_sketch())
+        delta = float(np.linalg.norm(dagger(w) @ w - np.eye(w.shape[1]), 2))
+        min_eig = min(min_eig, 0.0) - delta * float(np.linalg.norm(m))
         return {"trace": abs(tr - 1.0), "hermiticity": herm, "min_eig": min_eig}
 
     def range_sketch(self) -> tuple | None:
-        """``linalg.range_sketch`` of the held matrix (rho, or sigma on a
-        range state), formed once per state and shared by
-        ``invariant_residuals`` and ``entanglement_entropy``.  On a ket state
-        it is exact at any D and needs no probe:
+        """``linalg.range_sketch`` of sigma, formed once per state and shared
+        by ``invariant_residuals`` and ``entanglement_entropy``.  On a ket
+        state it is exact at any D and needs no probe:
         (psi / ||psi|| as D x 1, [[psi^dag psi]], 0.0)."""
         if self._sketch is None:
             m = self._held
-            if m.ndim == 1:
+            if self._w is None:
                 nrm2 = float(np.vdot(m, m).real)
                 self._sketch = ((m / np.sqrt(nrm2)).reshape(-1, 1),
                                 np.array([[nrm2]], dtype=complex), 0.0)
             else:
-                self._sketch = range_sketch(m, work=self._idle(m.shape[0]))
+                self._sketch = range_sketch(m)
         return self._sketch
-
-    def _idle(self, d: int) -> np.ndarray | None:
-        """A d x d array in the head of the scratch, or None without one."""
-        return None if self._scratch is None else _head(self._scratch, (d, d))
-
-
-def _head(buf: np.ndarray, shape: tuple) -> np.ndarray:
-    """A C-ordered array of ``shape`` on the first entries of ``buf``."""
-    return buf.reshape(-1)[:shape[0] * shape[1]].reshape(shape)
-
-
-def _sandwich(w: np.ndarray, m: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
-    """(w (x) I) m (w (x) I)^dag for a square m whose legs are w's columns
-    (x) the rest: one gemm on the row legs, then one batched matmul by w^*
-    on the column legs.  The intermediate (w (x) I) m is formed in the head
-    of ``work`` when given (a complex128 array sharing no memory with m)."""
-    shape = (w.shape[0], m.size // w.shape[1])
-    half = np.empty(shape, dtype=complex) if work is None else _head(work, shape)
-    np.matmul(w, m.reshape(w.shape[1], -1), out=half)
-    half = half.reshape(-1, w.shape[1], m.shape[1] // w.shape[1])
-    return np.matmul(w.conj(), half).reshape(half.shape[0], -1)
 
 
 def build_channel(state: MpsTensor | TwoSiteMps | Lpdo) -> BoundaryChannel:
@@ -209,12 +171,19 @@ class EvolutionConfig:
         return self.channel.q
 
     def range_rows(self) -> np.ndarray:
-        """Y = (I_chi (x) U_R)(W (x) I), D x n with W = ``channel.range_basis()``,
-        built on first use by ``_brickwork_rows`` and cached."""
+        """Y'^*, the conjugate of Y = (I_chi (x) U_R)(W (x) I) (D x n,
+        W = ``channel.range_basis()``) with its rows grouped by the level s
+        of site 0: Y'[(a, x), (s, i)] = Y[(a, s, x), i], (chi m) x (q n) with
+        m = q^{L_R-1}.  Built on first use by ``_brickwork_rows`` and cached."""
         if self._y is None:
-            wi = np.kron(self.channel.range_basis(), np.eye(self.q ** (self.l_r - 1)))
+            chi, q, m = self.chi, self.q, self.q ** (self.l_r - 1)
+            wi = np.kron(self.channel.range_basis(), np.eye(m))
             # wi is free after the first block, so it serves as the second buffer
-            self._y = _brickwork_rows(wi, self.gate, self.l_r, (np.empty_like(wi), wi))
+            plan = _brickwork_plan(self.gate, self.l_r, wi.shape[0])
+            y = _brickwork_rows(wi, plan, (np.empty_like(wi), wi))
+            self._y = np.empty((chi, m, q, y.shape[1]), dtype=complex)
+            np.conjugate(y.reshape(chi, q, m, -1).transpose(0, 2, 1, 3), out=self._y)
+            self._y = self._y.reshape(chi * m, -1)
         return self._y
 
 
@@ -286,25 +255,34 @@ def _brickwork_blocks(q: int, l_r: int) -> list[tuple[int, int, list[int]]]:
     return blocks
 
 
-def _brickwork_rows(m: np.ndarray, gate: TwoSiteGate, l_r: int,
-                    bufs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """(I_chi (x) U_R) m for a C-ordered m with chi q^{L_R} rows, one fused
-    block at a time: the local-gate kernel of the engine.
-
-    The period's gates are merged by ``_brickwork_blocks``.  A block on
-    sites lo..hi-1 is one batched matmul of its q^w x q^w unitary
-    (w = hi - lo; the gate itself when w = 2) on the no-copy
-    (chi q^lo, q^w, rest) view, at a cost of O(q^w rows cols).  The
-    products alternate between the two arrays ``bufs`` (of m's shape),
-    starting with ``bufs[0]``; the one holding the result is returned.
-    """
-    q = gate.q
-    a, b = bufs
+def _brickwork_plan(gate: TwoSiteGate, l_r: int, rows: int) -> list[np.ndarray]:
+    """The blocks of ``_brickwork_blocks`` as ``_brickwork_rows`` applies them
+    to arrays of ``rows`` = chi q^{L_R} rows: each block's q^w x q^w unitary
+    (w = hi - lo; the gate itself when w = 2), once for each of the chi q^lo
+    row groups above it."""
+    q, plan = gate.q, []
     for lo, hi, xs in _brickwork_blocks(q, l_r):
         u = gate.matrix if hi - lo == 2 else \
             _gates_unitary(gate.matrix, q, hi - lo, [x - lo for x in xs])
         # A stride-0 broadcast of the block drops numpy's matmul off BLAS.
-        ub = np.broadcast_to(u, (m.shape[0] // q ** (l_r - lo),) + u.shape).copy()
+        plan.append(np.broadcast_to(u, (rows // q ** (l_r - lo),) + u.shape).copy())
+    return plan
+
+
+def _brickwork_rows(m: np.ndarray, plan: list[np.ndarray],
+                    bufs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """(I_chi (x) U_R) m for a C-ordered m with chi q^{L_R} rows, one fused
+    block of ``plan`` (``_brickwork_plan``) at a time: the local-gate kernel
+    of the engine.
+
+    A block on sites lo..hi-1 is one batched matmul of its q^w x q^w
+    unitary on the no-copy (chi q^lo, q^w, rest) view, at a cost of
+    O(q^w rows cols).  The products alternate between the two arrays
+    ``bufs`` (of m's shape), starting with ``bufs[0]``; the one holding the
+    result is returned.
+    """
+    a, b = bufs
+    for ub in plan:
         shape = (ub.shape[0], ub.shape[1], -1)
         np.matmul(ub, m.reshape(shape), out=a.reshape(shape))
         m, a, b = a, b, a
@@ -318,66 +296,77 @@ def initial_joint_state(cfg: EvolutionConfig) -> JointState:
     return JointState(cfg.chi, cfg.q, cfg.l_r, psi, 0)
 
 
-def _conjugate(held: np.ndarray, w: np.ndarray | None, gate: TwoSiteGate, l_r: int,
-               bufs: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Y held Y^dag with Y = (I_chi (x) U_R)(w (x) I), or I_chi (x) U_R
-    without ``w``, matrix-free in the two D x D arrays ``bufs``.
+def _apply_y(cols: np.ndarray, w: np.ndarray, plan: list[np.ndarray],
+             bufs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Y cols for Y = (I_chi (x) U_R)(w (x) I) and an n x c ``cols``: the lift
+    by w (one gemm) and ``_brickwork_rows``, in the heads of the two flat
+    arrays ``bufs``; the result is a view of one of them."""
+    d = w.shape[0] * cols.shape[0] // w.shape[1]
+    lifted = bufs[0][:d * cols.shape[1]].reshape(d, cols.shape[1])
+    np.matmul(w, cols.reshape(w.shape[1], -1), out=lifted.reshape(w.shape[0], -1))
+    return _brickwork_rows(lifted, plan, (bufs[1][:lifted.size].reshape(lifted.shape), lifted))
 
-    The column legs are the row legs of the conjugate transpose, so the
-    result is (Y (Y held)^dag)^dag: twice a lift by w (one gemm on the row
-    legs, into the head of a buffer), ``_brickwork_rows`` and a conjugate
-    transpose.  Without ``w`` no lift is made and the passes are the gate
-    blocks of the period alone.  Returns the result and the other buffer;
-    ``held`` is left as it is.
+
+def _traced_conjugation(held: np.ndarray, w: np.ndarray, gate: TwoSiteGate,
+                        l_r: int) -> np.ndarray:
+    """Z = Tr_0(Y held Y^dag), Y = (I_chi (x) U_R)(w (x) I), matrix-free.
+
+    A = Y held is kept with its rows regrouped by the level s of site 0, as
+    A_s (chi m x n, m = q^{L_R-1}).  Then Z = sum_s A_s Y_s^dag, and the
+    rows at level s of Y A_s^dag are Y_s A_s^dag = (A_s Y_s^dag)^dag.  Y is
+    applied to blocks of at most D / ``_PASS_SHARE`` columns, so besides A
+    and Z the passes hold two arrays of D^2 / ``_PASS_SHARE`` entries.
     """
-    x, y = bufs
-    m = held
-    for _ in range(2):
-        if w is not None:
-            lifted = _head(x, (x.shape[0], m.shape[1]))
-            np.matmul(w, m.reshape(w.shape[1], -1), out=lifted.reshape(w.shape[0], -1))
-            m, x, y = lifted, y, x
-        views = (_head(x, m.shape), _head(y, m.shape))
-        m = _brickwork_rows(m, gate, l_r, views)
-        if m is views[1]:
-            x, y = y, x
-        # m is in x; its conjugate transpose goes to y, and the next pass
-        # writes first into x
-        spare = _head(y, m.shape[::-1])
-        np.conjugate(m.T, out=spare)
-        m = spare
-    return y, x
+    q, n, m = gate.q, held.shape[0], gate.q ** (l_r - 1)
+    chi = w.shape[0] // q
+    d = chi * q * m
+    width, plan = max(1, d // _PASS_SHARE), _brickwork_plan(gate, l_r, d)
+    bufs = (np.empty(d * width, dtype=complex), np.empty(d * width, dtype=complex))
+    a = np.empty((q, chi, m, n), dtype=complex)
+    for c0 in range(0, n, width):
+        y = _apply_y(np.ascontiguousarray(held[:, c0:c0 + width]), w, plan, bufs)
+        a[..., c0:c0 + width] = y.reshape(chi, q, m, -1).transpose(1, 0, 2, 3)
+    a = a.reshape(q, chi * m, n)
+    z = np.zeros((chi * m, chi * m), dtype=complex)
+    for s in range(q):
+        for c0 in range(0, chi * m, width):
+            y = _apply_y(dagger(a[s, c0:c0 + width]), w, plan, bufs)
+            rows = z[c0:c0 + width].reshape(-1, chi, m)
+            rows += y.reshape(chi, q, m, -1)[:, s].transpose(2, 0, 1).conj()
+    return z
 
 
-def _period(s: JointState, cfg: EvolutionConfig, bufs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """sigma' = (W^dag (x) I) M[Y held Y^dag] (W (x) I), formed in the two
-    D x D arrays ``bufs``, which hold nothing of it on return.
+def _period(s: JointState, cfg: EvolutionConfig) -> np.ndarray:
+    """sigma' = (W^dag (x) I) M[Y X Y^dag] (W (x) I) for the held X, as one
+    ``apply_channel`` of Z = Tr_0(Y X Y^dag) ((D/q) x (D/q)), with
+    Y = (I_chi (x) U_R)(W_s (x) I) for the state's W_s.  No D x D array is
+    formed unless sigma itself has n = D (an LPDO with r = chi q).
 
     On a ket state the brickwork runs on the vector, phi = (I_chi (x) U_R)
-    psi by ``_brickwork_rows`` on one column, and phi phi^dag is one outer
-    product.  Otherwise Y is applied by the cached D x n gemm
+    psi by ``_brickwork_rows`` on one column, and Z = F F^dag with F = phi
+    as (chi m) x q.  Otherwise Y is applied by the cached gemm
     (``range_rows``) when ``s`` holds the config's W and the channel
-    compresses ancilla (x) site 0 at least ``_RANGE_MIN_COMPRESSION``-fold,
-    else by ``_conjugate``.
+    compresses ancilla (x) site 0 at least ``_RANGE_MIN_COMPRESSION``-fold:
+    A' = Y' X, taken as the conjugate of Y'^* X^*, and Z = A' Y'^dag with
+    the rows of Y' grouped by the level of site 0.  Else by
+    ``_traced_conjugation``.
     """
+    chi, q, m = cfg.chi, cfg.q, cfg.q ** (cfg.l_r - 1)
     w = cfg.channel.range_basis()
-    if s._held.ndim == 1:
+    if s._w is None:
         col = s._held.reshape(-1, 1)
-        phi = _brickwork_rows(col, cfg.gate, cfg.l_r, (np.empty_like(col), np.empty_like(col)))
-        np.multiply(phi, phi.conj().T, out=bufs[0])
-        rho, spare = bufs
-    elif s._w is w and cfg.chi * cfg.q >= _RANGE_MIN_COMPRESSION * w.shape[1]:
-        y = cfg.range_rows()
-        # Y held and Y^* (D x n each, n <= D/4) in the head of bufs[1]
-        y_held, y_conj = np.split(_head(bufs[1], (2 * y.shape[0], y.shape[1])), 2)
-        np.matmul(y, s._held, out=y_held)
-        np.conjugate(y, out=y_conj)
-        np.matmul(y_held, y_conj.T, out=bufs[0])
-        rho, spare = bufs
+        plan = _brickwork_plan(cfg.gate, cfg.l_r, col.shape[0])
+        phi = _brickwork_rows(col, plan, (np.empty_like(col), np.empty_like(col)))
+        f = phi.reshape(chi, q, m).transpose(0, 2, 1).reshape(chi * m, q)
+        z = f @ dagger(f)
+    elif s._w is w and chi * q >= _RANGE_MIN_COMPRESSION * w.shape[1]:
+        yc = cfg.range_rows()
+        a = yc.reshape(-1, s._held.shape[0]) @ s._held.conj()
+        np.conjugate(a, out=a)
+        z = a.reshape(yc.shape) @ yc.T
     else:
-        rho, spare = _conjugate(s._held, s._w, cfg.gate, cfg.l_r, bufs)
-    out = apply_channel(cfg.channel, rho, out=spare)
-    return _sandwich(dagger(w), out, work=rho)
+        z = _traced_conjugation(s._held, s._w, cfg.gate, cfg.l_r)
+    return apply_channel(cfg.channel, z)
 
 
 def step(s: JointState, cfg: EvolutionConfig) -> JointState:
@@ -388,25 +377,17 @@ def step(s: JointState, cfg: EvolutionConfig) -> JointState:
     available through ``invariant_residuals``.
 
     The result is a range state, sigma' with W = ``channel.range_basis()``,
-    whatever ``s`` holds.  The period runs in two D x D arrays besides the
-    held ket or matrix: the buffer ``s`` carries (allocated when it has none),
-    which is cleared on ``s`` and carried on by the result, so stepping
-    ``s`` again never shares memory with it, and one fresh array, freed on
-    return.  The drift checks run on sigma'.
+    whatever ``s`` holds; ``s`` is left as it is.  The drift checks run on
+    sigma'.
     """
-    scratch, s._scratch = s._scratch, None
-    s._sketch = None  # its Q lies in the scratch, which the period overwrites
-    d = s.chi * s.q ** s.l_r
-    if scratch is None:
-        scratch = np.empty((d, d), dtype=complex)
-    sigma = _period(s, cfg, (scratch, np.empty((d, d), dtype=complex)))
+    sigma = _period(s, cfg)
     tr_drift = abs(float(np.trace(sigma).real) - 1.0)
     herm_drift = hermiticity_residual(sigma)
     if not (tr_drift <= DRIFT_TOL and herm_drift <= DRIFT_TOL):
         raise NumericalDriftError(
             f"state invariants drifted: trace {tr_drift:.2e}, hermiticity {herm_drift:.2e}")
     out = JointState(s.chi, s.q, s.l_r, sigma, s.t + 1, w=cfg.channel.range_basis())
-    out._scratch, out._herm = scratch, herm_drift
+    out._herm = herm_drift
     return out
 
 
@@ -422,28 +403,22 @@ def states(cfg: EvolutionConfig) -> Iterator[JointState]:
 
 
 def subsystem_density(s: JointState) -> np.ndarray:
-    """rho_R(t): the ancilla traced out, unit trace."""
-    d = s.q ** s.l_r
-    if s._held.ndim == 1:
-        psi = s._held.reshape(s.chi, d)
-        return np.einsum('aj,ak->jk', psi, psi.conj())
-    if s._w is None:
-        r = s.rho.reshape(s.chi, d, s.chi, d)
-        return np.einsum('ajak->jk', r)
-    return _range_density(s, np.empty((d, d), dtype=complex))
+    """rho_R(t): the ancilla traced out, unit trace.
 
-
-def _range_density(s: JointState, out: np.ndarray) -> np.ndarray:
-    """rho_R of a range state, written into ``out`` (q^{L_R} x q^{L_R}):
+    On a ket state one einsum over psi and psi^*.  On a range state
     rho_R[b x, c y] = sum Z[b i, c j] sigma[i x, j y] with
     Z[b i, c j] = sum_a W[a b, i] W[a c, j]^*, one gemm per level b of site 0."""
-    w, n = s._w.reshape(s.chi, s.q, -1), out.shape[0] // s.q
+    d = s.q ** s.l_r
+    if s._w is None:
+        psi = s._held.reshape(s.chi, d)
+        return np.einsum('aj,ak->jk', psi, psi.conj())
+    w, n = s._w.reshape(s.chi, s.q, -1), d // s.q
     z = np.einsum('abi,acj->bicj', w, w.conj())
     sigma = s._held.reshape(w.shape[2], n, w.shape[2], n)
-    rho_r = out.reshape(s.q, n, s.q, n)
+    rho_r = np.empty((s.q, n, s.q, n), dtype=complex)
     for b in range(s.q):
         rho_r[b] = np.tensordot(z[b], sigma, axes=([0, 2], [0, 2])).transpose(1, 0, 2)
-    return out
+    return rho_r.reshape(d, d)
 
 
 def _ancilla_span(range_q: np.ndarray, chi: int) -> np.ndarray:
@@ -457,31 +432,31 @@ def _ancilla_span(range_q: np.ndarray, chi: int) -> np.ndarray:
 def entanglement_entropy(s: JointState) -> float:
     """Von Neumann entropy (nats) of the subsystem density matrix.
 
-    When the state's range sketch (Q, A, resid) certifies the held matrix
-    (resid <= ``PROBE_RESIDUAL_TOL``), rho's range lies in that of R = Q,
-    or of R = (W (x) I) Q on a range state, and rho_R = sum_a rho[a, :, a, :]
-    has its range in the span of the ancilla blocks R_a: the entropy comes
-    from the Ritz values of rho_R on that span, which ``von_neumann_entropy``
-    certifies in turn.  Otherwise it is the dense eigensolve.
+    On a ket state, psi as M (chi x D/chi) gives rho_R = M^T M^*, whose
+    nonzero spectrum is that of the chi x chi Gram matrix M M^dag: the
+    entropy is that of the Gram matrix.  On a range state, when the range
+    sketch (Q, A, resid) certifies sigma (resid <= ``PROBE_RESIDUAL_TOL``),
+    rho's range lies in that of R = (W (x) I) Q, and rho_R =
+    sum_a rho[a, :, a, :] has its range in the span of the ancilla blocks
+    R_a: the entropy comes from the Ritz values of rho_R on that span, which
+    ``von_neumann_entropy`` certifies in turn.  Otherwise it is the dense
+    eigensolve.
     """
+    if s._w is None:
+        m = s._held.reshape(s.chi, -1)
+        return von_neumann_entropy(m @ dagger(m))
     sketch, basis = s.range_sketch(), None
     if sketch is not None and sketch[2] <= PROBE_RESIDUAL_TOL:
-        range_q = sketch[0]
-        if s._w is not None:
-            range_q = (s._w @ range_q.reshape(s._w.shape[1], -1)).reshape(-1, range_q.shape[1])
+        range_q = (s._w @ sketch[0].reshape(s._w.shape[1], -1)).reshape(-1, sketch[0].shape[1])
         basis = _ancilla_span(range_q, s.chi)
-    # a stepped state forms rho_R in the buffer it carries
-    out = s._idle(s.q ** s.l_r) if s._w is not None else None
-    rho_r = subsystem_density(s) if out is None else _range_density(s, out)
-    return von_neumann_entropy(rho_r, basis=basis)
+    return von_neumann_entropy(subsystem_density(s), basis=basis)
 
 
 def local_expectation(s: JointState, site: int, op: np.ndarray) -> float:
     """Tr[rho_R (I (x) ... op ... (x) I)] for a Hermitian one-site operator.
 
     The one-site matrix is one einsum: over psi and psi^* on a ket state,
-    over the joint rho on a dense state, over W, sigma and W^* on a range
-    state."""
+    over W, sigma and W^* on a range state."""
     if not 0 <= site < s.l_r:
         raise ValueError(f"site {site} out of range for l_r={s.l_r}")
     op = np.asarray(op, dtype=complex)
@@ -489,13 +464,9 @@ def local_expectation(s: JointState, site: int, op: np.ndarray) -> float:
         raise ValueError(f"operator must be {s.q}x{s.q}")
     if not (np.all(np.isfinite(op)) and hermiticity_residual(op) <= 1e-10):  # non-finite: no scan
         raise ValueError("operator must be Hermitian")
-    if s._held.ndim == 1:
+    if s._w is None:
         psi = s._held.reshape(s.chi, s.q ** site, s.q, s.q ** (s.l_r - site - 1))
         rho_site = np.einsum('aibj,aicj->bc', psi, psi.conj())
-    elif s._w is None:
-        r = s.rho.reshape(s.chi, s.q ** site, s.q, s.q ** (s.l_r - site - 1),
-                          s.chi, s.q ** site, s.q, s.q ** (s.l_r - site - 1))
-        rho_site = np.einsum('aibjaicj->bc', r)
     else:
         w = s._w.reshape(s.chi, s.q, -1)
         if site == 0:

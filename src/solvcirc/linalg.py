@@ -7,7 +7,7 @@ sampling takes an explicit ``numpy.random.Generator``.
 from __future__ import annotations
 
 from math import prod
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -111,15 +111,21 @@ def require_buffer(buf: np.ndarray, shape: tuple, name: str, *avoid: np.ndarray)
     return buf
 
 
-def range_sketch(h: np.ndarray, work: np.ndarray | None = None
-                 ) -> tuple[np.ndarray, np.ndarray, float] | None:
+def sandwich(w: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """(w (x) I) m (w (x) I)^dag for a square m whose legs are w's columns
+    (x) the rest: one gemm on the row legs, then one batched matmul by w^*
+    on the column legs."""
+    half = (w @ m.reshape(w.shape[1], -1)).reshape(-1, w.shape[1], m.shape[1] // w.shape[1])
+    return np.matmul(w.conj(), half).reshape(half.shape[0], -1)
+
+
+def range_sketch(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, float] | None:
     """Randomized range sketch (Q, A, resid) of a square matrix h.
 
     Randomized range finder (Halko, Martinsson and Tropp, SIAM Rev. 53, 217
     (2011)): Q is an orthonormal basis of h Omega for a fixed-seed D x k
     Gaussian probe Omega (k = ``_PROBE_WIDTH``), A = herm(Q^dag h Q) and
-    resid = ||h - Q A Q^dag||_F, the residual formed in one D x D buffer
-    (``work`` when given, its contents overwritten; otherwise a fresh one).
+    resid = ||h - Q A Q^dag||_F, the residual formed in one D x D array.
     A residual at round-off certifies that h has numerical rank <= k and
     that Q spans its range.  None when D < ``_PROBE_MIN_DIM``, where a dense
     eigensolve costs less than the probe.  Deterministic: the same h gives
@@ -131,18 +137,16 @@ def range_sketch(h: np.ndarray, work: np.ndarray | None = None
     d = h.shape[0]
     if d < _PROBE_MIN_DIM:
         return None
-    buf = np.empty((d, d), dtype=complex) if work is None else \
-        require_buffer(work, (d, d), "work", h)
     omega = make_rng(0).standard_normal((d, _PROBE_WIDTH))
     q, _ = np.linalg.qr(h @ omega)
     a = dagger(q) @ (h @ q)
     a = (a + dagger(a)) / 2
-    np.matmul(q @ a, dagger(q), out=buf)
+    buf = (q @ a) @ dagger(q)
     np.subtract(h, buf, out=buf)
     return q, a, float(np.linalg.norm(buf))
 
 
-def min_eig_lower_bound(h: np.ndarray, work: np.ndarray | None = None,
+def min_eig_lower_bound(h: np.ndarray,
                         sketch: tuple[np.ndarray, np.ndarray, float] | None = None) -> float:
     """A certified lower bound on the smallest eigenvalue of (h + h^dag)/2.
 
@@ -153,22 +157,17 @@ def min_eig_lower_bound(h: np.ndarray, work: np.ndarray | None = None,
     O(D^2 k) instead of O(D^3).  When resid exceeds ``PROBE_RESIDUAL_TOL``
     (rank near or above k) or D < ``_PROBE_MIN_DIM``, the result is the dense
     ``eigvalsh((h + h^dag)/2).min()``, bit for bit.  ``sketch``, when given,
-    must be ``range_sketch(h)``; it is computed here otherwise.  Uses one
-    D x D buffer: ``work`` when given (its contents are overwritten),
-    otherwise a fresh one.
+    must be ``range_sketch(h)``; it is computed here otherwise.
     """
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"min_eig_lower_bound needs a square matrix, got {h.shape}")
-    d = h.shape[0]
-    buf = np.empty((d, d), dtype=complex) if work is None else \
-        require_buffer(work, (d, d), "work", h)
     if sketch is None:
-        sketch = range_sketch(h, buf)
+        sketch = range_sketch(h)
     if sketch is not None and sketch[2] <= PROBE_RESIDUAL_TOL:
         _, a, resid = sketch
         return min(float(np.linalg.eigvalsh(a).min()), 0.0) - resid
-    np.conjugate(h.T, out=buf)
+    buf = np.conjugate(h.T)
     buf += h
     buf /= 2
     return float(np.linalg.eigvalsh(buf).min())
@@ -259,30 +258,6 @@ def apply_two_site(psi: np.ndarray, u: np.ndarray, dims: Sequence[int],
     else:
         out = np.matmul(u, psi.reshape(before, d1 * d2, after))
     return out.reshape(-1)
-
-
-def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
-    """Trace out all tensor factors except those in ``keep``.
-
-    ``dims`` lists the factor dimensions of the square matrix ``rho`` in
-    order; the kept factors appear in the result in their original order.
-    The trace is preserved exactly.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    dims = list(dims)
-    n = len(dims)
-    d = int(np.prod(dims))
-    if rho.shape != (d, d):
-        raise ValueError(f"rho shape {rho.shape} does not match dims product {d}")
-    keep = sorted(set(keep))
-    if any(k < 0 or k >= n for k in keep):
-        raise ValueError(f"keep indices {keep} out of range for {n} factors")
-    traced = [i for i in range(n) if i not in keep]
-    t = rho.reshape(dims + dims)
-    for i in reversed(traced):
-        t = np.trace(t, axis1=i, axis2=i + t.ndim // 2)
-    dk = int(np.prod([dims[i] for i in keep])) if keep else 1
-    return t.reshape(dk, dk)
 
 
 def reduced_density(psi: np.ndarray, dr: int) -> np.ndarray:

@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 from solvcirc.channel import (BoundaryChannel, apply_channel, check_cptp,
                               kraus_from_lpdo, kraus_from_mps,
                               kraus_from_two_site)
-from solvcirc.linalg import dagger, kron, make_rng, max_abs, partial_trace
+from solvcirc.linalg import dagger, kron, make_rng, max_abs, sandwich
 from solvcirc.mps import (Lpdo, MpsTensor, TwoSiteMps, ghz_cluster_family,
                           product_state_mps, random_left_canonical,
                           random_lpdo, two_site_from_pair)
+from test_linalg import partial_trace
 
 
 def random_joint_density(chi, q, l_r, rng):
@@ -17,6 +18,19 @@ def random_joint_density(chi, q, l_r, rng):
     x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = x @ dagger(x)
     return rho / np.trace(rho).real
+
+
+def trace_site0(rho, chi, q):
+    """Tr_0 of a joint density matrix on ancilla (x) site 0 (x) the rest."""
+    r = rho.reshape(chi, q, -1, chi, q, rho.shape[0] // (chi * q))
+    m = r.shape[2]
+    return np.einsum('asxbsy->axby', r).reshape(chi * m, chi * m)
+
+
+def factored_channel(c, rho):
+    """M(rho) through ``apply_channel``: (W (x) I) apply_channel(c, Tr_0 rho)
+    (W (x) I)^dag with W = ``range_basis()``."""
+    return sandwich(c.range_basis(), apply_channel(c, trace_site0(rho, c.chi, c.q)))
 
 
 def _site_unit(q, b, ap):
@@ -106,7 +120,7 @@ class TestKrausFromMps:
         ch = kraus_from_mps(product_state_mps([1, 0]))
         rng = make_rng(0)
         rho = random_joint_density(1, 2, 2, rng)
-        out = apply_channel(ch, rho)
+        out = factored_channel(ch, rho)
         # boundary site becomes |0><0|, remainder is the traced input
         rest = partial_trace(rho, [2, 2], [1])
         proj0 = np.zeros((2, 2), dtype=complex)
@@ -215,21 +229,21 @@ class TestApplyChannel:
         rng = make_rng(5)
         ch = kraus_from_mps(ghz_cluster_family(0.4, 2))
         rho = random_joint_density(2, 2, 3, rng)
-        out = apply_channel(ch, rho)
+        out = apply_channel(ch, trace_site0(rho, 2, 2))
         assert abs(np.trace(out) - np.trace(rho)) < 1e-12
 
     def test_positivity_preserved(self):
         rng = make_rng(6)
         ch = kraus_from_mps(ghz_cluster_family(0.3, 4))
         rho = random_joint_density(2, 4, 2, rng)
-        out = apply_channel(ch, rho)
+        out = apply_channel(ch, trace_site0(rho, 2, 4))
         assert np.linalg.eigvalsh((out + dagger(out)) / 2).min() > -1e-10
 
     def test_matches_dense_embedding(self):
         rng = make_rng(7)
         ch = kraus_from_mps(ghz_cluster_family(np.pi / 4, 2))
         rho = random_joint_density(2, 2, 3, rng)
-        out = apply_channel(ch, rho)
+        out = factored_channel(ch, rho)
         dense = sum(kron(k, np.eye(4)) @ rho @ dagger(kron(k, np.eye(4)))
                     for k in ch.kraus)
         assert max_abs(out - dense) < 1e-13
@@ -242,19 +256,21 @@ class TestApplyChannel:
         for pad_left in (1, 2):  # unitary on site 1 and on site 2
             v = haar_unitary(2, rng)
             emb = kron(np.eye(2 * 2 ** pad_left), v, np.eye(2 ** (3 - pad_left)))
-            a = apply_channel(ch, emb @ rho @ dagger(emb))
-            b = emb @ apply_channel(ch, rho) @ dagger(emb)
+            a = factored_channel(ch, emb @ rho @ dagger(emb))
+            b = emb @ factored_channel(ch, rho) @ dagger(emb)
             assert max_abs(a - b) < 1e-12
 
     def test_dimension_mismatch(self):
-        ch = kraus_from_mps(product_state_mps([1, 0]))
-        with pytest.raises(ValueError):
-            apply_channel(ch, np.eye(3))
+        ch = kraus_from_mps(ghz_cluster_family(0.4, 2))
+        for z in (np.eye(3), np.ones((4, 2)), np.ones(4)):
+            with pytest.raises(ValueError, match="incompatible"):
+                apply_channel(ch, z)
 
 
 def reference_apply_channel(c, rho):
-    """The transpose-gemm-transpose body apply_channel had before it took an
-    output buffer: each permutation is a fresh copy and rho is untouched."""
+    """M(rho) on a full D x D joint density matrix: the superoperator gemm
+    on the (b,e | x,y) transposed state, each permutation a fresh copy.  The
+    D x D reference for ``apply_channel``, which takes Tr_0 rho."""
     d = c.chi * c.q
     rest = rho.shape[0] // d
     r = rho.reshape(d, rest, d, rest).transpose(0, 2, 1, 3).reshape(d * d, rest * rest)
@@ -272,54 +288,48 @@ def random_left_state(kind, q, chi, rng):
 
 
 class TestApplyChannelBuffers:
-    """``out=`` runs the same gemm as the copying path: bit-identical results,
-    with rho used as the product buffer."""
+    """``apply_channel`` on Tr_0 rho against the D x D reference channel, and
+    its minimal input Kraus set."""
 
     @settings(max_examples=40, deadline=None)
     @given(kind=st.sampled_from(["mps", "two_site", "lpdo"]), q=st.sampled_from([2, 3, 4]),
            chi=st.sampled_from([1, 2]), extra=st.integers(0, 2),
            seed=st.integers(0, 2 ** 31 - 1))
-    def test_matches_reference_bit_for_bit(self, kind, q, chi, extra, seed):
+    def test_factored_channel_matches_the_reference(self, kind, q, chi, extra, seed):
+        # M(X) = (W (x) I) apply_channel(c, Tr_0 X) (W (x) I)^dag
         rng = make_rng(seed)
         ch = random_left_state(kind, q, chi, rng)
         rho = random_joint_density(chi, q, 1 + extra, rng)
-        expect = reference_apply_channel(ch, rho)
         before = rho.copy()
-        plain = apply_channel(ch, rho)
+        expect = reference_apply_channel(ch, rho)
+        assert max_abs(factored_channel(ch, rho) - expect) < 1e-14
         assert np.array_equal(rho, before)
-        out = np.empty_like(rho)
-        assert apply_channel(ch, rho, out=out) is out
-        assert np.array_equal(plain, expect) and np.array_equal(out, expect)
-
-    def test_out_clobbers_rho_only(self):
-        rng = make_rng(40)
-        ch = kraus_from_mps(ghz_cluster_family(0.4, 2))
-        rho = random_joint_density(2, 2, 3, rng)
-        keep = rho.copy()
-        out = np.empty_like(rho)
-        apply_channel(ch, rho, out=out)
-        assert not np.array_equal(rho, keep)
-        assert np.array_equal(out, apply_channel(ch, keep))
 
     def test_any_memory_order_without_out(self):
         rng = make_rng(41)
         ch = kraus_from_mps(ghz_cluster_family(0.4, 2))
-        rho = random_joint_density(2, 2, 3, rng)
-        assert np.array_equal(apply_channel(ch, np.asfortranarray(rho)),
-                              apply_channel(ch, rho))
+        z = trace_site0(random_joint_density(2, 2, 3, rng), 2, 2)
+        assert np.array_equal(apply_channel(ch, np.asfortranarray(z)), apply_channel(ch, z))
 
-    def test_rejects_shared_or_unfit_buffers(self):
-        rng = make_rng(42)
-        ch = kraus_from_mps(ghz_cluster_family(0.4, 2))
-        rho = random_joint_density(2, 2, 3, rng)
-        d = rho.shape[0]
-        with pytest.raises(ValueError, match="shares memory"):
-            apply_channel(ch, rho, out=rho)
-        with pytest.raises(ValueError, match="shares memory"):
-            apply_channel(ch, rho, out=rho.reshape(d, d))
-        for out in (np.empty((d, d + 1), dtype=complex), np.empty((d, d)),
-                    np.empty((d, d), dtype=complex, order="F")):
-            with pytest.raises(ValueError, match="out must be"):
-                apply_channel(ch, rho, out=out)
-        with pytest.raises(ValueError, match="rho must be"):
-            apply_channel(ch, np.asfortranarray(rho), out=np.empty_like(rho))
+    @pytest.mark.parametrize("kind", ["mps", "two_site", "lpdo"])
+    def test_input_kraus_is_minimal_and_read_only(self, kind):
+        ch = random_left_state(kind, 3, 2, make_rng(43))
+        p = ch.input_kraus()
+        assert p is ch.input_kraus() and not p.flags.writeable
+        r = ch.range_basis().shape[1]
+        assert p.shape[1:] == (r, 2)
+        # the Choi matrix of the P_nu has full rank k
+        choi = p.reshape(len(p), -1)
+        assert np.linalg.matrix_rank(choi) == len(p)
+        # sum_nu P_nu^dag P_nu = sum_mu (I (x) <0|) K_mu^dag W W^dag K_mu (I (x) |0>)
+        ks = [k.reshape(6, 2, 3)[:, :, 0] for k in ch.kraus]
+        w = ch.range_basis()
+        want = sum(dagger(k) @ w @ dagger(w) @ k for k in ks)
+        assert max_abs(sum(dagger(x) @ x for x in p) - want) < 1e-14
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_mps_channels_reduce_to_at_most_chi_squared_operators(self, q):
+        ghz, generic = (kraus_from_mps(a) for a in
+                        (ghz_cluster_family(0.6, q), random_left_canonical(q, 2, make_rng(q))))
+        assert len(ghz.kraus) == len(generic.kraus) == q * q
+        assert len(ghz.input_kraus()) == 2 and len(generic.input_kraus()) <= 4

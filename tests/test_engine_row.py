@@ -10,15 +10,17 @@ from hypothesis import strategies as st
 
 from solvcirc import evolve
 from solvcirc.cli import build_engine, build_gate, build_mps, main
-from solvcirc.evolve import (BLOCK_LEVEL_CAP, EvolutionConfig, JointState,
+from solvcirc.evolve import (BLOCK_LEVEL_CAP, EvolutionConfig,
                              _brickwork_blocks, entanglement_entropy,
                              local_expectation, states, subsystem_density)
 from solvcirc.gates import random_gate
 from solvcirc.linalg import (PROBE_RESIDUAL_TOL, dagger, hermiticity_residual,
-                             make_rng, max_abs, min_eig_lower_bound,
-                             partial_trace, range_sketch, von_neumann_entropy)
+                             make_rng, max_abs, min_eig_lower_bound, range_sketch,
+                             von_neumann_entropy)
 from solvcirc.mps import ghz_cluster_family, product_state_mps, random_lpdo
-from test_evolve import GATE_FAMILIES, fused_conjugation, random_hermitian, reference_step_rho
+from test_evolve import (GATE_FAMILIES, dense_state, fused_conjugation, random_hermitian,
+                         reference_step_rho)
+from test_linalg import partial_trace
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "rank_saturation_q2.json"
 
@@ -48,6 +50,12 @@ def random_state(d, rank, rng):
 
 def dense_min_eig(rho):
     return np.linalg.eigvalsh((rho + dagger(rho)) / 2).min()
+
+
+def range_min_eig(rho):
+    """What a state holding rho (W = I) reports on the dense path: the
+    range bound min(lambda_min, 0) - delta ||rho||_F with delta = 0."""
+    return min(dense_min_eig(rho), 0.0)
 
 
 def dense_entropy(s):
@@ -151,10 +159,10 @@ class TestSharedSketch:
     def test_rank_40_takes_the_dense_path_bit_for_bit(self, chi):
         rng = make_rng(41)
         rho = random_state(512, 40, rng)
-        s = JointState(chi, 2, {1: 9, 2: 8}[chi], rho)
+        s = dense_state(chi, 2, {1: 9, 2: 8}[chi], rho)
         assert s.range_sketch()[2] > PROBE_RESIDUAL_TOL
         assert entanglement_entropy(s) == dense_entropy(s)
-        assert s.invariant_residuals()["min_eig"] == dense_min_eig(rho)
+        assert s.invariant_residuals()["min_eig"] == range_min_eig(rho)
 
     def test_uncertified_ritz_values_are_refused(self):
         # a basis holding 32 of the 40 eigenvectors: Ritz values would drop 8
@@ -180,32 +188,36 @@ class TestSharedSketch:
         s = list(states(cfg))[1]
         calls = []
         real = evolve.range_sketch
-        monkeypatch.setattr(evolve, "range_sketch", lambda h, work=None: calls.append(1) or real(h, work))
+        monkeypatch.setattr(evolve, "range_sketch", lambda h: calls.append(1) or real(h))
         s.invariant_residuals()
         entanglement_entropy(s)
         assert calls == [1]
         assert s.range_sketch() is s.range_sketch()
 
     def test_replacing_rho_drops_the_cached_sketch(self):
+        # rho cannot be replaced, so no cached sketch outlives what it sketches
         cfg = engine_case("general", 2, "ghz_cluster", 2, 45)
         s = list(states(cfg))[2]
         s.invariant_residuals()
-        entanglement_entropy(s)
+        sketch = s.range_sketch()
+        with pytest.raises(AttributeError):
+            s.rho = random_state(s.rho.shape[0], 3, make_rng(46))
+        assert s.range_sketch() is sketch
         rho = random_state(s.rho.shape[0], 3, make_rng(46))
-        s.rho = rho
-        res = s.invariant_residuals()
-        assert res["min_eig"] == min_eig_lower_bound(rho)
+        fresh = dense_state(s.chi, s.q, s.l_r, rho, s.t)
+        res = fresh.invariant_residuals()
+        assert res["min_eig"] == min(min_eig_lower_bound(rho), 0.0)
         assert res["hermiticity"] == hermiticity_residual(rho)
-        assert abs(entanglement_entropy(s) - dense_entropy(s)) <= 1e-12
+        assert abs(entanglement_entropy(fresh) - dense_entropy(fresh)) <= 1e-12
 
     def test_small_joint_state_has_no_sketch(self):
         # the probe floor is D = 128: below it min_eig and S_ent are the
         # dense eigensolves bit for bit, from it the sketch serves both
-        small = JointState(2, 2, 5, random_state(64, 3, make_rng(47)))
+        small = dense_state(2, 2, 5, random_state(64, 3, make_rng(47)))
         assert small.range_sketch() is None and range_sketch(small.rho) is None
         assert entanglement_entropy(small) == dense_entropy(small)
-        assert small.invariant_residuals()["min_eig"] == dense_min_eig(small.rho)
-        s = JointState(2, 2, 6, random_state(128, 3, make_rng(47)))
+        assert small.invariant_residuals()["min_eig"] == range_min_eig(small.rho)
+        s = dense_state(2, 2, 6, random_state(128, 3, make_rng(47)))
         assert s.range_sketch()[2] <= PROBE_RESIDUAL_TOL
         assert abs(entanglement_entropy(s) - dense_entropy(s)) <= 1e-12
         exact = dense_min_eig(s.rho)
@@ -216,7 +228,7 @@ class TestObservables:
     @pytest.mark.parametrize("chi,q,l_r", [(1, 2, 5), (2, 2, 4), (2, 3, 3), (2, 4, 3)])
     def test_matches_the_partial_trace(self, chi, q, l_r):
         rng = make_rng(48)
-        s = JointState(chi, q, l_r, random_state(chi * q ** l_r, 5, rng))
+        s = dense_state(chi, q, l_r, random_state(chi * q ** l_r, 5, rng))
         op = random_hermitian(q, rng)
         for site in range(l_r):
             assert abs(local_expectation(s, site, op) - reference_expectation(s, site, op)) < 1e-14
@@ -242,7 +254,7 @@ class TestRankSaturationConfig:
         for row, s in zip(rows, states(econf)):
             rho = s.rho if rho is None else reference_step_rho(rho, econf)
             assert row[0] == str(s.t) and (s._w is not None) == (s.t >= 1)
-            dense = JointState(s.chi, s.q, s.l_r, rho, s.t)
+            dense = dense_state(s.chi, s.q, s.l_r, rho, s.t)
             assert s._w is not None or s.range_sketch()[2] <= PROBE_RESIDUAL_TOL
             s_dense, m_dense = dense_entropy(dense), dense_min_eig(rho)
             assert abs(float(row[1]) - s_dense) <= 1e-12

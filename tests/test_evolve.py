@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from solvcirc import evolve
-from solvcirc.channel import apply_channel
 from solvcirc.errors import CapacityError, NumericalDriftError
 from solvcirc.evolve import (DENSITY_ENTRY_CAP, EvolutionConfig, JointState,
                              brickwork_unitary, entanglement_entropy,
@@ -15,8 +14,11 @@ from solvcirc.evolve import (DENSITY_ENTRY_CAP, EvolutionConfig, JointState,
                              step, subsystem_density)
 from solvcirc.gates import TwoSiteGate, random_gate, swap_matrix
 from solvcirc.linalg import (dagger, hermiticity_residual, kron, make_rng, max_abs,
-                             min_eig_lower_bound)
-from solvcirc.mps import ghz_cluster_family, product_state_mps
+                             sandwich)
+from solvcirc.mps import (ghz_cluster_family, product_state_mps, random_left_canonical,
+                          random_lpdo)
+from test_channel import reference_apply_channel, trace_site0
+from test_linalg import partial_trace
 
 
 def product_right_kets(chi, q, l_r, level):
@@ -26,6 +28,12 @@ def product_right_kets(chi, q, l_r, level):
         idx = idx * q + level
     ket[idx] = 1.0
     return np.tile(ket, (chi, 1))
+
+
+def dense_state(chi, q, l_r, rho, t=0):
+    """A joint state holding a D x D rho as it is: a range state with
+    W = I_{chi q}, so n = D and sigma = rho."""
+    return JointState(chi, q, l_r, np.asarray(rho, dtype=complex), t, w=np.eye(chi * q))
 
 
 def saturation_config(theta=np.pi / 4, l_r=4, tmax=5, seed=0):
@@ -82,8 +90,9 @@ class TestConfig:
             joint_dimension(2, 2, 1)
 
     def test_holds_no_density_sized_array(self):
-        cfg = saturation_config(tmax=1)
-        step(initial_joint_state(cfg), cfg)  # caches the channel superoperator
+        cfg = saturation_config(tmax=2)
+        step(step(initial_joint_state(cfg), cfg), cfg)  # caches W, the input Kraus set and Y'^*
+        assert cfg._y is not None
         d = cfg.chi * cfg.q ** cfg.l_r
         assert max(_array_sizes(cfg)) < d * d
 
@@ -190,10 +199,14 @@ def dense_conjugation(rho, gate, chi, l_r):
 
 def fused_conjugation(rho, gate, l_r, w=None):
     """Y rho Y^dag by the engine's matrix-free kernel, Y = (I_chi (x) U_R)
-    (w (x) I), or I_chi (x) U_R without ``w``."""
-    d = rho.shape[0] if w is None else rho.shape[0] * w.shape[0] // w.shape[1]
-    bufs = (np.empty((d, d), dtype=complex), np.empty((d, d), dtype=complex))
-    return evolve._conjugate(rho, w, gate, l_r, bufs)[0]
+    (w (x) I), or I_chi (x) U_R without ``w``: Y on the row legs twice,
+    (Y (Y rho)^dag)^dag, through ``evolve._apply_y``."""
+    w = np.eye(gate.q) if w is None else w
+    d = w.shape[0] * rho.shape[0] // w.shape[1]
+    plan = evolve._brickwork_plan(gate, l_r, d)
+    bufs = (np.empty(d * d, dtype=complex), np.empty(d * d, dtype=complex))
+    half = evolve._apply_y(np.ascontiguousarray(rho), w, plan, bufs).copy()
+    return dagger(evolve._apply_y(dagger(half), w, plan, bufs)).copy()
 
 
 def random_hermitian(d, rng):
@@ -245,8 +258,7 @@ class TestStep:
 
     def test_nan_state_drifts(self):
         cfg = saturation_config(tmax=0)
-        s = initial_joint_state(cfg)
-        s.rho = np.full_like(s.rho, np.nan)
+        s = dense_state(2, 4, 4, np.full((512, 512), np.nan))
         with pytest.raises(NumericalDriftError, match="trace nan"):
             step(s, cfg)
 
@@ -267,7 +279,6 @@ class TestStep:
         kets[0] = v / np.linalg.norm(v)
         cfg = EvolutionConfig(gate, mps, kets, 3, 4)
         s = initial_joint_state(cfg)
-        from solvcirc.linalg import partial_trace
         for _ in range(4):
             s = step(s, cfg)
             site0 = partial_trace(subsystem_density(s), [2, 2, 2], [0])
@@ -288,6 +299,14 @@ def wide_config(tmax=2):
                            product_right_kets(2, 2, 9, 0), 9, tmax)
 
 
+def q4_wide_config(tmax=2):
+    """q=4, chi=4, L_R=4: D = 1024, sigma on n = 256 by the cached gemm."""
+    rng = make_rng(7)
+    kets = rng.standard_normal((4, 4 ** 4)) + 1j * rng.standard_normal((4, 4 ** 4))
+    return EvolutionConfig(random_gate("swap", rng, q=4), random_left_canonical(4, 4, rng),
+                           kets, 4, tmax)
+
+
 def q3_config(tmax=2):
     """q=3, chi=2, L_R=5: D = 486.  The channel compresses ancilla (x) site 0
     only 3-fold (chi q / r = 6 / 2), so Y is applied matrix-free."""
@@ -296,54 +315,81 @@ def q3_config(tmax=2):
                            product_right_kets(2, 3, 5, 1), 5, tmax)
 
 
+def lpdo_config(tmax=2):
+    """q=2, chi=2, L_R=6 with an LPDO: r = chi q, so n = D = 256."""
+    return EvolutionConfig(random_gate("q2_qt2", make_rng(5)), random_lpdo(2, 2, 2, make_rng(6)),
+                           product_right_kets(2, 2, 6, 1), 6, tmax)
+
+
 def reference_step_rho(rho, cfg):
     """One period on a D x D rho, never projected."""
-    return apply_channel(cfg.channel, dense_conjugation(rho, cfg.gate, cfg.chi, cfg.l_r))
+    return reference_apply_channel(cfg.channel,
+                                   dense_conjugation(rho, cfg.gate, cfg.chi, cfg.l_r))
 
 
-def rebuilt(s):
-    """A state holding a copy of what ``s`` holds, with no scratch."""
-    return JointState(s.chi, s.q, s.l_r, s._held.copy(), s.t, w=s._w)
+def reference_period(s, cfg):
+    """The period as it was before the channel read Tr_0: Y X Y^dag formed
+    as a D x D array (dense Y = (I_chi (x) U_R)(W_s (x) I), or phi phi^dag
+    with phi = (I_chi (x) U_R) psi on a ket state), the D x D channel and
+    the projection (W^dag (x) I) . (W (x) I)."""
+    u = kron(np.eye(cfg.chi), brickwork_unitary(cfg.gate, cfg.l_r))
+    if s._w is None:
+        phi = u @ s._held
+        x = np.outer(phi, phi.conj())
+    else:
+        y = u @ kron(s._w, np.eye(cfg.q ** (cfg.l_r - 1)))
+        x = y @ s._held @ dagger(y)
+    return sandwich(dagger(cfg.channel.range_basis()), reference_apply_channel(cfg.channel, x))
+
+
+class TestTracedPeriod:
+    """The period applies the channel to Z = Tr_0(Y X Y^dag), formed on
+    (D/q)^2 entries, by each of its three routes."""
+
+    @pytest.mark.parametrize("make_cfg", [saturation_config, q3_config, wide_config, lpdo_config])
+    def test_matches_the_reference_period(self, make_cfg, monkeypatch):
+        cfg = make_cfg(tmax=3)
+        w = cfg.channel.range_basis()
+        gemm = cfg.chi * cfg.q >= evolve._RANGE_MIN_COMPRESSION * w.shape[1]
+        assert gemm == (make_cfg is saturation_config)
+        routes = []
+        real = evolve._traced_conjugation
+        monkeypatch.setattr(evolve, "_traced_conjugation",
+                            lambda *a: routes.append("free") or real(*a))
+        prev = None
+        for s in states(cfg):
+            if prev is not None:
+                assert max_abs(s._held - reference_period(prev, cfg)) < 1e-14
+            prev = s
+        # one ket period, then the gemm or the matrix-free route
+        assert routes == ([] if gemm else ["free"] * 2)
 
 
 class TestEngineBuffers:
-    """A period runs in its input plus two D x D arrays, and a stepped
-    state carries one of them besides sigma."""
+    """A period holds no D x D array, and a stepped state holds sigma alone."""
 
-    def test_conjugation_runs_in_its_two_buffers(self):
-        # dense (no lift) and lifted by a non-isometric w, on a
-        # non-Hermitian input: the result is Y m Y^dag, not its adjoint
+    def test_conjugation_runs_in_its_two_buffers(self, monkeypatch):
+        # Tr_0(Y m Y^dag), lifted by a non-isometric w, on a non-Hermitian
+        # input, with column blocks that do not divide the width (18 = 10 + 8)
         rng = make_rng(50)
         gate = random_gate("haar", rng, q=3)
-        for w, n in ((None, 54), (rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2)), 18)):
-            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            before = m.copy()
-            bufs = (np.empty((54, 54), dtype=complex), np.empty((54, 54), dtype=complex))
-            out, other = evolve._conjugate(m, w, gate, 3, bufs)
-            assert np.array_equal(m, before)
-            assert {id(out), id(other)} == {id(b) for b in bufs}
-            lift = np.eye(54) if w is None else kron(w, np.eye(9))
-            y = kron(np.eye(2), brickwork_unitary(gate, 3)) @ lift
-            assert max_abs(out - y @ m @ dagger(y)) < 1e-12
+        w = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+        m = rng.standard_normal((18, 18)) + 1j * rng.standard_normal((18, 18))
+        before = m.copy()
+        y = kron(np.eye(2), brickwork_unitary(gate, 3)) @ kron(w, np.eye(9))
+        want = trace_site0(y @ m @ dagger(y), 2, 3)
+        for share in (16, 5, 1):
+            monkeypatch.setattr(evolve, "_PASS_SHARE", share)
+            assert max_abs(evolve._traced_conjugation(m, w, gate, 3) - want) < 1e-12
+        assert np.array_equal(m, before)
+        # each block of Y is applied in the heads of the two pass arrays
+        bufs = (np.empty(54 * 10, dtype=complex), np.empty(54 * 10, dtype=complex))
+        plan = evolve._brickwork_plan(gate, 3, 54)
+        out = evolve._apply_y(np.ascontiguousarray(m[:, :8]), w, plan, bufs)
+        assert any(np.shares_memory(out, b) for b in bufs) and out.shape == (54, 8)
+        assert max_abs(out - y @ m[:, :8]) < 1e-12
 
-    @pytest.mark.parametrize("make_cfg", [q3_config, wide_config])
-    def test_step_with_and_without_scratch(self, make_cfg):
-        cfg = make_cfg(tmax=3)
-        s = list(states(cfg))[-1]
-        assert s._scratch is not None and s._w is cfg.channel.range_basis()
-        bare = rebuilt(s)
-        with_scratch, without = step(s, cfg), step(bare, cfg)
-        assert np.array_equal(with_scratch._held, without._held)
-        assert max_abs(with_scratch.rho - reference_step_rho(bare.rho, cfg)) < 1e-13
-        assert with_scratch._herm == without._herm == hermiticity_residual(without._held)
 
-    def test_scratch_is_taken_from_the_input(self):
-        cfg = q3_config(tmax=1)
-        s0, s1 = states(cfg)
-        assert s0._scratch is None and s1._scratch is not None
-        scratch = s1._scratch
-        s2 = step(s1, cfg)
-        assert s1._scratch is None and s2._scratch is scratch
 
     def test_two_steps_of_one_state_share_no_memory(self):
         cfg = q3_config(tmax=2)
@@ -357,23 +403,17 @@ class TestEngineBuffers:
 
     def test_stream_shares_no_memory(self):
         held = [a for s in list(states(q3_config(tmax=4))) for a in _arrays(s)]
-        assert len(held) == 6  # rho(0), four sigma and the last state's scratch
+        assert len(held) == 5  # rho(0) and four sigma
         for i, a in enumerate(held):
             for b in held[i + 1:]:
                 assert not np.shares_memory(a, b)
 
-    def test_min_eig_work_buffer(self):
+    def test_min_eig_of_a_rebuilt_state(self):
         cfg = q3_config(tmax=4)
         for s in states(cfg):
-            lent = s.invariant_residuals()["min_eig"]
+            got = s.invariant_residuals()["min_eig"]
             bare = JointState(s.chi, s.q, s.l_r, s._held, s.t, w=s._w)
-            assert lent == bare.invariant_residuals()["min_eig"]
-        rng = make_rng(52)
-        for h in (random_hermitian(512, rng), s.rho):  # dense and probe paths
-            work = np.empty_like(h)
-            assert min_eig_lower_bound(h, work=work) == min_eig_lower_bound(h)
-        with pytest.raises(ValueError, match="shares memory"):
-            min_eig_lower_bound(h, work=h)
+            assert got == bare.invariant_residuals()["min_eig"]
 
     def test_hermiticity_scanned_once_per_row(self, monkeypatch):
         cfg = q3_config(tmax=2)
@@ -407,28 +447,34 @@ class TestEngineBuffers:
         assert held <= 16 * d + 2 ** 10
 
     def test_memory_budget_at_d1024(self):
-        # the first period allocates both D x D buffers, a later one only
-        # the buffer its input does not carry; a stepped state carries one
-        # buffer and sigma (n = D / 2 here)
-        cfg = wide_config()
-        s = initial_joint_state(cfg)
-        d2 = s.rho.size * 16
-        n2 = (s.rho.shape[0] // 2) ** 2 * 16
-        peaks, carried = [], []
-        tracemalloc.start()
-        try:
-            for _ in range(3):
-                base = tracemalloc.get_traced_memory()[0]
-                tracemalloc.reset_peak()
-                s = step(s, cfg)
-                peaks.append(tracemalloc.get_traced_memory()[1] - base)
-                carried.append(sum(a.nbytes for a in _arrays(s)))
-        finally:
-            tracemalloc.stop()
-        assert s._held.shape == (512, 512)
-        assert peaks[0] <= 2 * d2 + n2 + 2 ** 21
-        assert max(peaks[1:]) <= d2 + n2 + 2 ** 21
-        assert max(carried) <= d2 + n2
+        # D = 1024: q=2 by the matrix-free route (n = D/2), q=4 by the
+        # cached gemm (n = D/4, built before tracing).  Neither a step nor
+        # the diagnostics of the state it returns allocate D^2 entries in
+        # all, and a stepped state holds sigma alone.
+        for make_cfg in (wide_config, q4_wide_config):
+            cfg = make_cfg(tmax=3)
+            cfg.range_rows()
+            s = initial_joint_state(cfg)
+            d = s._held.shape[0]
+            assert d == 1024
+            peaks, carried = [], []
+            tracemalloc.start()
+            try:
+                for _ in range(3):
+                    base = tracemalloc.get_traced_memory()[0]
+                    tracemalloc.reset_peak()
+                    s = step(s, cfg)
+                    s.invariant_residuals()
+                    entanglement_entropy(s)
+                    local_expectation(s, 0, np.eye(cfg.q))
+                    peaks.append(tracemalloc.get_traced_memory()[1] - base)
+                    carried.append(sum(a.nbytes for a in _arrays(s)))
+            finally:
+                tracemalloc.stop()
+            n = s._held.shape[0]
+            assert n == d // cfg.q
+            assert max(peaks) < 16 * d * d
+            assert max(carried) == 16 * n * n
 
 
 class TestObservables:
@@ -466,7 +512,6 @@ class TestObservables:
         proj = np.zeros((4, 4), dtype=complex)
         proj[1, 1] = 1
         direct = local_expectation(s, 1, proj)
-        from solvcirc.linalg import partial_trace
         joint = partial_trace(s.rho, [2, 4, 4, 4, 4], [2])
         assert abs(direct - np.trace(joint @ proj).real) < 1e-12
 

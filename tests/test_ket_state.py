@@ -6,38 +6,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from solvcirc.evolve import (EvolutionConfig, JointState, entanglement_entropy,
-                             initial_joint_state, local_expectation, states, step,
-                             subsystem_density)
-from solvcirc.gates import random_gate
+from solvcirc import evolve
+from solvcirc.evolve import (JointState, entanglement_entropy, initial_joint_state,
+                             local_expectation, states, step, subsystem_density)
 from solvcirc.linalg import (dagger, hermiticity_residual, make_rng, max_abs,
-                             partial_trace, trace_distance, unit_vector,
-                             von_neumann_entropy)
+                             trace_distance, unit_vector, von_neumann_entropy)
 from solvcirc.mps import MpsTensor
 from solvcirc.oracle import ChainSpec, evolve_chain
-from test_evolve import random_hermitian, saturation_config
-from test_range_state import case, draws, left_state
-
-
-def fixed_case(family, q, kind, seed, l_r=3, tmax=1):
-    """A bond-2 engine with generic complex right kets (``case`` without its
-    hypothesis ``assume``: the config refuses an unsolvable pair)."""
-    rng = make_rng(seed)
-    gate = random_gate(family, rng, q=q, qt=2)
-    left = left_state(kind, q, 2, rng)
-    kets = rng.standard_normal((left.chi, q ** l_r)) + 1j * rng.standard_normal((left.chi, q ** l_r))
-    return EvolutionConfig(gate, left, kets, l_r, tmax)
+from test_evolve import dense_state, random_hermitian
+from test_linalg import partial_trace
+from test_range_state import case, draws, fixed_case
 
 
 def dense_twin(s):
     """The dense state holding psi psi^dag of the ket state ``s``."""
     psi = s._held
-    return JointState(s.chi, s.q, s.l_r, np.outer(psi, psi.conj()), s.t)
+    return dense_state(s.chi, s.q, s.l_r, np.outer(psi, psi.conj()), s.t)
 
 
 class TestKetState:
     def test_initial_state_is_held_as_its_ket(self):
-        cfg = fixed_case("general", 3, "mps", 7)
+        cfg = fixed_case("general", 3, "mps", 2, 7, tmax=1)
         s = initial_joint_state(cfg)
         psi = cfg.right_kets.reshape(-1) / np.linalg.norm(cfg.right_kets)
         assert s._held.shape == psi.shape and s._w is None
@@ -46,7 +35,7 @@ class TestKetState:
     def test_rho_is_the_projector_on_the_ket(self):
         # complex kets: psi psi^T (no conjugate) would be neither Hermitian
         # nor fix psi
-        s = initial_joint_state(fixed_case("general", 2, "mps", 8))
+        s = initial_joint_state(fixed_case("general", 2, "mps", 2, 8, tmax=1))
         rho, psi = s.rho, s._held
         assert hermiticity_residual(rho) < 1e-16
         assert max_abs(rho @ psi - psi) < 1e-14
@@ -55,7 +44,7 @@ class TestKetState:
     def test_residuals_of_row_zero(self):
         # psi psi^dag is Hermitian and PSD by construction: min_eig is an exact
         # 0.0 (not psi^dag psi), and the trace residual comes from psi^dag psi
-        s = initial_joint_state(fixed_case("swap", 4, "mps", 9))
+        s = initial_joint_state(fixed_case("swap", 4, "mps", 2, 9, tmax=1))
         res = s.invariant_residuals()
         assert res["min_eig"] == 0.0 and res["hermiticity"] == 0.0
         assert res["trace"] == abs(float(np.vdot(s._held, s._held).real) - 1.0) < 1e-15
@@ -65,7 +54,8 @@ class TestKetState:
 
     @pytest.mark.parametrize("l_r", [2, 5])  # D = 32 (below the probe floor) and 2048
     def test_range_sketch_is_exact(self, l_r):
-        s = initial_joint_state(fixed_case("general", 4 if l_r == 2 else 2, "mps", 10, l_r=l_r))
+        cfg = fixed_case("general", 4 if l_r == 2 else 2, "mps", 2, 10, l_r=l_r, tmax=1)
+        s = initial_joint_state(cfg)
         q, a, resid = s.range_sketch()
         psi = s._held
         assert q.shape == (psi.size, 1) and resid == 0.0
@@ -76,7 +66,7 @@ class TestKetState:
     @pytest.mark.parametrize("family,q,kind", [("general", 2, "mps"), ("swap", 3, "two_site"),
                                                ("general", 4, "mps"), ("q2_qt2", 2, "lpdo")])
     def test_diagnostics_match_the_dense_state(self, family, q, kind):
-        s = initial_joint_state(fixed_case(family, q, kind, 11, l_r=4))
+        s = initial_joint_state(fixed_case(family, q, kind, 2, 11, l_r=4, tmax=1))
         dense = dense_twin(s)
         assert max_abs(subsystem_density(s) - subsystem_density(dense)) < 1e-15
         assert abs(entanglement_entropy(s) - von_neumann_entropy(subsystem_density(dense))) < 1e-12
@@ -86,31 +76,35 @@ class TestKetState:
 
     def test_entropy_of_an_entangled_ket(self):
         # chi = 2 kets |0..0> and |1..1>: rho_R has two equal eigenvalues
-        cfg = fixed_case("general", 2, "mps", 13, l_r=3)
+        cfg = fixed_case("general", 2, "mps", 2, 13, l_r=3, tmax=1)
         cfg.right_kets = np.zeros_like(cfg.right_kets)
         cfg.right_kets[0, 0] = cfg.right_kets[1, -1] = 1.0
         assert abs(entanglement_entropy(initial_joint_state(cfg)) - np.log(2)) < 1e-14
 
-    def test_assigning_rho_makes_the_state_dense(self):
-        s = initial_joint_state(saturation_config())
-        rho = s.rho
-        s.range_sketch()
-        s.rho = rho
-        assert s._held.shape == rho.shape and s._sketch is None
-        assert s.range_sketch()[0].shape == (rho.shape[0], 32)  # the Gaussian probe
+    def test_row_zero_entropy_from_the_gram_matrix(self, monkeypatch):
+        # rho_R = M^T M^* for psi as M (chi x D/chi) has the nonzero spectrum
+        # of the chi x chi Gram matrix M M^dag: rho_R is never formed
+        cfg = fixed_case("general", 2, "mps", 2, 16, l_r=9, tmax=1)
+        s = initial_joint_state(cfg)
+        want = von_neumann_entropy(subsystem_density(s))
+        monkeypatch.setattr(evolve, "subsystem_density", None)
+        m = s._held.reshape(2, -1)
+        got = entanglement_entropy(s)
+        assert got == von_neumann_entropy(m @ dagger(m))
+        assert abs(got - want) < 1e-12
 
     def test_ket_of_the_wrong_length_is_refused(self):
         with pytest.raises(ValueError, match="ket shape"):
             JointState(2, 2, 3, np.ones(15))
 
     def test_first_period_leaves_the_ket_alone(self):
-        # the ket is stepped without a D x D copy of rho(0)
-        cfg = fixed_case("general", 2, "mps", 14, l_r=6, tmax=1)
+        # the ket is stepped as a vector, into sigma(1) on n = r q^(L_R-1)
+        cfg = fixed_case("general", 2, "mps", 2, 14, l_r=6, tmax=1)
         s = initial_joint_state(cfg)
         before = s._held.copy()
         s1 = step(s, cfg)
-        assert np.array_equal(s._held, before) and s._scratch is None
-        assert s1._w is cfg.channel.range_basis() and s1._scratch.shape == (128, 128)
+        assert np.array_equal(s._held, before)
+        assert s1._w is cfg.channel.range_basis() and s1._held.shape == (64, 64)
 
     @settings(max_examples=40, deadline=None)
     @given(**draws)

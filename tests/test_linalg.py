@@ -7,9 +7,32 @@ from solvcirc.errors import CapacityError, PositivityError
 from solvcirc.linalg import (_PROBE_WIDTH, PAULI, apply_two_site, dagger,
                              expm_hermitian_generator, haar_unitary,
                              hermiticity_residual, isometry_residual, kron,
-                             make_rng, max_abs, min_eig_lower_bound, partial_trace,
+                             make_rng, max_abs, min_eig_lower_bound,
                              reduced_density, renyi_trace, reshuffle,
                              trace_distance, unitarity_residual, von_neumann_entropy)
+
+def partial_trace(rho, dims, keep):
+    """Trace out all tensor factors except those in ``keep``: the dense
+    reference for the engine's traces.
+
+    ``dims`` lists the factor dimensions of the square matrix ``rho`` in
+    order; the kept factors appear in the result in their original order.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    dims = list(dims)
+    n = len(dims)
+    d = int(np.prod(dims))
+    if rho.shape != (d, d):
+        raise ValueError(f"rho shape {rho.shape} does not match dims product {d}")
+    keep = sorted(set(keep))
+    if any(k < 0 or k >= n for k in keep):
+        raise ValueError(f"keep indices {keep} out of range for {n} factors")
+    t = rho.reshape(dims + dims)
+    for i in reversed([i for i in range(n) if i not in keep]):
+        t = np.trace(t, axis1=i, axis2=i + t.ndim // 2)
+    dk = int(np.prod([dims[i] for i in keep])) if keep else 1
+    return t.reshape(dk, dk)
+
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 
