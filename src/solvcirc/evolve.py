@@ -54,8 +54,10 @@ class JointState:
     sigma on n = r q^{L_R-1} dimensions, rho = (W (x) I) sigma (W (x) I)^dag:
     every state ``step`` returns is held so, in the boundary channel's
     output range.  Privately it caches, for what it holds, the Hermiticity
-    residual of ``step``'s drift check and the range sketch of the
-    diagnostics.
+    residual of ``step``'s drift check, and for the diagnostics the range
+    sketch of sigma and W's isometry defect delta: ``invariant_residuals``
+    and ``entanglement_entropy`` read both, and S_ent reads rho_R's spectrum
+    from the sketch's factor.
     """
 
     def __init__(self, chi: int, q: int, l_r: int, held: np.ndarray, t: int = 0,
@@ -65,7 +67,7 @@ class JointState:
             held = np.asarray(held, dtype=complex)
             if held.shape != (chi * q ** l_r,):
                 raise ValueError(f"ket shape {held.shape} != ({chi * q ** l_r},)")
-        self._held, self._w, self._herm, self._sketch = held, w, None, None
+        self._held, self._w, self._herm, self._sketch, self._delta = held, w, None, None, None
 
     @property
     def rho(self) -> np.ndarray:
@@ -89,16 +91,25 @@ class JointState:
         semidefinite by construction: its residuals are |psi^dag psi - 1|,
         0.0 and 0.0, what the bound gives with its exact sketch.
         """
-        m, w = self._held, self._w
-        if w is None:
+        m = self._held
+        if self._w is None:
             return {"trace": abs(float(np.vdot(m, m).real) - 1.0), "hermiticity": 0.0,
                     "min_eig": 0.0}
         tr = float(np.trace(m).real)
         herm = self._herm if self._herm is not None else hermiticity_residual(m)
         min_eig = min_eig_lower_bound(m, sketch=self.range_sketch())
-        delta = float(np.linalg.norm(dagger(w) @ w - np.eye(w.shape[1]), 2))
-        min_eig = min(min_eig, 0.0) - delta * float(np.linalg.norm(m))
+        min_eig = min(min_eig, 0.0) - self.isometry_defect() * float(np.linalg.norm(m))
         return {"trace": abs(tr - 1.0), "hermiticity": herm, "min_eig": min_eig}
+
+    def isometry_defect(self) -> float:
+        """delta = ||W^dag W - I||_2 of a range state's W (0.0 on a ket
+        state), formed once per state and shared by ``invariant_residuals``
+        and ``entanglement_entropy``."""
+        if self._delta is None:
+            w = self._w
+            self._delta = 0.0 if w is None else \
+                float(np.linalg.norm(dagger(w) @ w - np.eye(w.shape[1]), 2))
+        return self._delta
 
     def range_sketch(self) -> tuple | None:
         """``linalg.range_sketch`` of sigma, formed once per state and shared
@@ -421,35 +432,44 @@ def subsystem_density(s: JointState) -> np.ndarray:
     return rho_r.reshape(d, d)
 
 
-def _ancilla_span(range_q: np.ndarray, chi: int) -> np.ndarray:
-    """An orthonormal basis ((D/chi) x chi k) of the span of the ancilla
-    blocks of a D x k ``range_q``."""
-    blocks = range_q.reshape(chi, -1, range_q.shape[1]).transpose(1, 0, 2)
-    basis, _ = np.linalg.qr(blocks.reshape(blocks.shape[0], -1))
-    return basis
-
-
 def entanglement_entropy(s: JointState) -> float:
     """Von Neumann entropy (nats) of the subsystem density matrix.
 
     On a ket state, psi as M (chi x D/chi) gives rho_R = M^T M^*, whose
     nonzero spectrum is that of the chi x chi Gram matrix M M^dag: the
-    entropy is that of the Gram matrix.  On a range state, when the range
-    sketch (Q, A, resid) certifies sigma (resid <= ``PROBE_RESIDUAL_TOL``),
-    rho's range lies in that of R = (W (x) I) Q, and rho_R =
-    sum_a rho[a, :, a, :] has its range in the span of the ancilla blocks
-    R_a: the entropy comes from the Ritz values of rho_R on that span, which
-    ``von_neumann_entropy`` certifies in turn.  Otherwise it is the dense
-    eigensolve.
+    entropy is that of the Gram matrix.
+
+    On a range state it is read from the range sketch (Q, A, resid) of
+    sigma, sigma ~ Q A Q^dag (Q n x k), when that sketch certifies it.  With
+    S = W (x) I, rho' = R A R^dag for R = S Q (D x k), whose ancilla blocks
+    R_a ((D/chi) x k) give rho_R' = sum_a R_a A R_a^dag.  One QR of
+    [R_1 ... R_chi] = U T ((D/chi) x chi k) makes rho_R' = U B U^dag with
+    B = T (I_chi (x) A) T^dag, so rho_R' has B's nonzero spectrum, and the
+    entropy is ``von_neumann_entropy(B)`` (chi k x chi k), with its checks.
+    The certificate: rho - rho' = S E S^dag with ||E||_F = resid and
+    ||S||_2^2 = ||W^dag W||_2 <= 1 + delta (``isometry_defect``), and
+    tracing out the ancilla sums chi diagonal blocks, which by
+    Cauchy-Schwarz costs at most a factor sqrt(chi) in Frobenius norm.  So
+    ||rho_R - rho_R'||_F <= sqrt(chi) (1 + delta) resid, and by Weyl's
+    inequality every eigenvalue of rho_R lies that close to one of B padded
+    with zeros.  The route is taken when that bound is within
+    ``PROBE_RESIDUAL_TOL``; no (D/chi) x (D/chi) array is formed.
+    Otherwise (no sketch, or an uncertified one) the entropy is the dense
+    eigensolve of ``subsystem_density``.
     """
     if s._w is None:
         m = s._held.reshape(s.chi, -1)
         return von_neumann_entropy(m @ dagger(m))
-    sketch, basis = s.range_sketch(), None
-    if sketch is not None and sketch[2] <= PROBE_RESIDUAL_TOL:
-        range_q = (s._w @ sketch[0].reshape(s._w.shape[1], -1)).reshape(-1, sketch[0].shape[1])
-        basis = _ancilla_span(range_q, s.chi)
-    return von_neumann_entropy(subsystem_density(s), basis=basis)
+    sketch = s.range_sketch()
+    if sketch is None or not \
+            np.sqrt(s.chi) * (1 + s.isometry_defect()) * sketch[2] <= PROBE_RESIDUAL_TOL:
+        return von_neumann_entropy(subsystem_density(s))
+    q, a, _ = sketch
+    k = q.shape[1]
+    r = (s._w @ q.reshape(s._w.shape[1], -1)).reshape(s.chi, -1, k)
+    t = np.linalg.qr(r.transpose(1, 0, 2).reshape(-1, s.chi * k), mode="r")
+    ta = (t.reshape(-1, k) @ a).reshape(t.shape)
+    return von_neumann_entropy(ta @ dagger(t))
 
 
 def local_expectation(s: JointState, site: int, op: np.ndarray) -> float:

@@ -39,8 +39,9 @@ _ROW_BLOCK = 2 ** 16
 # matrix took 1.1, 2.1 and 12.7 ms at n = 96, 128 and 256, the probe 0.6, 0.7
 # and 2.5 ms).  PROBE_RESIDUAL_TOL is the residual norm below which a sketch
 # certifies the range (well under the 1e-10 positivity check):
-# min_eig_lower_bound then returns the probe's bound, and von_neumann_entropy
-# the entropy of its Ritz values.
+# min_eig_lower_bound then returns the probe's bound, and
+# evolve.entanglement_entropy reads the spectrum of rho_R from the sketch's
+# factor when sqrt(chi) (1 + delta) resid is within it.
 _PROBE_WIDTH = 32
 _PROBE_MIN_DIM = 4 * _PROBE_WIDTH
 PROBE_RESIDUAL_TOL = 1e-12
@@ -295,49 +296,22 @@ def expm_hermitian_generator(h: np.ndarray, atol: float = 1e-10) -> np.ndarray:
     return (v * np.exp(-1j * w)) @ dagger(v)
 
 
-def _ritz_values(rho: np.ndarray, basis: np.ndarray) -> np.ndarray | None:
-    """Eigenvalues of B = herm(W^dag rho W) for W = ``basis`` (orthonormal
-    columns), or None unless 2 ||rho (I - W W^dag)||_F <= ``PROBE_RESIDUAL_TOL``.
+def von_neumann_entropy(rho: np.ndarray) -> float:
+    """-Tr[rho ln rho] in nats; eigenvalues clamped to [0, 1], 0 ln 0 := 0.
 
-    For Hermitian rho, rho - P rho P = rho (I - P) + (I - P) rho P has
-    Frobenius norm at most twice ||rho (I - P)||_F, so by Weyl's inequality
-    every eigenvalue of rho is within the certificate of the eigenvalues of
-    B padded with zeros.  Cost O(n^2 m) for an n x m basis.
+    rho must be finite and Hermitian within 1e-8 (ValueError), have no
+    eigenvalue below -1e-6 (PositivityError) and unit trace within 1e-8
+    (ValueError).
     """
-    y = rho @ basis
-    b = dagger(basis) @ y
-    resid = y @ dagger(basis)
-    np.subtract(rho, resid, out=resid)
-    if not 2 * float(np.linalg.norm(resid)) <= PROBE_RESIDUAL_TOL:
-        return None
-    return np.linalg.eigvalsh((b + dagger(b)) / 2)
-
-
-def _density_eigvals(rho: np.ndarray, trace_atol: float = 1e-8,
-                     basis: np.ndarray | None = None) -> np.ndarray:
     rho = require_finite(rho, "rho")
     if hermiticity_residual(rho) > 1e-8:
         raise ValueError("rho is not Hermitian within tolerance")
-    w = None if basis is None else _ritz_values(rho, basis)
-    if w is None:
-        w = np.linalg.eigvalsh(rho)
+    w = np.linalg.eigvalsh(rho)
     if w.min() < -1e-6:
         raise PositivityError(f"rho has eigenvalue {w.min():.3e} < -1e-6")
-    if abs(w.sum() - 1.0) > trace_atol:
+    if abs(w.sum() - 1.0) > 1e-8:
         raise ValueError(f"rho trace {w.sum():.6f} deviates from 1")
-    return np.clip(w, 0.0, 1.0)
-
-
-def von_neumann_entropy(rho: np.ndarray, basis: np.ndarray | None = None) -> float:
-    """-Tr[rho ln rho] in nats; eigenvalues clamped to [0, 1], 0 ln 0 := 0.
-
-    ``basis``, when given, is an orthonormal basis W believed to hold the
-    range of rho: the entropy then comes from the Ritz values of rho on W
-    if 2 ||rho (I - W W^dag)||_F <= ``PROBE_RESIDUAL_TOL`` certifies them
-    (the dense eigensolve otherwise), and it leaves out the -e ln e of the
-    round-off eigenvalues outside W.
-    """
-    w = _density_eigvals(rho, basis=basis)
+    w = np.clip(w, 0.0, 1.0)
     w = w[w > 0]
     return float(-(w * np.log(w)).sum())
 

@@ -17,7 +17,9 @@ from solvcirc.gates import random_gate
 from solvcirc.linalg import (PROBE_RESIDUAL_TOL, dagger, hermiticity_residual,
                              make_rng, max_abs, min_eig_lower_bound, range_sketch,
                              von_neumann_entropy)
-from solvcirc.mps import ghz_cluster_family, product_state_mps, random_lpdo
+from solvcirc.errors import PositivityError
+from solvcirc.mps import (ghz_cluster_family, product_state_mps, random_lpdo,
+                          two_site_from_pair)
 from test_evolve import (GATE_FAMILIES, dense_state, fused_conjugation, random_hermitian,
                          reference_step_rho)
 from test_linalg import partial_trace
@@ -60,6 +62,17 @@ def range_min_eig(rho):
 
 def dense_entropy(s):
     return von_neumann_entropy(subsystem_density(s))
+
+
+def factor_certified(s):
+    """Whether ``entanglement_entropy`` reads s from its sketch's factor
+    (a range state) or Gram matrix (a ket state) rather than the dense
+    eigensolve of rho_R."""
+    if s._w is None:
+        return True
+    sketch = s.range_sketch()
+    return sketch is not None and \
+        np.sqrt(s.chi) * (1 + s.isometry_defect()) * sketch[2] <= PROBE_RESIDUAL_TOL
 
 
 def reference_expectation(s, site, op):
@@ -115,6 +128,9 @@ def engine_case(family, q, left, chi, seed):
     gate = random_gate(family, rng, q=q, qt=2)
     if left == "ghz_cluster":
         mps = ghz_cluster_family(rng.uniform(0.1, np.pi / 4), q)
+    elif left == "two_site":
+        mps = two_site_from_pair(ghz_cluster_family(rng.uniform(0.1, np.pi / 4), q),
+                                 ghz_cluster_family(rng.uniform(0.1, np.pi / 4), q))
     elif left == "product":
         mps = product_state_mps(np.eye(q)[rng.integers(2)])
     else:
@@ -127,12 +143,13 @@ def engine_case(family, q, left, chi, seed):
 
 # gate family -> the (q, left state) pairs it is solvable with
 SOLVABLE = {
-    "swap": [(q, left) for q in (2, 3, 4) for left in ("ghz_cluster", "product", "lpdo")],
-    "general": [(q, left) for q in (2, 3, 4) for left in ("ghz_cluster", "product")]
+    "swap": [(q, left) for q in (2, 3, 4)
+             for left in ("ghz_cluster", "two_site", "product", "lpdo")],
+    "general": [(q, left) for q in (2, 3, 4) for left in ("ghz_cluster", "two_site", "product")]
                + [(2, "lpdo")],
-    "q2_qt2": [(2, left) for left in ("ghz_cluster", "product", "lpdo")],
+    "q2_qt2": [(2, left) for left in ("ghz_cluster", "two_site", "product", "lpdo")],
     "q2_qt1": [(2, "product")],
-    "both_chirality_q4plus": [(4, "ghz_cluster"), (4, "product")],
+    "both_chirality_q4plus": [(4, "ghz_cluster"), (4, "two_site"), (4, "product")],
 }
 
 
@@ -143,17 +160,20 @@ class TestSharedSketch:
     def test_entropy_and_min_eig_match_the_dense_path(self, family, seed, chi, data):
         q, left = data.draw(st.sampled_from(SOLVABLE[family]), label="q, left")
         cfg = engine_case(family, q, left, chi, seed)
+        if left == "lpdo":
+            # d = 2: the channel's output range is wider than the bond
+            assert cfg.channel.range_basis().shape[1] > cfg.chi
         for s in states(cfg):
-            # a range state (q = 4) reads sigma; a dense one its range sketch
-            approx = s._w is not None or s.range_sketch()[2] <= PROBE_RESIDUAL_TOL
+            # min_eig: a range state reads sigma, a ket state its exact sketch
             res = s.invariant_residuals()
-            got, want = entanglement_entropy(s), dense_entropy(s)
             exact = dense_min_eig(s.rho)
-            if approx:
+            assert exact - 1e-12 <= res["min_eig"] <= exact + 1e-14
+            # S_ent: a certified factor within 1e-12, else the dense path
+            got, want = entanglement_entropy(s), dense_entropy(s)
+            if factor_certified(s):
                 assert abs(got - want) <= 1e-12
-                assert exact - 1e-12 <= res["min_eig"] <= exact + 1e-14
             else:
-                assert got == want and res["min_eig"] == exact
+                assert got == want
 
     @pytest.mark.parametrize("chi", [1, 2])
     def test_rank_40_takes_the_dense_path_bit_for_bit(self, chi):
@@ -164,24 +184,48 @@ class TestSharedSketch:
         assert entanglement_entropy(s) == dense_entropy(s)
         assert s.invariant_residuals()["min_eig"] == range_min_eig(rho)
 
-    def test_uncertified_ritz_values_are_refused(self):
-        # a basis holding 32 of the 40 eigenvectors: Ritz values would drop 8
+    def test_uncertified_sketch_takes_the_dense_path(self, monkeypatch):
+        # the certificate is sqrt(chi) (1 + delta) resid: a sketch residual
+        # within PROBE_RESIDUAL_TOL but not within it over sqrt(2) is refused
         rng = make_rng(42)
-        rho = random_state(256, 40, rng)
-        v = np.linalg.eigh(rho)[1]
-        basis = v[:, -32:]
-        assert von_neumann_entropy(rho, basis=basis) == von_neumann_entropy(rho)
-        full = v[:, -40:]
-        assert abs(von_neumann_entropy(rho, basis=full) - von_neumann_entropy(rho)) < 1e-12
+        s = dense_state(2, 2, 7, random_state(256, 4, rng))
+        q, a, resid = s.range_sketch()
+        assert resid <= PROBE_RESIDUAL_TOL and factor_certified(s)
+        s._sketch = (q, a, 0.9 * PROBE_RESIDUAL_TOL)
+        assert not factor_certified(s)
+        assert entanglement_entropy(s) == dense_entropy(s)
+        # a non-finite sigma fails the certificate and the dense path refuses it
+        sigma = random_state(256, 4, rng)
+        sigma[3, 5] = np.nan
+        bad = dense_state(2, 2, 7, sigma)
+        calls = []
+        real = evolve.subsystem_density
+        monkeypatch.setattr(evolve, "subsystem_density", lambda st: calls.append(1) or real(st))
+        assert not factor_certified(bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            entanglement_entropy(bad)
+        assert calls == [1]
 
-    def test_ritz_path_keeps_the_dense_checks(self):
+    def test_factor_route_keeps_the_dense_checks(self):
         rng = make_rng(43)
         rho = random_state(256, 4, rng)
-        basis = np.linalg.eigh(rho)[1][:, -4:]
+        # a certified sketch of 2 rho: B has trace 2
+        s = dense_state(2, 2, 7, 2 * rho)
+        assert factor_certified(s)
         with pytest.raises(ValueError, match="trace"):
-            von_neumann_entropy(2 * rho, basis=basis)
+            entanglement_entropy(s)
+        # a planted -1e-5 eigenvalue of sigma, traced onto rho_R
+        v, _ = np.linalg.qr(rng.standard_normal((256, 4)) + 1j * rng.standard_normal((256, 4)))
+        lam = np.array([-1e-5, 0.3, 0.3, 0.4 + 1e-5])
+        s = dense_state(1, 2, 8, (v * lam) @ dagger(v))
+        assert factor_certified(s)
+        with pytest.raises(PositivityError):
+            entanglement_entropy(s)
+        # a non-Hermitian sigma fails the certificate; the dense check refuses it
+        s = dense_state(2, 2, 7, rho + 1e-6j * np.triu(np.ones_like(rho), 1))
+        assert not factor_certified(s)
         with pytest.raises(ValueError, match="Hermitian"):
-            von_neumann_entropy(rho + 1e-6j * np.triu(np.ones_like(rho), 1), basis=basis)
+            entanglement_entropy(s)
 
     def test_sketch_is_computed_once_per_rho(self, monkeypatch):
         cfg = engine_case("general", 2, "ghz_cluster", 2, 44)

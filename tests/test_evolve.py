@@ -13,8 +13,8 @@ from solvcirc.evolve import (DENSITY_ENTRY_CAP, EvolutionConfig, JointState,
                              local_expectation, mps_continuation_kets, states,
                              step, subsystem_density)
 from solvcirc.gates import TwoSiteGate, random_gate, swap_matrix
-from solvcirc.linalg import (dagger, hermiticity_residual, kron, make_rng, max_abs,
-                             sandwich)
+from solvcirc.linalg import (PROBE_RESIDUAL_TOL, dagger, hermiticity_residual, kron,
+                             make_rng, max_abs, sandwich, von_neumann_entropy)
 from solvcirc.mps import (ghz_cluster_family, product_state_mps, random_left_canonical,
                           random_lpdo)
 from test_channel import reference_apply_channel, trace_site0
@@ -475,6 +475,28 @@ class TestEngineBuffers:
             assert n == d // cfg.q
             assert max(peaks) < 16 * d * d
             assert max(carried) == 16 * n * n
+
+
+    def test_chi1_entropy_forms_no_rho_r(self):
+        # chi = 1: rho_R is the D x D joint state, but S_ent of a certified
+        # row reads the sketch's factor (the sketch itself formed inside the
+        # call, its residual on n^2 = D^2 / 16 entries)
+        rng = make_rng(8)
+        kets = rng.standard_normal((1, 4 ** 5)) + 1j * rng.standard_normal((1, 4 ** 5))
+        cfg = EvolutionConfig(random_gate("general", rng, q=4, qt=2),
+                              product_state_mps(np.eye(4)[0]), kets, 5, 1)
+        s = step(initial_joint_state(cfg), cfg)
+        d = s.chi * s.q ** s.l_r
+        assert (s.chi, d, s._held.shape[0]) == (1, 1024, 256) and s._sketch is None
+        tracemalloc.start()
+        try:
+            got = entanglement_entropy(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.range_sketch()[2] * (1 + s.isometry_defect()) <= PROBE_RESIDUAL_TOL
+        assert peak < 16 * d * d // 4
+        assert abs(got - von_neumann_entropy(subsystem_density(s))) <= 1e-12
 
 
 class TestObservables:

@@ -271,7 +271,7 @@ class TestRangeDiagnostics:
     def test_rank_40_sigma_takes_the_dense_fallback(self, monkeypatch):
         # an uncertified sketch of sigma: min_eig is the dense eigensolve of
         # herm(sigma) less delta ||sigma||_F, and S_ent the dense eigensolve
-        # of rho_R, with no Ritz basis
+        # of rho_R (256 x 256), bit for bit
         rng = make_rng(68)
         lam = rng.uniform(0.5, 1.5, 40)
         s = range_state(planted_sigma(lam / lam.sum(), rng, 128), l_r=4)
@@ -280,22 +280,23 @@ class TestRangeDiagnostics:
         delta = np.linalg.norm(dagger(w) @ w - np.eye(w.shape[1]), 2)
         want = min(exact_min_eig(sigma), 0.0) - delta * np.linalg.norm(sigma)
         assert s.invariant_residuals()["min_eig"] == want
-        bases = []
+        shapes = []
         monkeypatch.setattr(evolve, "von_neumann_entropy",
-                            lambda rho, basis=None: bases.append(basis) or von_neumann_entropy(rho))
+                            lambda rho: shapes.append(rho.shape) or von_neumann_entropy(rho))
         assert entanglement_entropy(s) == von_neumann_entropy(subsystem_density(s))
-        assert bases == [None]
+        assert shapes == [(256, 256)]
 
-    def test_low_rank_row_takes_the_ritz_values(self, monkeypatch):
-        # l_r = 4 (rho_R is 256 x 256), sigma of rank 3: no dense eigensolve
+    def test_low_rank_row_takes_the_sketch_factor(self, monkeypatch):
+        # l_r = 4 (rho_R is 256 x 256), sigma of rank 3: no eigensolve larger
+        # than chi k = 64 and no rho_R
         rng = make_rng(66)
         n = 2 * 4 ** 3
         v, _ = np.linalg.qr(rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3)))
         s = range_state((v * np.array([0.5, 0.3, 0.2])) @ dagger(v), l_r=4)
-        dense = dense_state(2, 4, 4, s.rho, 1)
-        want = entanglement_entropy(dense)
+        want = von_neumann_entropy(subsystem_density(s))
         sizes = []
         real = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: sizes.append(h.shape[0]) or real(h))
+        monkeypatch.setattr(evolve, "subsystem_density", None)
         assert abs(entanglement_entropy(s) - want) <= 1e-12
-        assert max(sizes) < 256
+        assert 0 < max(sizes) <= 2 * s.range_sketch()[0].shape[1] == 64

@@ -5,7 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from solvcirc.cli import main
+from solvcirc.cli import build_engine, build_gate, build_mps, main
+from solvcirc.evolve import states, subsystem_density
+from solvcirc.linalg import von_neumann_entropy
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -78,6 +80,39 @@ def test_rank_saturation_config_pinned(tmp_path):
     n_cols = len(pinned.split("\n")[0].split(","))
     keep = (0, 1, *range(4, n_cols))
     assert columns(out.read_text(), *keep) == columns(pinned, *keep)
+
+
+def product_q4_config() -> dict:
+    """The chi = 1 variant of entropy_saturation.json that the CI step runs:
+    a product-state MPS, l_r = 5 (D = 1024), stopped at t = 4 (from t = l_r
+    on the state is pure and S_ent is round-off)."""
+    cfg = json.loads((CONFIG_DIR / "entropy_saturation.json").read_text())
+    cfg["mps"] = {"family": "product", "ket": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
+    cfg["l_r"], cfg["tmax"] = 5, 4
+    cfg["right_state"] = {"product": [2, 2, 2, 2, 2]}
+    return cfg
+
+
+def test_product_q4_pinned_and_dense(tmp_path):
+    # tests/data/product_q4_evolve.csv is the committed output of `solvcirc
+    # evolve` on product_q4_config(): t, S_ent and the observables pinned as
+    # for the shipped configs, and each S_ent cell within 1e-12 of the dense
+    # eigensolve of rho_R, which at chi = 1 is the D x D joint state
+    cfg = product_q4_config()
+    path = tmp_path / "product_q4.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "product_q4.csv"
+    assert main(["evolve", "--config", str(path), "--out", str(out)]) == 0
+    pinned = (DATA_DIR / "product_q4_evolve.csv").read_text()
+    keep = (0, 1, 4, 5)
+    assert columns(out.read_text(), *keep) == columns(pinned, *keep)
+    econf = build_engine(cfg, build_gate(cfg), build_mps(cfg))
+    rows = columns(pinned, 0, 1)[1:]
+    assert econf.chi == 1 and len(rows) == cfg["tmax"] + 1
+    for (t, s_ent), s in zip(rows, states(econf)):
+        assert int(t) == s.t
+        want = von_neumann_entropy(subsystem_density(s))
+        assert abs(float(s_ent) - want) <= 1e-12
 
 
 def test_renyi_config_cross_checks(tmp_path):
