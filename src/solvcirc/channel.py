@@ -46,7 +46,6 @@ class BoundaryChannel:
                 raise ValueError(f"Kraus operator shape {k.shape} != ({d},{d})")
         self._super: np.ndarray | None = None
         self._range: np.ndarray | None = None
-        self._input: np.ndarray | None = None
 
     def superoperator(self) -> np.ndarray:
         """sum_mu K_mu (x) K_mu^* on the doubled boundary space (cached)."""
@@ -74,28 +73,6 @@ class BoundaryChannel:
             self._range = vecs[:, lam > lam.max() * d * np.finfo(float).eps]
             self._range.flags.writeable = False
         return self._range
-
-    def input_kraus(self) -> np.ndarray:
-        """The minimal Kraus set P_nu (k x r x chi) of ``apply_channel``, of the
-        map z -> (W^dag (x) I) M(z (x) |0><0|) (W (x) I), W = ``range_basis()``
-        (cached, read-only).
-
-        The P_mu = W^dag K_mu (I_chi (x) |0>) are stacked as the rows vec(P_mu)
-        of V = U S Vh.  The Choi matrix V^T V^* = Vh^T S^2 Vh^* has the
-        eigenvectors Vh_nu^T and weights s_nu^2, so P_nu = s_nu Vh_nu, kept
-        for s_nu above numpy's ``matrix_rank`` tolerance (largest x
-        max(V.shape) x machine epsilon): at most r chi operators, chi^2 for
-        an MPS and chi for the GHZ-cluster MPS, where M has q^2.
-        """
-        if self._input is None:
-            w = self.range_basis()
-            ks = np.reshape(self.kraus, (-1, self.chi * self.q, self.chi, self.q))[..., 0]
-            v = np.matmul(dagger(w), ks).reshape(len(ks), -1)
-            _, s, vh = np.linalg.svd(v, full_matrices=False)
-            keep = s > s.max() * max(v.shape) * np.finfo(float).eps
-            self._input = (s[keep, None] * vh[keep]).reshape(-1, w.shape[1], self.chi)
-            self._input.flags.writeable = False
-        return self._input
 
 
 def _kraus(left: np.ndarray, right: np.ndarray) -> list[np.ndarray]:
@@ -148,25 +125,27 @@ def check_cptp(c: BoundaryChannel) -> float:
 
 
 def apply_channel(c: BoundaryChannel, z: np.ndarray) -> np.ndarray:
-    """sigma' = sum_nu (P_nu (x) I) z (P_nu (x) I)^dag, P_nu = ``input_kraus()``.
+    """sigma'[i x, j y] = sum_{b,c} S[i,j,b,c] z[b x, c y], with the reduced
+    superoperator S[i,j,b,c] = sum_mu P_mu[i,b] P_mu^*[j,c] (r x r x chi x chi)
+    and P_mu = W^dag K_mu (I_chi (x) |0>) (r x chi), W = ``range_basis()``.
 
     ``z`` is Tr_0 X for a state X on chi * q^{L_R}: the trace over site 0,
     on ancilla (x) sites 1.. (chi m x chi m, m = q^{L_R-1}).  The result is
-    (W^dag (x) I) M(X) (W (x) I) on r m dimensions, W = ``range_basis()``,
-    and M(X) = (W (x) I) sigma' (W (x) I)^dag, since M(X) = N(Tr_0 X) (module
-    docstring) and every output of M lies in range(W (x) I).  Each row leg
-    i of each P_nu is one product on z's row legs and one batched matmul by
-    P_nu^* on its column legs, added into the i-th row block of sigma', so
-    besides z and sigma' the call holds arrays of m (D/q) and m n entries.
+    (W^dag (x) I) M(X) (W (x) I) on r m dimensions, and M(X) = (W (x) I)
+    sigma' (W (x) I)^dag, since M(X) = N(Tr_0 X) (module docstring) and every
+    output of M lies in range(W (x) I).  S is formed from the k Kraus
+    operators by one batched matmul over (i, j), in O(k r^2 chi^2).  One
+    batched matmul, S as r x (chi chi) against z's (b c) x y block at each x,
+    writes sigma' in its final layout, so besides z and S the call holds a
+    transposed copy of z and sigma': a peak of (D/q)^2 + n^2 entries.
     """
     shape = np.shape(z)
     if len(shape) != 2 or shape[0] != shape[1] or shape[0] % c.chi != 0:
         raise ValueError(f"input dimension {shape} incompatible with ancilla of {c.chi}")
-    ps = c.input_kraus()
-    m = shape[0] // c.chi
-    zr = np.asarray(z, dtype=complex).reshape(c.chi, -1)
-    out = np.zeros((ps.shape[1], m, ps.shape[1], m), dtype=complex)
-    for p in ps:
-        for i, row in enumerate(p):
-            out[i] += np.matmul(p.conj(), (row @ zr).reshape(m, c.chi, m))
-    return out.reshape(ps.shape[1] * m, -1)
+    chi, w = c.chi, c.range_basis()
+    r, m = w.shape[1], shape[0] // chi
+    p = dagger(w) @ np.reshape(c.kraus, (-1, chi * c.q, chi, c.q))[..., 0]
+    s = np.matmul(p.transpose(1, 2, 0)[:, None], p.conj().transpose(1, 0, 2)[None])
+    zt = np.asarray(z, dtype=complex).reshape(chi, m, chi, m).transpose(1, 0, 2, 3)
+    out = np.matmul(s.reshape(r, 1, r, chi * chi), zt.reshape(m, chi * chi, m))
+    return out.reshape(r * m, r * m)

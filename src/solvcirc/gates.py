@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import (PAULI, expm_hermitian_generator, haar_unitary,
-                     isometry_residual, kron, max_abs, reshuffle, unitarity_residual)
+                     isometry_residual, kron, max_abs, reshuffle)
 
 UNITARY_ATOL = 1e-10
 
@@ -34,7 +34,7 @@ class TwoSiteGate:
         self.matrix = np.asarray(self.matrix, dtype=complex)
         if self.matrix.shape != (self.q * self.q, self.q * self.q):
             raise ValueError(f"gate matrix shape {self.matrix.shape} does not match q={self.q}")
-        resid = unitarity_residual(self.matrix)
+        resid = isometry_residual(self.matrix)
         if not resid <= UNITARY_ATOL:  # NaN fails too
             raise ValueError(f"gate is not unitary (residual {resid:.2e})")
 
@@ -88,7 +88,7 @@ def _check_unitary_arg(u: np.ndarray, dim: int, name: str) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.shape != (dim, dim):
         raise ValueError(f"{name} must be {dim}x{dim}, got {u.shape}")
-    if not unitarity_residual(u) <= UNITARY_ATOL:
+    if not isometry_residual(u) <= UNITARY_ATOL:
         raise ValueError(f"{name} is not unitary")
     return u
 

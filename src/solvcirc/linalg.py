@@ -77,10 +77,6 @@ def isometry_residual(stack: np.ndarray) -> float:
     return max_abs(dagger(m) @ m - np.eye(m.shape[1]))
 
 
-def unitarity_residual(u: np.ndarray) -> float:
-    return isometry_residual(u)
-
-
 def hermiticity_residual(m: np.ndarray) -> float:
     """max |m - m^dag| over the entries of a square matrix.
 
@@ -287,10 +283,10 @@ def reshuffle(u: np.ndarray, q: int) -> np.ndarray:
     return u.reshape(q, q, q, q).transpose(0, 2, 1, 3).reshape(q * q, q * q)
 
 
-def expm_hermitian_generator(h: np.ndarray, atol: float = 1e-10) -> np.ndarray:
-    """exp(-i h) for Hermitian h, via eigendecomposition."""
+def expm_hermitian_generator(h: np.ndarray) -> np.ndarray:
+    """exp(-i h) for h Hermitian within 1e-10, via eigendecomposition."""
     h = require_finite(h, "generator")
-    if hermiticity_residual(h) > atol:
+    if hermiticity_residual(h) > 1e-10:
         raise ValueError("generator is not Hermitian within tolerance")
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * w)) @ dagger(v)
@@ -328,21 +324,15 @@ def renyi_trace(rho: np.ndarray, n: int) -> float:
     return float(np.vdot(p, p if n % 2 == 0 else rho @ p).real)
 
 
-def haar_unitary(dim: int, rng: np.random.Generator, special: bool = False) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Gaussian with phase fix.
-
-    With ``special=True`` the determinant is normalized to 1.
-    """
+def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary via QR of a complex Gaussian with phase fix."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     ph = np.diag(r).copy()
     ph /= np.abs(ph)
-    u = q * ph
-    if special:
-        u = u * np.linalg.det(u) ** (-1.0 / dim)
-    return u
+    return q * ph
 
 
 def trace_distance(r1: np.ndarray, r2: np.ndarray) -> float:

@@ -115,6 +115,27 @@ def test_product_q4_pinned_and_dense(tmp_path):
         assert abs(float(s_ent) - want) <= 1e-12
 
 
+def lpdo_config() -> dict:
+    """The LPDO run of the CI step: the q=2, chi=1, d=2 left state of
+    tests/data/left_state_lpdo.json, whose channel has r = chi q, so the
+    joint state keeps n = D."""
+    return {"version": "1", "seed": 3, "gate": {"family": "q2_qt2", "seed": 3},
+            "mps": {"file": str(DATA_DIR / "left_state_lpdo.json")},
+            "right_state": {"product": [0] * 6}, "l_r": 6, "tmax": 6,
+            "observables": [{"site": 0, "op": "pauli:3"}]}
+
+
+def test_lpdo_left_state_pinned(tmp_path):
+    # tests/data/lpdo_evolve.csv is the committed output of `solvcirc evolve`
+    # on lpdo_config(): t, S_ent and the observable pinned byte for byte
+    path = tmp_path / "lpdo.json"
+    path.write_text(json.dumps(lpdo_config()))
+    out = tmp_path / "lpdo.csv"
+    assert main(["evolve", "--config", str(path), "--out", str(out)]) == 0
+    pinned = (DATA_DIR / "lpdo_evolve.csv").read_text()
+    assert columns(out.read_text(), 0, 1, 4) == columns(pinned, 0, 1, 4)
+
+
 def test_renyi_config_cross_checks(tmp_path):
     out = tmp_path / "renyi.csv"
     code = main(["renyi", "--config", str(CONFIG_DIR / "renyi_cluster.json"),
