@@ -48,12 +48,14 @@ class BoundaryChannel:
         self._range: np.ndarray | None = None
 
     def superoperator(self) -> np.ndarray:
-        """sum_mu K_mu (x) K_mu^* on the doubled boundary space (cached)."""
+        """sum_mu K_mu (x) K_mu^* on the doubled boundary space (cached and,
+        like ``range_basis()``, read-only)."""
         if self._super is None:
             d = self.chi * self.q
             acc = np.zeros((d * d, d * d), dtype=complex)
             for k in self.kraus:
                 acc += np.kron(k, k.conj())
+            acc.flags.writeable = False
             self._super = acc
         return self._super
 

@@ -31,18 +31,6 @@ DENSITY_ENTRY_CAP = 2 ** 24
 # q^w <= BLOCK_LEVEL_CAP: four blocks for a q=2, L_R=10 period, and one gate
 # per block at q >= 3.  A cap of 64 conjugated no faster at q = 2.
 BLOCK_LEVEL_CAP = 16
-# A range state whose channel compresses ancilla (x) site 0 at least this
-# much, chi q / r >= 4, applies Y = (I_chi (x) U_R)(W (x) I) as the cached
-# D x n gemm (``EvolutionConfig.range_rows``); any other state applies it
-# matrix-free (``_traced_conjugation``).  A period by the gemm against
-# matrix-free (GHZ cluster, general gate, medians, 2-core Xeon, OpenBLAS): q=4
-# 2.3 vs 6.1 ms at D=512 and 65-69 vs 92-102 ms at D=2048; q=3 59-62 vs 64-76
-# ms at D=1458; q=2 47-54 vs 34-36 ms at D=1024 and 250-292 vs 147-156 ms at
-# D=2048.
-_RANGE_MIN_COMPRESSION = 4
-# ``_traced_conjugation`` applies Y to blocks of at most D / _PASS_SHARE
-# columns, so its two pass arrays hold D^2 / 8 entries together.
-_PASS_SHARE = 16
 
 
 class JointState:
@@ -154,7 +142,6 @@ class EvolutionConfig:
     tmax: int
     cap: int = DENSITY_ENTRY_CAP
     channel: BoundaryChannel = field(init=False)
-    _y: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.tmax < 0:
@@ -180,22 +167,6 @@ class EvolutionConfig:
     @property
     def q(self) -> int:
         return self.channel.q
-
-    def range_rows(self) -> np.ndarray:
-        """Y'^*, the conjugate of Y = (I_chi (x) U_R)(W (x) I) (D x n,
-        W = ``channel.range_basis()``) with its rows grouped by the level s
-        of site 0: Y'[(a, x), (s, i)] = Y[(a, s, x), i], (chi m) x (q n) with
-        m = q^{L_R-1}.  Built on first use by ``_brickwork_rows`` and cached."""
-        if self._y is None:
-            chi, q, m = self.chi, self.q, self.q ** (self.l_r - 1)
-            wi = np.kron(self.channel.range_basis(), np.eye(m))
-            # wi is free after the first block, so it serves as the second buffer
-            plan = _brickwork_plan(self.gate, self.l_r, wi.shape[0])
-            y = _brickwork_rows(wi, plan, (np.empty_like(wi), wi))
-            self._y = np.empty((chi, m, q, y.shape[1]), dtype=complex)
-            np.conjugate(y.reshape(chi, q, m, -1).transpose(0, 2, 1, 3), out=self._y)
-            self._y = self._y.reshape(chi * m, -1)
-        return self._y
 
 
 def joint_dimension(chi: int, q: int, l_r: int, cap: int = DENSITY_ENTRY_CAP) -> int:
@@ -238,19 +209,19 @@ def _gates_unitary(u: np.ndarray, q: int, n: int, xs: list[int]) -> np.ndarray:
     return out
 
 
-def _brickwork_blocks(q: int, l_r: int) -> list[tuple[int, int, list[int]]]:
-    """One period's gates merged into blocks (lo, hi, xs): the gates on
-    (x, x+1) for x in xs, applied in that order, act on sites lo..hi-1,
-    with q^(hi - lo) <= ``BLOCK_LEVEL_CAP``.
+def _brickwork_blocks(q: int, xs: list[int]) -> list[tuple[int, int, list[int]]]:
+    """The gates on bonds (x, x+1) for x in ``xs``, applied in that order,
+    merged into blocks (lo, hi, bxs): the gates on (x, x+1) for x in bxs,
+    applied in that order, act on sites lo..hi-1, with
+    q^(hi - lo) <= ``BLOCK_LEVEL_CAP``.
 
-    The gates are taken as applied, even bonds then odd bonds.  Each joins
-    the earliest block it reaches by passing only blocks on sites disjoint
-    from its own (those commute with it) and that stays within the cap;
-    otherwise it opens a new block.  Applying the blocks in order is the
-    period gate by gate.
+    Each gate joins the earliest block it reaches by passing only blocks on
+    sites disjoint from its own (those commute with it) and that stays
+    within the cap; otherwise it opens a new block.  Applying the blocks in
+    order is the gates one by one.
     """
     blocks: list[tuple[int, int, list[int]]] = []
-    for x in _period_bonds(l_r):
+    for x in xs:
         target = None
         for i in range(len(blocks) - 1, -1, -1):
             lo, hi, _ = blocks[i]
@@ -261,36 +232,36 @@ def _brickwork_blocks(q: int, l_r: int) -> list[tuple[int, int, list[int]]]:
         if target is None:
             blocks.append((x, x + 2, [x]))
         else:
-            lo, hi, xs = blocks[target]
-            blocks[target] = (min(lo, x), max(hi, x + 2), xs + [x])
+            lo, hi, bxs = blocks[target]
+            blocks[target] = (min(lo, x), max(hi, x + 2), bxs + [x])
     return blocks
 
 
-def _brickwork_plan(gate: TwoSiteGate, l_r: int, rows: int) -> list[np.ndarray]:
-    """The blocks of ``_brickwork_blocks`` as ``_brickwork_rows`` applies them
-    to arrays of ``rows`` = chi q^{L_R} rows: each block's q^w x q^w unitary
-    (w = hi - lo; the gate itself when w = 2), once for each of the chi q^lo
-    row groups above it."""
+def _brickwork_plan(gate: TwoSiteGate, xs: list[int], lead: int) -> list[np.ndarray]:
+    """The blocks of ``_brickwork_blocks(q, xs)`` as ``_brickwork_rows``
+    applies them to arrays whose rows are ``lead`` (x) the sites: each
+    block's q^w x q^w unitary (w = hi - lo; the gate itself when w = 2),
+    once for each of the lead q^lo row groups above it."""
     q, plan = gate.q, []
-    for lo, hi, xs in _brickwork_blocks(q, l_r):
+    for lo, hi, bxs in _brickwork_blocks(q, xs):
         u = gate.matrix if hi - lo == 2 else \
-            _gates_unitary(gate.matrix, q, hi - lo, [x - lo for x in xs])
+            _gates_unitary(gate.matrix, q, hi - lo, [x - lo for x in bxs])
         # A stride-0 broadcast of the block drops numpy's matmul off BLAS.
-        plan.append(np.broadcast_to(u, (rows // q ** (l_r - lo),) + u.shape).copy())
+        plan.append(np.broadcast_to(u, (lead * q ** lo,) + u.shape).copy())
     return plan
 
 
 def _brickwork_rows(m: np.ndarray, plan: list[np.ndarray],
                     bufs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """(I_chi (x) U_R) m for a C-ordered m with chi q^{L_R} rows, one fused
-    block of ``plan`` (``_brickwork_plan``) at a time: the local-gate kernel
+    """(I_lead (x) U) m for a C-ordered m and the gates U of ``plan``
+    (``_brickwork_plan``), one fused block at a time: the local-gate kernel
     of the engine.
 
     A block on sites lo..hi-1 is one batched matmul of its q^w x q^w
-    unitary on the no-copy (chi q^lo, q^w, rest) view, at a cost of
+    unitary on the no-copy (lead q^lo, q^w, rest) view, at a cost of
     O(q^w rows cols).  The products alternate between the two arrays
     ``bufs`` (of m's shape), starting with ``bufs[0]``; the one holding the
-    result is returned.
+    result is returned (m itself for an empty plan).
     """
     a, b = bufs
     for ub in plan:
@@ -307,43 +278,35 @@ def initial_joint_state(cfg: EvolutionConfig) -> JointState:
     return JointState(cfg.chi, cfg.q, cfg.l_r, psi, 0)
 
 
-def _apply_y(cols: np.ndarray, w: np.ndarray, plan: list[np.ndarray],
-             bufs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Y cols for Y = (I_chi (x) U_R)(w (x) I) and an n x c ``cols``: the lift
-    by w (one gemm) and ``_brickwork_rows``, in the heads of the two flat
-    arrays ``bufs``; the result is a view of one of them."""
-    d = w.shape[0] * cols.shape[0] // w.shape[1]
-    lifted = bufs[0][:d * cols.shape[1]].reshape(d, cols.shape[1])
-    np.matmul(w, cols.reshape(w.shape[1], -1), out=lifted.reshape(w.shape[0], -1))
-    return _brickwork_rows(lifted, plan, (bufs[1][:lifted.size].reshape(lifted.shape), lifted))
+def _site0_step(x: np.ndarray, w: np.ndarray, gate: TwoSiteGate) -> np.ndarray:
+    """T = Tr_0(G X G^dag), G = (I_chi (x) g (x) I)(w (x) I) with g the gate
+    on bond (0, 1), for an n x n X: T = sum_s (H_s (x) I) X (H_s (x) I)^dag
+    with H_s = <s|_0 (I_chi (x) g)(w (x) I_q) ((chi q) x (r q)), so
+    (D/q) x (D/q), one ``sandwich`` per level s of site 0."""
+    q, c, p = gate.q, w.shape[0], w.shape[1] * gate.q
+    h = gate.matrix @ np.kron(w, np.eye(q)).reshape(c // q, q * q, p)
+    h = h.reshape(c // q, q, q, p).transpose(1, 0, 2, 3).reshape(q, c, p)
+    t = sandwich(h[0], x)
+    for hs in h[1:]:
+        t += sandwich(hs, x)
+    return t
 
 
-def _traced_conjugation(held: np.ndarray, w: np.ndarray, gate: TwoSiteGate,
-                        l_r: int) -> np.ndarray:
-    """Z = Tr_0(Y held Y^dag), Y = (I_chi (x) U_R)(w (x) I), matrix-free.
-
-    A = Y held is kept with its rows regrouped by the level s of site 0, as
-    A_s (chi m x n, m = q^{L_R-1}).  Then Z = sum_s A_s Y_s^dag, and the
-    rows at level s of Y A_s^dag are Y_s A_s^dag = (A_s Y_s^dag)^dag.  Y is
-    applied to blocks of at most D / ``_PASS_SHARE`` columns, so besides A
-    and Z the passes hold two arrays of D^2 / ``_PASS_SHARE`` entries.
-    """
-    q, n, m = gate.q, held.shape[0], gate.q ** (l_r - 1)
-    chi = w.shape[0] // q
-    d = chi * q * m
-    width, plan = max(1, d // _PASS_SHARE), _brickwork_plan(gate, l_r, d)
-    bufs = (np.empty(d * width, dtype=complex), np.empty(d * width, dtype=complex))
-    a = np.empty((q, chi, m, n), dtype=complex)
-    for c0 in range(0, n, width):
-        y = _apply_y(np.ascontiguousarray(held[:, c0:c0 + width]), w, plan, bufs)
-        a[..., c0:c0 + width] = y.reshape(chi, q, m, -1).transpose(1, 0, 2, 3)
-    a = a.reshape(q, chi * m, n)
-    z = np.zeros((chi * m, chi * m), dtype=complex)
-    for s in range(q):
-        for c0 in range(0, chi * m, width):
-            y = _apply_y(dagger(a[s, c0:c0 + width]), w, plan, bufs)
-            rows = z[c0:c0 + width].reshape(-1, chi, m)
-            rows += y.reshape(chi, q, m, -1)[:, s].transpose(2, 0, 1).conj()
+def _traced_brickwork(x: np.ndarray, w: np.ndarray, gate: TwoSiteGate,
+                      l_r: int) -> np.ndarray:
+    """Z = Tr_0(Y X Y^dag) for Y = (I_chi (x) U_R)(w (x) I) and an n x n X,
+    as V T V^dag (``_period``): T by ``_site0_step``, then V by two
+    ``_brickwork_rows`` passes on row legs, V (V T)^dag and the conjugate
+    transpose of that, in T and one more (D/q) x (D/q) array."""
+    z = _site0_step(x, w, gate)
+    plan = _brickwork_plan(gate, [b - 1 for b in _period_bonds(l_r)[1:]], w.shape[0] // gate.q)
+    if plan:
+        free = np.empty_like(z)
+        for _ in range(2):
+            vz = _brickwork_rows(z, plan, (free, z))
+            z, free = (free if vz is z else z), vz
+            np.conjugate(vz.T, out=z)
+        del free, vz
     return z
 
 
@@ -355,33 +318,30 @@ def _period(s: JointState, cfg: EvolutionConfig) -> np.ndarray:
 
     On a ket state the brickwork runs on the vector, phi = (I_chi (x) U_R)
     psi by ``_brickwork_rows`` on one column, and Z = F F^dag with F = phi
-    as (chi m) x q.  Otherwise Y is applied by the cached gemm
-    (``range_rows``) when ``s`` holds the config's W and the channel
-    compresses ancilla (x) site 0 at least ``_RANGE_MIN_COMPRESSION``-fold:
-    A' = Y' X, taken as the conjugate of Y'^* X^*, and Z = A' Y'^dag with
-    the rows of Y' grouped by the level of site 0.  Else by
-    ``_traced_conjugation``.
+    as (chi m) x q.  On a range state Tr_0 is pushed through the brickwork
+    (``_traced_brickwork``): only the gate g on bond (0, 1) touches site 0,
+    so U_R = V g with V the other gates, (2,3),(4,5),... then
+    (1,2),(3,4),..., on ancilla (x) sites 1.., and Z = V T V^dag with the
+    site-0 step T = Tr_0((I_chi (x) g (x) I)(W_s (x) I) X (...)^dag).
     """
     chi, q, m = cfg.chi, cfg.q, cfg.q ** (cfg.l_r - 1)
-    w = cfg.channel.range_basis()
     if s._w is None:
         col = s._held.reshape(-1, 1)
-        plan = _brickwork_plan(cfg.gate, cfg.l_r, col.shape[0])
+        plan = _brickwork_plan(cfg.gate, _period_bonds(cfg.l_r), chi)
         phi = _brickwork_rows(col, plan, (np.empty_like(col), np.empty_like(col)))
         f = phi.reshape(chi, q, m).transpose(0, 2, 1).reshape(chi * m, q)
         z = f @ dagger(f)
-    elif s._w is w and chi * q >= _RANGE_MIN_COMPRESSION * w.shape[1]:
-        yc = cfg.range_rows()
-        a = yc.reshape(-1, s._held.shape[0]) @ s._held.conj()
-        np.conjugate(a, out=a)
-        z = a.reshape(yc.shape) @ yc.T
     else:
-        z = _traced_conjugation(s._held, s._w, cfg.gate, cfg.l_r)
+        z = _traced_brickwork(s._held, s._w, cfg.gate, cfg.l_r)
     return apply_channel(cfg.channel, z)
 
 
 def step(s: JointState, cfg: EvolutionConfig) -> JointState:
     """One Floquet period: subsystem brickwork, then the boundary channel.
+
+    The channel reads its input only through Tr_0, and of the brickwork
+    U_R = V g only the gate g on bond (0, 1) touches site 0, so the period
+    is M[U_R X U_R^dag] = N(V Tr_0(g X g^dag) V^dag) (``_period``).
 
     Trace and Hermiticity are monitored every step (the quantities that can
     drift under repeated products); the spectral positivity residual is

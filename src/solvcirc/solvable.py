@@ -24,6 +24,7 @@ from .linalg import (PAULI, apply_two_site, dagger, kron, max_abs, reduced_densi
 from .mps import Lpdo, MpsTensor, TwoSiteMps, left_block, physical_matrices
 
 IM_ENTRY_CAP = 2 ** 24
+_PAIR_BLOCK_ENTRIES = 2 ** 15  # see _solvable_left_detail
 
 
 @dataclass
@@ -46,8 +47,10 @@ class SolvabilityReport:
 
 def _solvable_left_detail(gate: TwoSiteGate, state: MpsTensor | TwoSiteMps | Lpdo):
     """(max-norm residual, worst pair (j, j', k, k'), largest Frobenius norm)
-    of the left condition, all pairs in one batched product; the worst pair
-    is the first maximum in (j, k, j', k') order, and NaN propagates."""
+    of the left condition, in batched products over blocks of pairs (rows of
+    x) whose arrays hold about ``_PAIR_BLOCK_ENTRIES`` entries each, and two
+    floats per pair; the worst pair is the first maximum in (j, k, j', k')
+    order, and NaN propagates."""
     q = gate.q
     stack = physical_matrices(state)  # (q, chi, chip)
     if stack.shape[0] != q:
@@ -55,16 +58,20 @@ def _solvable_left_detail(gate: TwoSiteGate, state: MpsTensor | TwoSiteMps | Lpd
     ur = reshuffle(gate.matrix, q)
     chi, chip = stack.shape[1], stack.shape[2]
     kets = stack.reshape(q, -1).T  # row j chip + k is |A_jk>
-    # x[m, n, a, c] = <a|A_m><A_n|c>, and the krons as broadcast products
-    x = kets[:, None, :, None] * kets.conj()[None, :, None, :]
-    iq = np.eye(q)
-    x_i = (x[:, :, :, None, :, None] * iq[:, None, :]).reshape(-1, q * q, q * q)
-    i_x = (iq[:, None, :, None] * x[:, :, None, :, None, :]).reshape(x_i.shape)
-    diff = ur @ x_i @ dagger(ur) - i_x
-    resid = np.abs(diff).reshape(len(diff), -1).max(axis=1)
+    iq, rows = np.eye(q), max(1, _PAIR_BLOCK_ENTRIES // (q ** 4 * len(kets)))
+    resid, fro = np.empty(len(kets) ** 2), np.empty(len(kets) ** 2)
+    for m0 in range(0, len(kets), rows):
+        # x[m, n, a, c] = <a|A_m><A_n|c>, and the krons as broadcast products
+        x = kets[m0:m0 + rows, None, :, None] * kets.conj()[None, :, None, :]
+        x_i = (x[:, :, :, None, :, None] * iq[:, None, :]).reshape(-1, q * q, q * q)
+        i_x = (iq[:, None, :, None] * x[:, :, None, :, None, :]).reshape(x_i.shape)
+        diff = ur @ x_i @ dagger(ur) - i_x
+        pairs = slice(m0 * len(kets), m0 * len(kets) + len(diff))
+        resid[pairs] = np.abs(diff).reshape(len(diff), -1).max(axis=1)
+        fro[pairs] = np.linalg.norm(diff, axis=(1, 2))
     i = int(np.argmax(resid))  # the first maximum, or the first NaN
     (j, k), (jp, kp) = (divmod(m, chip) for m in divmod(i, chi * chip))
-    return float(resid[i]), (j, jp, k, kp), float(np.linalg.norm(diff, axis=(1, 2)).max())
+    return float(resid[i]), (j, jp, k, kp), float(fro.max())
 
 
 def check_solvable_left(u: TwoSiteGate, a: MpsTensor | TwoSiteMps | Lpdo) -> float:

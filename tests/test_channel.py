@@ -147,6 +147,17 @@ class TestKrausFromMps:
         with pytest.raises(ValueError):
             kraus_from_mps(bad)
 
+    def test_superoperator_is_cached_and_read_only(self):
+        ch = kraus_from_mps(ghz_cluster_family(0.5, 2))
+        sup = ch.superoperator()
+        assert sup is ch.superoperator() and not sup.flags.writeable
+        before = sup.copy()
+        with pytest.raises(ValueError):
+            sup[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            sup.reshape(-1)[:] = 0.0
+        assert np.array_equal(ch.superoperator(), before)
+
 
 class TestKrausFromTwoSite:
     def test_cptp(self):

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from solvcirc import evolve
 from solvcirc.cli import build_engine, build_gate, build_mps, main
-from solvcirc.evolve import (BLOCK_LEVEL_CAP, EvolutionConfig,
-                             _brickwork_blocks, entanglement_entropy,
+from solvcirc.evolve import (BLOCK_LEVEL_CAP, EvolutionConfig, _brickwork_blocks,
+                             _period_bonds, brickwork_unitary, entanglement_entropy,
                              local_expectation, states, subsystem_density)
 from solvcirc.gates import random_gate
-from solvcirc.linalg import (PROBE_RESIDUAL_TOL, dagger, hermiticity_residual,
+from solvcirc.linalg import (PROBE_RESIDUAL_TOL, dagger, hermiticity_residual, kron,
                              make_rng, max_abs, min_eig_lower_bound, range_sketch,
                              von_neumann_entropy)
 from solvcirc.errors import PositivityError
@@ -82,20 +82,41 @@ def reference_expectation(s, site, op):
 
 class TestFusedPeriod:
     def test_plan_at_q2_l10(self):
-        spans = [(lo, hi - 1) for lo, hi, _ in _brickwork_blocks(2, 10)]
+        spans = [(lo, hi - 1) for lo, hi, _ in _brickwork_blocks(2, _period_bonds(10))]
         assert spans == [(0, 3), (4, 7), (7, 9), (3, 4)]
 
     @pytest.mark.parametrize("q", [2, 3, 4])
     @pytest.mark.parametrize("l_r", range(2, 12))
     def test_plan_covers_the_period_within_the_cap(self, q, l_r):
-        blocks = _brickwork_blocks(q, l_r)
-        gates = [x for _, _, xs in blocks for x in xs]
-        assert sorted(gates) == list(range(l_r - 1))
-        for lo, hi, xs in blocks:
-            assert q ** (hi - lo) <= BLOCK_LEVEL_CAP
-            assert lo == min(xs) and hi == max(xs) + 2
-        if q >= 3:  # no two gates fit one block
-            assert all(len(xs) == 1 for _, _, xs in blocks)
+        # the period's bonds, and V's: the gates off site 0 on sites 1..,
+        # (2,3),(4,5),... then (1,2),(3,4),..., relabelled from 0 (none at
+        # l_r = 2)
+        bonds = _period_bonds(l_r)
+        v_bonds = [x - 1 for x in bonds[1:]]
+        assert bonds[0] == 0 and (v_bonds == []) == (l_r == 2)
+        for xs, sites in ((bonds, l_r), (v_bonds, l_r - 1)):
+            blocks = _brickwork_blocks(q, xs)
+            gates = [x for _, _, bxs in blocks for x in bxs]
+            assert sorted(gates) == list(range(sites - 1))
+            for lo, hi, bxs in blocks:
+                assert q ** (hi - lo) <= BLOCK_LEVEL_CAP
+                assert lo == min(bxs) and hi == max(bxs) + 2 <= sites
+            if q >= 3:  # no two gates fit one block
+                assert all(len(bxs) == 1 for _, _, bxs in blocks)
+
+    @pytest.mark.parametrize("q,l_r", [(2, 2), (2, 3), (2, 7), (3, 4), (4, 3)])
+    def test_v_after_the_site0_gate_is_the_period(self, q, l_r):
+        # U_R = V (g (x) I): V's plan, on sites 1.. below ancilla (x) site 0,
+        # applied after the gate g on bond (0, 1) is the whole period
+        rng = make_rng(49)
+        gate = random_gate("haar", rng, q=q)
+        chi, m = 2, q ** (l_r - 1)
+        x = rng.standard_normal((chi * q * m, 3)) + 1j * rng.standard_normal((chi * q * m, 3))
+        gx = kron(np.eye(chi), gate.matrix, np.eye(m // q)) @ x
+        plan = evolve._brickwork_plan(gate, [b - 1 for b in _period_bonds(l_r)[1:]], chi * q)
+        got = evolve._brickwork_rows(gx, plan, (np.empty_like(x), np.empty_like(x)))
+        want = kron(np.eye(chi), brickwork_unitary(gate, l_r)) @ x
+        assert max_abs(got - want) < 1e-13
 
     @settings(max_examples=40, deadline=None)
     @given(family_q=st.sampled_from(sorted(GATE_FAMILIES)).flatmap(

@@ -19,6 +19,7 @@ from solvcirc.mps import (ghz_cluster_family, product_state_mps, random_left_can
                           random_lpdo)
 from test_channel import reference_apply_channel, trace_site0
 from test_linalg import partial_trace
+from test_oracle import traced_peak
 
 
 def product_right_kets(chi, q, l_r, level):
@@ -91,8 +92,7 @@ class TestConfig:
 
     def test_holds_no_density_sized_array(self):
         cfg = saturation_config(tmax=2)
-        step(step(initial_joint_state(cfg), cfg), cfg)  # caches W, the input Kraus set and Y'^*
-        assert cfg._y is not None
+        step(step(initial_joint_state(cfg), cfg), cfg)  # caches W
         d = cfg.chi * cfg.q ** cfg.l_r
         assert max(_array_sizes(cfg)) < d * d
 
@@ -197,16 +197,16 @@ def dense_conjugation(rho, gate, chi, l_r):
     return u @ rho @ dagger(u)
 
 
-def fused_conjugation(rho, gate, l_r, w=None):
-    """Y rho Y^dag by the engine's matrix-free kernel, Y = (I_chi (x) U_R)
-    (w (x) I), or I_chi (x) U_R without ``w``: Y on the row legs twice,
-    (Y (Y rho)^dag)^dag, through ``evolve._apply_y``."""
-    w = np.eye(gate.q) if w is None else w
-    d = w.shape[0] * rho.shape[0] // w.shape[1]
-    plan = evolve._brickwork_plan(gate, l_r, d)
-    bufs = (np.empty(d * d, dtype=complex), np.empty(d * d, dtype=complex))
-    half = evolve._apply_y(np.ascontiguousarray(rho), w, plan, bufs).copy()
-    return dagger(evolve._apply_y(dagger(half), w, plan, bufs)).copy()
+def fused_conjugation(rho, gate, l_r):
+    """U rho U^dag, U = I_chi (x) U_R, by the engine's local-gate kernel: U
+    on the row legs twice, (U (U rho)^dag)^dag, through
+    ``evolve._brickwork_rows`` on the plan of the period's bonds."""
+    plan = evolve._brickwork_plan(gate, evolve._period_bonds(l_r), rho.shape[0] // gate.q ** l_r)
+    m = np.ascontiguousarray(rho)
+    for _ in range(2):
+        m = evolve._brickwork_rows(m, plan, (np.empty_like(m), np.empty_like(m)))
+        m = np.ascontiguousarray(dagger(m))
+    return m
 
 
 def random_hermitian(d, rng):
@@ -300,7 +300,7 @@ def wide_config(tmax=2):
 
 
 def q4_wide_config(tmax=2):
-    """q=4, chi=4, L_R=4: D = 1024, sigma on n = 256 by the cached gemm."""
+    """q=4, chi=4, L_R=4: D = 1024, sigma on n = 256."""
     rng = make_rng(7)
     kets = rng.standard_normal((4, 4 ** 4)) + 1j * rng.standard_normal((4, 4 ** 4))
     return EvolutionConfig(random_gate("swap", rng, q=4), random_left_canonical(4, 4, rng),
@@ -308,8 +308,7 @@ def q4_wide_config(tmax=2):
 
 
 def q3_config(tmax=2):
-    """q=3, chi=2, L_R=5: D = 486.  The channel compresses ancilla (x) site 0
-    only 3-fold (chi q / r = 6 / 2), so Y is applied matrix-free."""
+    """q=3, chi=2, L_R=5: D = 486, sigma on n = 162."""
     gate = random_gate("general", make_rng(4), q=3, qt=2)
     return EvolutionConfig(gate, ghz_cluster_family(0.6, 3),
                            product_right_kets(2, 3, 5, 1), 5, tmax)
@@ -344,25 +343,25 @@ def reference_period(s, cfg):
 
 class TestTracedPeriod:
     """The period applies the channel to Z = Tr_0(Y X Y^dag), formed on
-    (D/q)^2 entries, by each of its three routes."""
+    (D/q)^2 entries: from the ket on row t=0, then with Tr_0 pushed through
+    the brickwork."""
 
-    @pytest.mark.parametrize("make_cfg", [saturation_config, q3_config, wide_config, lpdo_config])
+    @pytest.mark.parametrize("make_cfg", [saturation_config, q3_config, wide_config,
+                                          lpdo_config, q4_wide_config])
     def test_matches_the_reference_period(self, make_cfg, monkeypatch):
         cfg = make_cfg(tmax=3)
-        w = cfg.channel.range_basis()
-        gemm = cfg.chi * cfg.q >= evolve._RANGE_MIN_COMPRESSION * w.shape[1]
-        assert gemm == (make_cfg is saturation_config)
-        routes = []
-        real = evolve._traced_conjugation
-        monkeypatch.setattr(evolve, "_traced_conjugation",
-                            lambda *a: routes.append("free") or real(*a))
+        traced = []
+        real = evolve._traced_brickwork
+        monkeypatch.setattr(evolve, "_traced_brickwork",
+                            lambda *a: traced.append(a[0].shape) or real(*a))
         prev = None
         for s in states(cfg):
             if prev is not None:
                 assert max_abs(s._held - reference_period(prev, cfg)) < 1e-14
             prev = s
-        # one ket period, then the gemm or the matrix-free route
-        assert routes == ([] if gemm else ["free"] * 2)
+        # one ket period, then the range route on sigma
+        n = cfg.channel.range_basis().shape[1] * cfg.q ** (cfg.l_r - 1)
+        assert traced == [(n, n)] * 2
 
 
 class TestEngineBuffers:
@@ -370,26 +369,28 @@ class TestEngineBuffers:
 
     def test_conjugation_runs_in_its_two_buffers(self, monkeypatch):
         # Tr_0(Y m Y^dag), lifted by a non-isometric w, on a non-Hermitian
-        # input, with column blocks that do not divide the width (18 = 10 + 8)
-        rng = make_rng(50)
-        gate = random_gate("haar", rng, q=3)
-        w = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
-        m = rng.standard_normal((18, 18)) + 1j * rng.standard_normal((18, 18))
-        before = m.copy()
-        y = kron(np.eye(2), brickwork_unitary(gate, 3)) @ kron(w, np.eye(9))
-        want = trace_site0(y @ m @ dagger(y), 2, 3)
-        for share in (16, 5, 1):
-            monkeypatch.setattr(evolve, "_PASS_SHARE", share)
-            assert max_abs(evolve._traced_conjugation(m, w, gate, 3) - want) < 1e-12
-        assert np.array_equal(m, before)
-        # each block of Y is applied in the heads of the two pass arrays
-        bufs = (np.empty(54 * 10, dtype=complex), np.empty(54 * 10, dtype=complex))
-        plan = evolve._brickwork_plan(gate, 3, 54)
-        out = evolve._apply_y(np.ascontiguousarray(m[:, :8]), w, plan, bufs)
-        assert any(np.shares_memory(out, b) for b in bufs) and out.shape == (54, 8)
-        assert max_abs(out - y @ m[:, :8]) < 1e-12
-
-
+        # input (q=3, chi=2); V (the gates off site 0) runs twice on T's row
+        # legs, in T and one more array, and at l_r = 2 V is empty and Z = T
+        calls = []
+        real = evolve._brickwork_rows
+        monkeypatch.setattr(evolve, "_brickwork_rows",
+                            lambda a, plan, bufs: calls.append((a, bufs)) or real(a, plan, bufs))
+        for l_r in (2, 3, 4):
+            rng = make_rng(50 + l_r)
+            gate = random_gate("haar", rng, q=3)
+            w = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+            n = 2 * 3 ** (l_r - 1)
+            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            before = m.copy()
+            y = kron(np.eye(2), brickwork_unitary(gate, l_r)) @ kron(w, np.eye(n // 2))
+            calls.clear()
+            z = evolve._traced_brickwork(m, w, gate, l_r)
+            assert max_abs(z - trace_site0(y @ m @ dagger(y), 2, 3)) < 1e-12
+            assert np.array_equal(m, before)
+            bufs = {id(b): b for _, pair in calls for b in pair}
+            assert len(calls) == len(bufs) == (0 if l_r == 2 else 2)
+            assert all(id(a) in bufs for a, _ in calls)
+            assert l_r == 2 or any(z is b for b in bufs.values())
 
     def test_two_steps_of_one_state_share_no_memory(self):
         cfg = q3_config(tmax=2)
@@ -447,13 +448,12 @@ class TestEngineBuffers:
         assert held <= 16 * d + 2 ** 10
 
     def test_memory_budget_at_d1024(self):
-        # D = 1024: q=2 by the matrix-free route (n = D/2), q=4 by the
-        # cached gemm (n = D/4, built before tracing).  Neither a step nor
-        # the diagnostics of the state it returns allocate D^2 entries in
-        # all, and a stepped state holds sigma alone.
+        # D = 1024: q=2 (n = D/2) and q=4 (n = D/4), no cache filled before
+        # tracing.  Neither a step nor the diagnostics of the state it
+        # returns allocate D^2 entries in all, and a stepped state holds
+        # sigma alone.
         for make_cfg in (wide_config, q4_wide_config):
             cfg = make_cfg(tmax=3)
-            cfg.range_rows()
             s = initial_joint_state(cfg)
             d = s._held.shape[0]
             assert d == 1024
@@ -476,6 +476,31 @@ class TestEngineBuffers:
             assert max(peaks) < 16 * d * d
             assert max(carried) == 16 * n * n
 
+    @pytest.mark.parametrize("chi,l_r", [(8, 2), (8, 3), (16, 2), (16, 3)])
+    def test_period_peak_at_a_wide_bond(self, chi, l_r):
+        # q=4 and a random MPS of bond chi (r = chi): one period of a range
+        # state, on a config with no cache filled (W is built inside), peaks
+        # within 3 (n^2 + (D/q)^2) entries plus 2 MiB.  A site-0 step by the
+        # local analogue of apply_channel's S, (chi q)^2 (r q)^2 entries, or
+        # with H_s^* copied for every row, (D/q)(chi q)(r q), exceeds it
+        def config():
+            rng = make_rng(70)
+            kets = rng.standard_normal((chi, 4 ** l_r)) + 1j * rng.standard_normal((chi, 4 ** l_r))
+            return EvolutionConfig(random_gate("swap", rng, q=4),
+                                   random_left_canonical(4, chi, rng), kets, l_r, 1)
+        stepped = config()
+        s = step(initial_joint_state(stepped), stepped)
+        cfg = config()
+        d, n = chi * 4 ** l_r, s._held.shape[0]
+        assert n == chi * 4 ** (l_r - 1) and cfg.channel._range is None
+        got = []
+        peak = traced_peak(lambda: got.append(evolve._period(s, cfg)))
+        bound = 16 * 3 * (n * n + (d // 4) ** 2) + 2 * 2 ** 20
+        assert peak < bound
+        assert 16 * (chi * 4) ** 2 * (chi * 4) ** 2 > bound
+        if chi == 16:
+            assert 16 * (d // 4) * (chi * 4) ** 2 > bound
+        assert np.array_equal(got[0], evolve._period(s, stepped))
 
     def test_chi1_entropy_forms_no_rho_r(self):
         # chi = 1: rho_R is the D x D joint state, but S_ent of a certified

@@ -1,8 +1,8 @@
 """Range states: every stepped joint state is held as sigma in the boundary
-channel's output range, rho = (W (x) I) sigma (W (x) I)^dag.  A period
-applies Y = (I_chi (x) U_R)(W (x) I) as the cached D x n gemm when the
-channel compresses ancilla (x) site 0 at least 4-fold (q = 4 at r = chi),
-and matrix-free otherwise."""
+channel's output range, rho = (W (x) I) sigma (W (x) I)^dag.  A period of
+a range state forms Z = Tr_0(Y sigma Y^dag), Y = (I_chi (x) U_R)(W (x) I),
+by one route whatever the shape: the site-0 step of the gate on bond
+(0, 1), then the rest of the brickwork, which never touches site 0."""
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -19,7 +19,7 @@ from solvcirc.mps import (MpsTensor, ghz_cluster_family, product_state_mps,
                           random_lpdo, two_site_from_pair)
 from solvcirc.oracle import ChainSpec, evolve_chain
 from solvcirc.solvable import check_solvable_left
-from test_evolve import dense_state, reference_step_rho
+from test_evolve import dense_state, reference_period, reference_step_rho
 
 # gate family -> the local dimensions it is drawn at
 FAMILIES = {"swap": (2, 3, 4), "general": (2, 3, 4), "q2_qt2": (2,),
@@ -73,12 +73,12 @@ def dense_rhos(cfg):
     return out
 
 
-def gemm_states(cfg):
-    """The states of ``cfg`` and how many periods applied Y as the cached
-    gemm (each such period reads ``cfg.range_rows()`` once)."""
+def traced_states(cfg, monkeypatch):
+    """The states of ``cfg`` and how many periods formed Z by
+    ``evolve._traced_brickwork``."""
     calls = []
-    real = cfg.range_rows
-    cfg.range_rows = lambda: calls.append(1) or real()
+    real = evolve._traced_brickwork
+    monkeypatch.setattr(evolve, "_traced_brickwork", lambda *a: calls.append(1) or real(*a))
     return list(states(cfg)), len(calls)
 
 
@@ -101,12 +101,7 @@ class TestRangeRoute:
         family, q = family_q
         cfg = case(family, q, kind, chi, seed)
         w = cfg.channel.range_basis()
-        held, gemms = gemm_states(cfg)
-        # Y is the cached gemm on every period after the first (which steps
-        # the ket of rho(0)) exactly when chi q >= 4 r
-        assert gemms == (cfg.tmax - 1) * (cfg.chi * cfg.q >= 4 * w.shape[1])
-        if q == 2 or w.shape[1] == cfg.chi * cfg.q:
-            assert gemms == 0
+        held = list(states(cfg))
         for s, ref in zip(held, dense_rhos(cfg)):
             if s.t >= 1:
                 assert outside_range(w, ref) <= 1e-13
@@ -154,21 +149,28 @@ class TestRangeRoute:
             assert (s._w is not None) == (s.t >= 1)
             assert trace_distance(oracle_rho, subsystem_density(s)) < 1e-10
 
-    @pytest.mark.parametrize("kind,q,chi,route", [
+    @pytest.mark.parametrize("kind,q,chi,compressing", [
         ("mps", 4, 2, True), ("mps", 4, 1, True), ("two_site", 4, 2, True),
         ("mps", 3, 2, False), ("mps", 2, 2, False), ("two_site", 2, 2, False)])
-    def test_route_rule(self, kind, q, chi, route):
-        # route: whether Y is the cached gemm (chi q >= 4 r)
+    def test_route_rule(self, kind, q, chi, compressing, monkeypatch):
+        # one route whatever the shape: a channel that compresses ancilla
+        # (x) site 0 at least 4-fold (chi q >= 4 r) once took a cached gemm
+        # of Y instead, and now steps every range state as any other does
         rng = make_rng(60)
         left = left_state(kind, q, chi, rng)
         kets = np.ones((left.chi, q ** 2))
         cfg = EvolutionConfig(random_gate("swap", rng, q=q), left, kets, 2, 2)
-        held, gemms = gemm_states(cfg)
-        assert gemms == int(route)
-        assert all(s._w is cfg.channel.range_basis() for s in held[1:])
+        w = cfg.channel.range_basis()
+        assert (cfg.chi * q >= 4 * w.shape[1]) == compressing
+        held, traced = traced_states(cfg, monkeypatch)
+        assert traced == cfg.tmax - 1  # every period after the ket of rho(0)
+        assert all(s._w is w for s in held[1:])
+        for s, ref in zip(held[1:], dense_rhos(cfg)[1:]):
+            assert max_abs(s.rho - ref) <= 1e-13
 
-    def test_full_rank_lpdo_never_takes_the_route(self):
-        # r = chi q: sigma has n = D and Y is applied matrix-free
+    def test_full_rank_lpdo_steps_at_n_equal_d(self, monkeypatch):
+        # r = chi q: sigma has n = D, and the site-0 step lifts it by a
+        # square W
         rng = make_rng(61)
         for q in (2, 3, 4):
             lpdo = random_lpdo(q, 2, q, rng)
@@ -176,11 +178,26 @@ class TestRangeRoute:
             cfg = EvolutionConfig(random_gate("swap", rng, q=q), lpdo, kets, 2, 3)
             w = cfg.channel.range_basis()
             assert w.shape == (2 * q, 2 * q)
-            held, gemms = gemm_states(cfg)
-            assert gemms == 0
+            held, traced = traced_states(cfg, monkeypatch)
+            assert traced == cfg.tmax - 1
             for s, ref in zip(held[1:], dense_rhos(cfg)[1:]):
                 assert s._w is w and s._held.shape == ref.shape
                 assert max_abs(s.rho - ref) <= 1e-13
+
+    @pytest.mark.parametrize("l_r", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["mps", "two_site", "lpdo"])
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_every_shape_matches_the_reference_period(self, q, kind, l_r):
+        # the dense period (D x D Y X Y^dag, channel and projection) is the
+        # arbiter for every q, left state and parity of l_r; a general gate
+        # where the pair is solvable, else SWAP
+        family = "general" if kind != "lpdo" or q == 2 else "swap"
+        cfg = fixed_case(family, q, kind, 2, 62 + q, l_r=l_r, tmax=3)
+        prev = None
+        for s in states(cfg):
+            if prev is not None:
+                assert max_abs(s._held - reference_period(prev, cfg)) < 1e-14
+            prev = s
 
     def test_range_basis_is_shared_and_read_only(self):
         cfg = EvolutionConfig(random_gate("general", make_rng(69), q=4, qt=2),

@@ -7,13 +7,14 @@ from solvcirc.errors import CapacityError
 from solvcirc.gates import TwoSiteGate, random_gate, swap_conjugate, swap_matrix
 from solvcirc.linalg import dagger, kron, make_rng, max_abs, reshuffle
 from solvcirc.mps import (ghz_cluster_family, physical_matrices, product_state_mps,
-                          random_lpdo, two_site_from_pair, MpsTensor)
+                          random_left_canonical, random_lpdo, two_site_from_pair, MpsTensor)
 from solvcirc.solvable import (_solvable_left_detail, build_influence_matrix_dense,
                                build_influence_matrix_open,
                                check_solvable_left, check_solvable_right,
                                check_soliton, influence_matrix_bruteforce,
                                solvability_report, spatial_transfer_apply,
                                verify_im_fixed_point)
+from test_oracle import traced_peak
 
 
 def swap_gate(q=2):
@@ -90,6 +91,20 @@ class TestBatchedLeftCheck:
         # the same products, so the same max-norm bits and the same first maximum
         assert (worst, pair) == want[:2]
         assert abs(fro - want[2]) <= 1e-15 * max(1.0, want[2])
+
+    def test_pair_blocks_bound_the_memory(self):
+        # q = 4, chi = 8: 4096 pairs in 32 blocks of 128.  All pairs at once
+        # held arrays of 4096 q^4 entries (16 MiB each, a 65 MiB peak)
+        rng = make_rng(12)
+        gate = random_gate("general", rng, q=4, qt=2)
+        state = random_left_canonical(4, 8, rng)
+        got = []
+        peak = traced_peak(lambda: got.append(_solvable_left_detail(gate, state)))
+        assert peak < 4 * 2 ** 20
+        worst, pair, fro = got[0]
+        want = loop_left_detail(gate, state)
+        assert worst > 0.1 and (worst, pair) == want[:2]
+        assert abs(fro - want[2]) <= 1e-15 * want[2]
 
     def test_nan_propagates(self):
         gate = swap_gate(2)
