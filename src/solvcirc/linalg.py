@@ -171,7 +171,10 @@ def min_eig_lower_bound(h: np.ndarray,
 
 
 def require_finite(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
+    """m as float64 if it is float64, else as complex128; ValueError if an
+    entry is not finite."""
+    m = np.asarray(m)
+    m = np.asarray(m, dtype=float if m.dtype == np.float64 else complex)
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
     return m

@@ -104,11 +104,12 @@ def subspace_dimension(t: MpsTensor) -> int:
 
 
 def left_block(a: MpsTensor, n: int) -> np.ndarray:
-    """[A^(a_1) ... A^(a_n)]_{m j} stacked as (chi, q^n, chi)."""
-    block = np.eye(a.chi, dtype=complex).reshape(a.chi, 1, a.chi)
+    """[A^(a_1) ... A^(a_n)]_{m j} stacked as (chi, q^n, chi), a gemm a site."""
+    block = np.eye(a.chi, dtype=complex)
+    row = a.mats.transpose(1, 0, 2).reshape(a.chi, -1)
     for _ in range(n):
-        block = np.einsum('mxi,aij->mxaj', block, a.mats).reshape(a.chi, -1, a.chi)
-    return block
+        block = block.reshape(-1, a.chi) @ row
+    return block.reshape(a.chi, -1, a.chi)
 
 
 def ghz_cluster_family(theta: float, q: int) -> MpsTensor:

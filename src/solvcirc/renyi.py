@@ -37,7 +37,8 @@ class PairingVector:
 
 @dataclass
 class ReplicaTransferMatrix:
-    """The chi^{2n} x chi^{2n} two-site map T = M_diamond @ M_dot."""
+    """The chi^{2n} x chi^{2n} two-site map T = M_diamond @ M_dot; ``matrix``
+    is float64 for a real tensor and complex128 otherwise."""
 
     n: int
     chi: int
@@ -67,6 +68,18 @@ def _require_both_canonical(a: MpsTensor):
             f"tensor must be left- and right-canonical (residuals {lres:.2e}, {rres:.2e})")
 
 
+def _field_mats(a: MpsTensor) -> np.ndarray:
+    """The tensor's (q, chi, chi) stack in its own field: float64 when every
+    imaginary part is zero, complex128 otherwise."""
+    return a.mats if a.mats.imag.any() else a.mats.real
+
+
+def _folded_site(mats: np.ndarray) -> np.ndarray:
+    """E = sum_a A^(a) (x) A^(a)*, rows (a, a'), columns (c, c')."""
+    chi = mats.shape[1]
+    return np.einsum('aij,akl->ikjl', mats, mats.conj()).reshape(chi * chi, -1)
+
+
 def transfer_matrix(a: MpsTensor, n: int) -> ReplicaTransferMatrix:
     """Two-site replica transfer matrix T = M_diamond @ M_dot.
 
@@ -74,8 +87,13 @@ def transfer_matrix(a: MpsTensor, n: int) -> ReplicaTransferMatrix:
     the diamond-dressed site precedes (left factor), matching the boundary
     contraction <dot| T^{2t} |diamond> pinned by the chain oracle.  Both
     factors are built from E = sum_a A^(a) (x) A^(a)*: M_dot = E^(x)n, and
-    M_diamond is G = E* on each leg pair (a'_m, a_{m+1}), i.e. G^(x)n after
-    shifting the 2n row legs cyclically by one place.
+    M_diamond is G = E* on each leg pair (a'_m, a_{m+1}), cyclically.  G on
+    the wrap pair (a'_n, a_1) folds into F = G_wrap (E_1 (x) E_n), rows
+    (a_1 a'_1 a_n a'_n), columns (c_1, c_n) (G_wrap E at n = 1), and G on the
+    pairs inside replicas 2..n-1 into the middle E^(x)(n-2); T is written
+    once as their broadcast product, and G on the first and last adjacent
+    pairs is one batched matmul each.  ``matrix`` is float64 for a real
+    tensor and complex128 otherwise.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -85,22 +103,18 @@ def transfer_matrix(a: MpsTensor, n: int) -> ReplicaTransferMatrix:
         raise CapacityError(f"transfer dimension chi^(2n) = {dim} "
                             f"exceeds cap {TRANSFER_DIM_CAP}")
     d2 = chi * chi
-    e = np.einsum('aij,akl->ikjl', a.mats, a.mats.conj()).reshape(d2, d2)
-    # M_dot = E^(x)n, its row legs (a_1, a'_1, ..., a'_n) moved to
-    # (a'_1, a_2, ..., a'_n, a_1) so that G acts on adjacent pairs
-    x = reduce(np.kron, [e] * n).reshape(chi, -1, dim)
-    x = np.ascontiguousarray(x.swapaxes(0, 1))
+    e = _folded_site(_field_mats(a))
     g = e.conj()
-    for k in range(n):
-        x = np.matmul(g, x.reshape(d2 ** k, d2, -1))
-    x = x.reshape(-1, chi, dim).swapaxes(0, 1).reshape(dim, dim)
-    return ReplicaTransferMatrix(n, chi, a.q, x)
-
-
-def _bond_pairings(a: MpsTensor, n: int) -> tuple[np.ndarray, np.ndarray]:
-    dot = pairing_vector("dot", n, a.chi).vector.astype(complex)
-    dia = pairing_vector("diamond", n, a.chi).vector.astype(complex)
-    return dot, dia
+    edge = reduce(np.kron, [e] * min(n, 2)).reshape(chi, -1, chi, d2 ** min(n, 2))
+    f = np.einsum('pqrs,smrc->qmpc', g.reshape((chi,) * 4), edge)
+    rim, side = d2 ** (min(n, 2) - 1), chi ** max(2 * n - 4, 0)
+    mid = reduce(np.kron, [e] * (n - 2), np.ones((1, 1), dtype=e.dtype))
+    for k in range(n - 3):
+        mid = np.matmul(g, mid.reshape(chi ** (2 * k + 1), d2, -1))
+    x = f.reshape(d2, 1, rim, d2, 1, rim) * mid.reshape(1, side, 1, 1, side, 1)
+    for m in range(1, n, max(n - 2, 1)):  # m = 1 and m = n - 1
+        x = np.matmul(g, x.reshape(chi ** (2 * m - 1), d2, -1))
+    return ReplicaTransferMatrix(n, chi, a.q, x.reshape(dim, dim))
 
 
 def renyi_trace_via_transfer(a: MpsTensor, n: int, t: int) -> float:
@@ -110,11 +124,10 @@ def renyi_trace_via_transfer(a: MpsTensor, n: int, t: int) -> float:
     if t < 0:
         raise ValueError("t must be >= 0")
     tm = transfer_matrix(a, n)
-    dot, dia = _bond_pairings(a, n)
-    v = dia
+    v = pairing_vector("diamond", n, a.chi).vector
     for _ in range(2 * t):
         v = tm.matrix @ v
-    val = complex(dot @ v)
+    val = complex(pairing_vector("dot", n, a.chi).vector @ v)
     if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
         raise DominanceError(f"transfer overlap has imaginary part {val.imag:.2e}")
     return float(val.real)
@@ -161,7 +174,8 @@ def _temporal_rho_odd(a: MpsTensor, t: int) -> np.ndarray:
 
     |phi> carries 4t physical legs plus bond legs at both ends; the left bond
     joins the even (traced) part E, the right bond the odd part O.  Built
-    unnormalized: <phi|phi> = chi, so Tr[rho_O] = chi.  Contracted site by
+    unnormalized, in the tensor's field (float64 for a real tensor):
+    <phi|phi> = chi, so Tr[rho_O] = chi.  Contracted site by
     site on x[(ket odd legs), (bra odd legs), (b, b')] from the traced left
     bond x = I: each odd site appends A to the ket and A* to the bra, and the
     even site after it is traced by E = sum_a A^(a) (x) A^(a)*, one matmul by
@@ -171,9 +185,10 @@ def _temporal_rho_odd(a: MpsTensor, t: int) -> np.ndarray:
     amps = chi * chi * q ** (4 * t)
     if amps > TEMPORAL_AMPLITUDE_CAP:
         raise CapacityError(f"temporal state would hold {amps} amplitudes")
-    e = np.einsum('aij,akl->ikjl', a.mats, a.mats.conj()).reshape(chi, chi, -1)
-    f = np.einsum('aij,bkl,jlm->ikabm', a.mats, a.mats.conj(), e).reshape(chi * chi, -1)
-    x, o = np.eye(chi, dtype=complex).reshape(1, -1), 1
+    mats = _field_mats(a)
+    e = _folded_site(mats).reshape(chi, chi, -1)
+    f = np.einsum('aij,bkl,jlm->ikabm', mats, mats.conj(), e).reshape(chi * chi, -1)
+    x, o = np.eye(chi, dtype=mats.dtype).reshape(1, -1), 1
     for _ in range(2 * t):
         x = (x @ f).reshape(o, o, q, q, -1).transpose(0, 2, 1, 3, 4).reshape(-1, chi * chi)
         o *= q

@@ -8,8 +8,8 @@ from solvcirc.linalg import (_PROBE_WIDTH, PAULI, apply_two_site, dagger,
                              expm_hermitian_generator, haar_unitary,
                              hermiticity_residual, isometry_residual, kron,
                              make_rng, max_abs, min_eig_lower_bound,
-                             reduced_density, renyi_trace, reshuffle,
-                             trace_distance, von_neumann_entropy)
+                             reduced_density, renyi_trace, require_finite,
+                             reshuffle, trace_distance, von_neumann_entropy)
 
 def partial_trace(rho, dims, keep):
     """Trace out all tensor factors except those in ``keep``: the dense
@@ -174,6 +174,43 @@ class TestEntropies:
     def test_renyi_rejects_small_n(self):
         with pytest.raises(ValueError):
             renyi_trace(np.eye(2) / 2, 1)
+
+    def test_real_input_stays_real(self):
+        # a real symmetric rho takes the float64 route; its entropy and
+        # traces agree with those of the same matrix held as complex128
+        x = make_rng(8).standard_normal((6, 3))
+        rho = x @ x.T
+        rho /= np.trace(rho)
+        assert abs(von_neumann_entropy(rho)
+                   - von_neumann_entropy(rho.astype(complex))) < 1e-14
+        for n in (2, 3, 4, 5):
+            assert abs(renyi_trace(rho, n) - renyi_trace(rho.astype(complex), n)) < 1e-15
+
+
+class TestRequireFinite:
+    def test_float64_kept(self):
+        m = np.eye(3)
+        out = require_finite(m)
+        assert out.dtype == np.float64 and out is m
+
+    @pytest.mark.parametrize("m", [np.eye(2, dtype=int), np.eye(2, dtype=np.float32),
+                                   [[1, 0], [0, 1]], np.eye(2, dtype=complex)])
+    def test_other_dtypes_become_complex(self, m):
+        out = require_finite(m)
+        assert out.dtype == np.complex128
+        assert np.array_equal(out, np.eye(2))
+
+    def test_complex128_not_copied(self):
+        m = np.eye(3, dtype=complex)
+        assert require_finite(m) is m
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_non_finite_refused(self, bad):
+        for dtype in (float, complex) if np.isreal(bad) else (complex,):
+            m = np.eye(2, dtype=dtype)
+            m[0, 1] = bad
+            with pytest.raises(ValueError, match="rho contains non-finite"):
+                require_finite(m, "rho")
 
 
 def random_psd(dim, rank, rng):

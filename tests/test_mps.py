@@ -4,7 +4,7 @@ import pytest
 from solvcirc.linalg import haar_unitary, make_rng, max_abs
 from solvcirc.mps import (Lpdo, MpsTensor, check_left_canonical,
                           check_right_canonical, check_two_site_canonical,
-                          ghz_cluster_family, lpdo_check_canonical,
+                          ghz_cluster_family, left_block, lpdo_check_canonical,
                           product_state_mps, random_left_canonical,
                           random_lpdo, subspace_dimension, two_site_from_pair)
 
@@ -95,6 +95,35 @@ class TestFamilies:
             product_state_mps([0, 0])
         with pytest.raises(ValueError):
             product_state_mps([1, 1])
+
+
+def reference_left_block(a, n):
+    """[A^(a_1) ... A^(a_n)]_{m j}, one matrix product per level tuple."""
+    out = np.zeros((a.chi, a.q ** n, a.chi), dtype=complex)
+    for k, levels in enumerate(np.ndindex(*(a.q,) * n)):
+        m = np.eye(a.chi, dtype=complex)
+        for x in levels:
+            m = m @ a.mats[x]
+        out[:, k] = m
+    return out
+
+
+class TestLeftBlock:
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    def test_matches_reference(self, n):
+        tensors = [cluster_q2(), ghz_cluster_family(0.4, 3),
+                   random_left_canonical(3, 4, make_rng(6))]
+        for a in tensors:
+            got = left_block(a, n)
+            ref = reference_left_block(a, n)
+            assert got.shape == ref.shape == (a.chi, a.q ** n, a.chi)
+            assert max_abs(got - ref) <= 1e-14
+
+    def test_ghz_exact(self):
+        # sparse 2 x 2 factors: every entry is one product, so the gemm
+        # gives the reference bit for bit
+        a = cluster_q2()
+        assert np.array_equal(left_block(a, 8), reference_left_block(a, 8))
 
 
 class TestTwoSite:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,18 @@ def haar_site(chi, q, seed):
     rng = make_rng(seed)
     return MpsTensor(q, chi, np.stack([haar_unitary(chi, rng) for _ in range(q)])
                      / np.sqrt(q))
+
+
+def gauge_phased(a, phi):
+    """A'^(a) = D A^(a) D^dag with D = diag(1, e^{i phi}, ...): the same state
+    in another bond gauge, with complex entries."""
+    d = np.exp(1j * phi * (np.arange(a.chi) > 0))
+    return MpsTensor(a.q, a.chi, d[:, None] * a.mats * d.conj()[None, :])
+
+
+def field_dtype(a):
+    """float64 for a tensor with no imaginary part, complex128 otherwise."""
+    return np.dtype(complex if a.mats.imag.any() else float)
 
 
 def reference_pairing_vector(kind, n, q):
@@ -74,6 +88,7 @@ def assert_matches_reference(a, n):
     ref = reference_transfer_matrix(a, n)
     got = transfer_matrix(a, n).matrix
     assert got.shape == ref.shape
+    assert got.dtype == field_dtype(a)
     assert max_abs(got - ref) <= 1e-12 * max_abs(ref)
 
 
@@ -200,10 +215,31 @@ class TestFactorisedBuild:
 
     @settings(max_examples=25, deadline=None)
     @given(theta=st.floats(0.05, np.pi / 4), q=st.sampled_from([2, 3, 4]),
-           seed=st.integers(0, 2 ** 31 - 1), n=st.integers(1, 3))
-    def test_property_sweep(self, theta, q, seed, n):
-        assert_matches_reference(ghz_cluster_family(theta, q), n)
+           seed=st.integers(0, 2 ** 31 - 1), n=st.integers(1, 3),
+           phi=st.floats(0.1, 2 * np.pi - 0.1))
+    def test_property_sweep(self, theta, q, seed, n, phi):
+        # a real tensor, its gauge-phased complex copy and a complex Haar site
+        mps = ghz_cluster_family(theta, q)
+        assert_matches_reference(mps, n)
+        assert_matches_reference(gauge_phased(mps, phi), n)
         assert_matches_reference(haar_site(2, q, seed), n)
+
+    @pytest.mark.parametrize("phi", [0.0, 0.9])
+    def test_peak_memory(self, phi):
+        # T is written once and each of the two G matmuls on the first and
+        # last adjacent pairs makes one new T: the peak is two T-sized
+        # arrays, for a real (float64) and a complex T
+        mps = gauge_phased(cluster(), phi)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            tm = transfer_matrix(mps, 5)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert tm.matrix.dtype == field_dtype(mps)
+        assert peak <= 2 * 4 ** 10 * field_dtype(mps).itemsize + 2 ** 20
 
     def test_at_the_cap(self):
         # chi = 2, n = 6: the largest size TRANSFER_DIM_CAP admits
@@ -295,6 +331,22 @@ class TestVelocity:
         with pytest.raises(DominanceError):
             dominant_eigenvalue(tm)
 
+    def test_dominance_error_on_sign_split_float64(self):
+        tm = transfer_matrix(cluster(), 2)
+        tm.matrix = np.diag([1.0, -1.0] + [0.0] * 14)
+        with pytest.raises(DominanceError, match="distinct eigenvalues"):
+            dominant_eigenvalue(tm)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_dominance_error_on_complex_pair(self, dtype):
+        # a real rotation block: the dominant pair +-i is not real-positive
+        tm = transfer_matrix(cluster(), 2)
+        m = np.zeros((16, 16), dtype=dtype)
+        m[0, 1], m[1, 0], m[2, 2] = 1.0, -1.0, 0.5
+        tm.matrix = m
+        with pytest.raises(DominanceError, match="not real-positive"):
+            dominant_eigenvalue(tm)
+
     def test_repeated_dominant_value_accepted(self):
         # the cluster n=2 transfer matrix has a doubly degenerate dominant
         # eigenvalue 1/2 with a single value; that is well defined
@@ -379,3 +431,43 @@ class TestTemporalBuilder:
             transfer = renyi_trace_via_transfer(mps, n, t)
             temporal = temporal_renyi_trace(mps, n, t)
             assert abs(temporal - transfer) <= 1e-10 * abs(transfer)
+
+
+class TestField:
+    """The replica layer computes in the tensor's field: a real tensor gives
+    a float64 T and rho_O, a complex one complex128, and a bond-gauge phase,
+    which makes the entries complex, leaves every replica quantity as it is."""
+
+    @pytest.mark.parametrize("phi", [0.0, 0.4, 2.5])
+    def test_dtypes(self, phi):
+        mps = gauge_phased(cluster(), phi)
+        want = np.dtype(float if phi == 0.0 else complex)
+        assert field_dtype(mps) == want
+        for n in (1, 2, 3):
+            assert transfer_matrix(mps, n).matrix.dtype == want
+        for t in (1, 2):
+            assert _temporal_rho_odd(mps, t).dtype == want
+
+    @pytest.mark.parametrize("theta", [0.3, 0.6, np.pi / 4])
+    @pytest.mark.parametrize("phi", [0.4, 1.7, 3.0])
+    def test_gauge_phase_changes_nothing(self, theta, phi):
+        real = ghz_cluster_family(theta, 2)
+        phased = gauge_phased(real, phi)
+        assert field_dtype(real) == float and field_dtype(phased) == complex
+        for n in range(1, 6):
+            for t in (1, 2):
+                assert abs(renyi_trace_via_transfer(phased, n, t)
+                           - renyi_trace_via_transfer(real, n, t)) <= 1e-12
+            assert abs(dominant_eigenvalue(transfer_matrix(phased, n))
+                       - dominant_eigenvalue(transfer_matrix(real, n))) <= 1e-12
+            if n >= 2:
+                assert abs(entanglement_velocity(phased, n)
+                           - entanglement_velocity(real, n)) <= 1e-12
+        for t in (1, 2):
+            assert abs(temporal_state_entropy(phased, t)
+                       - temporal_state_entropy(real, t)) <= 1e-12
+            for n in range(2, 6):
+                assert abs(temporal_renyi_trace(phased, n, t)
+                           - temporal_renyi_trace(real, n, t)) <= 1e-12
+                assert abs(temporal_state_entropy(phased, t, n)
+                           - temporal_state_entropy(real, t, n)) <= 1e-12
