@@ -44,20 +44,8 @@ class BoundaryChannel:
         for k in self.kraus:
             if k.shape != (d, d):
                 raise ValueError(f"Kraus operator shape {k.shape} != ({d},{d})")
-        self._super: np.ndarray | None = None
         self._range: np.ndarray | None = None
-
-    def superoperator(self) -> np.ndarray:
-        """sum_mu K_mu (x) K_mu^* on the doubled boundary space (cached and,
-        like ``range_basis()``, read-only)."""
-        if self._super is None:
-            d = self.chi * self.q
-            acc = np.zeros((d * d, d * d), dtype=complex)
-            for k in self.kraus:
-                acc += np.kron(k, k.conj())
-            acc.flags.writeable = False
-            self._super = acc
-        return self._super
+        self._reduced: np.ndarray | None = None
 
     def range_basis(self) -> np.ndarray:
         """An orthonormal basis W (chi*q x r) of the range of
@@ -75,6 +63,19 @@ class BoundaryChannel:
             self._range = vecs[:, lam > lam.max() * d * np.finfo(float).eps]
             self._range.flags.writeable = False
         return self._range
+
+    def reduced_superoperator(self) -> np.ndarray:
+        """S[i,j,b,c] = sum_mu P_mu[i,b] P_mu^*[j,c] (r x r x chi x chi), with
+        P_mu = W^dag K_mu (I_chi (x) |0>) and W = ``range_basis()``: the one
+        other array the channel caches (read-only), formed by one batched
+        matmul over (i, j) in O(k r^2 chi^2) for k operators."""
+        if self._reduced is None:
+            chi, w = self.chi, self.range_basis()
+            p = dagger(w) @ np.reshape(self.kraus, (-1, chi * self.q, chi, self.q))[..., 0]
+            s = np.matmul(p.transpose(1, 2, 0)[:, None], p.conj().transpose(1, 0, 2)[None])
+            s.flags.writeable = False
+            self._reduced = s
+        return self._reduced
 
 
 def _kraus(left: np.ndarray, right: np.ndarray) -> list[np.ndarray]:
@@ -127,27 +128,23 @@ def check_cptp(c: BoundaryChannel) -> float:
 
 
 def apply_channel(c: BoundaryChannel, z: np.ndarray) -> np.ndarray:
-    """sigma'[i x, j y] = sum_{b,c} S[i,j,b,c] z[b x, c y], with the reduced
-    superoperator S[i,j,b,c] = sum_mu P_mu[i,b] P_mu^*[j,c] (r x r x chi x chi)
-    and P_mu = W^dag K_mu (I_chi (x) |0>) (r x chi), W = ``range_basis()``.
+    """sigma'[i x, j y] = sum_{b,c} S[i,j,b,c] z[b x, c y], with the cached
+    S = ``c.reduced_superoperator()`` (r x r x chi x chi).
 
     ``z`` is Tr_0 X for a state X on chi * q^{L_R}: the trace over site 0,
     on ancilla (x) sites 1.. (chi m x chi m, m = q^{L_R-1}).  The result is
     (W^dag (x) I) M(X) (W (x) I) on r m dimensions, and M(X) = (W (x) I)
     sigma' (W (x) I)^dag, since M(X) = N(Tr_0 X) (module docstring) and every
-    output of M lies in range(W (x) I).  S is formed from the k Kraus
-    operators by one batched matmul over (i, j), in O(k r^2 chi^2).  One
-    batched matmul, S as r x (chi chi) against z's (b c) x y block at each x,
-    writes sigma' in its final layout, so besides z and S the call holds a
-    transposed copy of z and sigma': a peak of (D/q)^2 + n^2 entries.
+    output of M lies in range(W (x) I).  One batched matmul, S as
+    r x (chi chi) against z's (b c) x y block at each x, writes sigma' in its
+    final layout, so besides z and S the call holds a transposed copy of z
+    and sigma': a peak of (D/q)^2 + n^2 entries.
     """
     shape = np.shape(z)
     if len(shape) != 2 or shape[0] != shape[1] or shape[0] % c.chi != 0:
         raise ValueError(f"input dimension {shape} incompatible with ancilla of {c.chi}")
-    chi, w = c.chi, c.range_basis()
-    r, m = w.shape[1], shape[0] // chi
-    p = dagger(w) @ np.reshape(c.kraus, (-1, chi * c.q, chi, c.q))[..., 0]
-    s = np.matmul(p.transpose(1, 2, 0)[:, None], p.conj().transpose(1, 0, 2)[None])
+    chi, s = c.chi, c.reduced_superoperator()
+    r, m = s.shape[0], shape[0] // chi
     zt = np.asarray(z, dtype=complex).reshape(chi, m, chi, m).transpose(1, 0, 2, 3)
     out = np.matmul(s.reshape(r, 1, r, chi * chi), zt.reshape(m, chi * chi, m))
     return out.reshape(r * m, r * m)

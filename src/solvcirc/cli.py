@@ -363,7 +363,9 @@ def cmd_renyi(args) -> int:
         raise ValueError("renyi machinery requires a one-site MPS")
     n_list = _json_int_list(cfg.get("n_list", [2]), "n_list")
     t_list = _json_int_list(cfg.get("t_list", [1, 2]), "t_list")
-    gate = build_gate(cfg) if (args.oracle or "gate" in cfg) else None
+    if args.oracle and "gate" not in cfg:
+        raise ValueError("--oracle requires a gate in the config")
+    gate = build_gate(cfg) if "gate" in cfg else None
     header = ["n", "t", "trace_via_transfer", "trace_via_oracle", "lambda_n", "v_E"]
     rows = []
     failed = False
@@ -385,8 +387,6 @@ def cmd_renyi(args) -> int:
                 tv = "nan"
                 failed = True
             if args.oracle:
-                if gate is None:
-                    raise ValueError("--oracle requires a gate in the config")
                 ov = _fmt(orc.renyi_trace_chain(gate, mps, n, t, cap=cap))
             else:
                 ov = ""

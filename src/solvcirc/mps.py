@@ -112,6 +112,20 @@ def left_block(a: MpsTensor, n: int) -> np.ndarray:
     return block.reshape(a.chi, -1, a.chi)
 
 
+def folded_tensor(mats: np.ndarray) -> np.ndarray:
+    """F[(jj'), (kk'), (aa')] = A^(a)_jk A^(a')*_j'k' of a (q, chi, chi) stack."""
+    q, chi = mats.shape[:2]
+    f = np.einsum('ajk,bmn->jmknab', mats, mats.conj())
+    return f.reshape(chi ** 2, chi ** 2, q ** 2)
+
+
+def folded_site(mats: np.ndarray) -> np.ndarray:
+    """E = sum_a A^(a) (x) A^(a)*, rows (a, a'), columns (c, c'), the
+    physical leg traced."""
+    chi = mats.shape[1]
+    return np.einsum('aij,akl->ikjl', mats, mats.conj()).reshape(chi * chi, -1)
+
+
 def ghz_cluster_family(theta: float, q: int) -> MpsTensor:
     """chi=2 family interpolating between the GHZ and cluster states on the
     first two levels; A^(a) = 0 for a >= 2.

@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import CapacityError, DominanceError
 from .linalg import max_abs, renyi_trace, von_neumann_entropy
-from .mps import CANONICAL_ATOL, MpsTensor, check_left_canonical, check_right_canonical
+from .mps import (CANONICAL_ATOL, MpsTensor, check_left_canonical, check_right_canonical,
+                  folded_site)
 
 TRANSFER_DIM_CAP = 4096
 TEMPORAL_AMPLITUDE_CAP = 2 ** 20
@@ -74,12 +75,6 @@ def _field_mats(a: MpsTensor) -> np.ndarray:
     return a.mats if a.mats.imag.any() else a.mats.real
 
 
-def _folded_site(mats: np.ndarray) -> np.ndarray:
-    """E = sum_a A^(a) (x) A^(a)*, rows (a, a'), columns (c, c')."""
-    chi = mats.shape[1]
-    return np.einsum('aij,akl->ikjl', mats, mats.conj()).reshape(chi * chi, -1)
-
-
 def transfer_matrix(a: MpsTensor, n: int) -> ReplicaTransferMatrix:
     """Two-site replica transfer matrix T = M_diamond @ M_dot.
 
@@ -103,7 +98,7 @@ def transfer_matrix(a: MpsTensor, n: int) -> ReplicaTransferMatrix:
         raise CapacityError(f"transfer dimension chi^(2n) = {dim} "
                             f"exceeds cap {TRANSFER_DIM_CAP}")
     d2 = chi * chi
-    e = _folded_site(_field_mats(a))
+    e = folded_site(_field_mats(a))
     g = e.conj()
     edge = reduce(np.kron, [e] * min(n, 2)).reshape(chi, -1, chi, d2 ** min(n, 2))
     f = np.einsum('pqrs,smrc->qmpc', g.reshape((chi,) * 4), edge)
@@ -186,7 +181,7 @@ def _temporal_rho_odd(a: MpsTensor, t: int) -> np.ndarray:
     if amps > TEMPORAL_AMPLITUDE_CAP:
         raise CapacityError(f"temporal state would hold {amps} amplitudes")
     mats = _field_mats(a)
-    e = _folded_site(mats).reshape(chi, chi, -1)
+    e = folded_site(mats).reshape(chi, chi, -1)
     f = np.einsum('aij,bkl,jlm->ikabm', mats, mats.conj(), e).reshape(chi * chi, -1)
     x, o = np.eye(chi, dtype=mats.dtype).reshape(1, -1), 1
     for _ in range(2 * t):

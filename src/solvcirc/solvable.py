@@ -16,12 +16,12 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .channel import kraus_from_mps
 from .errors import CapacityError
 from .gates import TwoSiteGate, is_dual_unitary, swap_conjugate
 from .linalg import (PAULI, apply_two_site, dagger, kron, max_abs, reduced_density,
                      reshuffle)
-from .mps import Lpdo, MpsTensor, TwoSiteMps, left_block, physical_matrices
+from .mps import (Lpdo, MpsTensor, TwoSiteMps, folded_site, folded_tensor, left_block,
+                  physical_matrices)
 
 IM_ENTRY_CAP = 2 ** 24
 _PAIR_BLOCK_ENTRIES = 2 ** 15  # see _solvable_left_detail
@@ -115,16 +115,13 @@ def solvability_report(u: TwoSiteGate, a: MpsTensor | TwoSiteMps | Lpdo) -> Solv
 # influence matrix
 # ---------------------------------------------------------------------------
 
-def _channel_supertensor(a: MpsTensor) -> np.ndarray:
-    """The folded channel tensor M4[B_out, S_out, B_in, S_in].
-
-    B legs are doubled bond pairs (chi^2), S legs doubled site pairs (q^2);
-    M4 is the Kraus superoperator sum_mu K_mu (x) K_mu^* regrouped.
-    """
-    chi, q = a.chi, a.q
-    sup = kraus_from_mps(a).superoperator().reshape(chi, q, chi, q, chi, q, chi, q)
-    sup = sup.transpose(0, 2, 1, 3, 4, 6, 5, 7)
-    return sup.reshape(chi * chi, q * q, chi * chi, q * q)
+def influence_period_tensor(a: MpsTensor) -> np.ndarray:
+    """One period of the influence matrix, N[B_out, S_out, B_in] =
+    sum_K F[B_out, K, S_out] E[K, B_in] (``folded_tensor``, ``folded_site``),
+    with doubled bond (chi^2) and site (q^2) legs.  N (x) vec(I_q) is the
+    boundary channel's sum_mu K_mu (x) K_mu^* regrouped: the input site
+    enters only through its trace."""
+    return np.tensordot(folded_tensor(a.mats), folded_site(a.mats), axes=([1], [0]))
 
 
 def _im_horizon_check(a: MpsTensor, tsteps: int):
@@ -142,22 +139,19 @@ def build_influence_matrix_open(a: MpsTensor, tsteps: int) -> np.ndarray:
 
     Axes: [bond(chi^2), s_1_in, s_1_out, ..., s_T_in, s_T_out] with q^2 legs;
     s_t_in enters the boundary channel at period t, s_t_out returns to the
-    subsystem.  The t=T end is closed with the bond trace.
+    subsystem.  The MPS of ``influence_period_tensor`` is contracted from
+    the bond trace at t=T, one period prepended per step, so no array
+    exceeds the result.
     """
     _im_horizon_check(a, tsteps)
     chi, q = a.chi, a.q
-    if tsteps == 0:
-        # open bond, trace closure only
-        return np.eye(chi, dtype=complex).reshape(-1)
-    m4 = _channel_supertensor(a)
-    x = np.eye(chi * chi, dtype=complex)  # [bond_open, B_cur]
+    n = influence_period_tensor(a).transpose(2, 1, 0).reshape(-1, chi * chi)
+    trq = np.eye(q).reshape(-1, 1, 1)
+    x = np.eye(chi, dtype=complex).reshape(-1)
     for _ in range(tsteps):
-        x = np.tensordot(x, m4, axes=([x.ndim - 1], [2]))
-        # appended axes: [B_out, S_out, S_in] -> want [..., S_in, S_out, B_out]
-        n = x.ndim
-        x = np.moveaxis(x, [n - 3, n - 2, n - 1], [n - 1, n - 2, n - 3])
-    tr = np.eye(chi, dtype=complex).reshape(-1)
-    return np.tensordot(x, tr, axes=([x.ndim - 1], [0]))
+        y = (n @ x.reshape(chi * chi, -1)).reshape(chi * chi, 1, q * q, -1)
+        x = y * trq  # [B_in, S_in, S_out, later periods]
+    return x.reshape((chi * chi,) + (q * q,) * (2 * tsteps))
 
 
 def build_influence_matrix_dense(a: MpsTensor, tsteps: int) -> np.ndarray:
@@ -179,12 +173,6 @@ def _folded_gate(u: np.ndarray, q: int) -> np.ndarray:
     return g.reshape(q * q, q * q, q * q, q * q)
 
 
-def _folded_mps(a: MpsTensor) -> np.ndarray:
-    """F[(jj'), (kk'), (aa')] = A^(a)_jk A^(a')*_j'k'."""
-    f = np.einsum('ajk,bmn->jmknab', a.mats, a.mats.conj())
-    return f.reshape(a.chi ** 2, a.chi ** 2, a.q ** 2)
-
-
 def spatial_transfer_apply(im: np.ndarray, u: TwoSiteGate, a: MpsTensor,
                            tsteps: int) -> np.ndarray:
     """Apply the two-column spatial transfer slab to an open-bond IM.
@@ -196,7 +184,7 @@ def spatial_transfer_apply(im: np.ndarray, u: TwoSiteGate, a: MpsTensor,
     """
     q, chi = a.q, a.chi
     g4 = _folded_gate(u.matrix, q)
-    f = _folded_mps(a)
+    f = folded_tensor(a.mats)
     trq = np.eye(q, dtype=complex).reshape(-1)
     x = im.reshape((chi * chi,) + (q * q,) * (2 * tsteps))
     x = np.tensordot(f, x, axes=([0], [0]))   # site 0 tensor: [bR, p0, old...]

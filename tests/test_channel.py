@@ -147,16 +147,17 @@ class TestKrausFromMps:
         with pytest.raises(ValueError):
             kraus_from_mps(bad)
 
-    def test_superoperator_is_cached_and_read_only(self):
+    def test_reduced_superoperator_is_cached_and_read_only(self):
         ch = kraus_from_mps(ghz_cluster_family(0.5, 2))
-        sup = ch.superoperator()
-        assert sup is ch.superoperator() and not sup.flags.writeable
+        sup = ch.reduced_superoperator()
+        assert sup is ch.reduced_superoperator() and not sup.flags.writeable
+        assert sup.shape == (ch.chi, ch.chi, ch.chi, ch.chi)  # r = chi
         before = sup.copy()
         with pytest.raises(ValueError):
-            sup[0, 0] = 2.0
+            sup[0, 0, 0, 0] = 2.0
         with pytest.raises(ValueError):
             sup.reshape(-1)[:] = 0.0
-        assert np.array_equal(ch.superoperator(), before)
+        assert np.array_equal(ch.reduced_superoperator(), before)
 
 
 class TestKrausFromTwoSite:
@@ -281,6 +282,12 @@ class TestApplyChannel:
                 apply_channel(ch, z)
 
 
+def superoperator(c):
+    """sum_mu K_mu (x) K_mu^* on the doubled boundary space, (chi q)^4
+    entries: the dense reference form of the channel."""
+    return sum(np.kron(k, k.conj()) for k in c.kraus)
+
+
 def reference_apply_channel(c, rho):
     """M(rho) on a full D x D joint density matrix: the superoperator gemm
     on the (b,e | x,y) transposed state, each permutation a fresh copy.  The
@@ -288,7 +295,7 @@ def reference_apply_channel(c, rho):
     d = c.chi * c.q
     rest = rho.shape[0] // d
     r = rho.reshape(d, rest, d, rest).transpose(0, 2, 1, 3).reshape(d * d, rest * rest)
-    out = c.superoperator() @ r
+    out = superoperator(c) @ r
     return out.reshape(d, d, rest, rest).transpose(0, 2, 1, 3).reshape(rho.shape)
 
 
@@ -330,7 +337,8 @@ class TestApplyChannelBuffers:
         # D = 1024: a q=2, chi=2 GHZ-cluster MPS and a q=4, chi=8 random MPS
         # (r = chi), and a q=2, chi=1 LPDO with r = chi q.  No cache is
         # filled before the call, which allocates at most (chi m)^2 + (r m)^2
-        # entries plus 1 MiB; at chi=8 the superoperator alone holds 16 MiB
+        # entries plus 1 MiB with W and S; at chi=8 the dense superoperator
+        # alone would hold 16 MiB
         ch = {"mps": lambda: kraus_from_mps(ghz_cluster_family(0.6, 2)),
               "mps_chi8": lambda: kraus_from_mps(random_left_canonical(4, 8, make_rng(46))),
               "lpdo": lambda: kraus_from_lpdo(random_lpdo(2, 1, 2, make_rng(44)))}[kind]()

@@ -319,6 +319,15 @@ class TestRenyi:
             assert abs(float(f[2]) - float(f[3])) < 1e-8
             assert 0.0 <= float(f[5]) <= 2.0
 
+    def test_oracle_without_gate_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json")
+        cfg.write_text(json.dumps({k: v for k, v in json.loads(cfg.read_text()).items()
+                                   if k != "gate"}))
+        out = tmp_path / "r.csv"
+        assert main(["renyi", "--config", str(cfg), "--oracle", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: --oracle requires a gate in the config\n")
+        assert not out.exists()
 
     def test_trace_dominance_error_writes_nan(self, tmp_path, capsys, monkeypatch):
         def ambiguous(mps, n, t):

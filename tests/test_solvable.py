@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from solvcirc.channel import kraus_from_mps
 from solvcirc.errors import CapacityError
 from solvcirc.gates import TwoSiteGate, random_gate, swap_conjugate, swap_matrix
 from solvcirc.linalg import dagger, kron, make_rng, max_abs, reshuffle
@@ -12,8 +13,9 @@ from solvcirc.solvable import (_solvable_left_detail, build_influence_matrix_den
                                build_influence_matrix_open,
                                check_solvable_left, check_solvable_right,
                                check_soliton, influence_matrix_bruteforce,
-                               solvability_report, spatial_transfer_apply,
-                               verify_im_fixed_point)
+                               influence_period_tensor, solvability_report,
+                               spatial_transfer_apply, verify_im_fixed_point)
+from test_channel import superoperator
 from test_oracle import traced_peak
 
 
@@ -261,8 +263,12 @@ class TestInfluenceMatrix:
         cases = [
             (random_gate("q2_qt1", rng), product_state_mps([1, 0])),
             (random_gate("q2_qt2", rng), ghz_cluster_family(np.pi / 4, 2)),
+            # SWAP satisfies the left condition for every tensor
+            (swap_gate(2), random_left_canonical(2, 3, rng)),
+            (swap_gate(3), random_left_canonical(3, 3, rng)),
         ]
         for gate, mps in cases:
+            assert check_solvable_left(gate, mps) < 1e-10
             closed = build_influence_matrix_open(mps, 2)
             brute = influence_matrix_bruteforce(gate, mps, 2)
             assert max_abs(closed - brute) < 1e-12
@@ -277,6 +283,26 @@ class TestInfluenceMatrix:
     def test_norm_finite(self):
         im = build_influence_matrix_dense(ghz_cluster_family(np.pi / 4, 2), 2)
         assert np.isfinite(np.linalg.norm(im))
+
+    @settings(max_examples=30, deadline=None)
+    @given(q=st.sampled_from([2, 3, 4]), chi=st.sampled_from([1, 2, 3]),
+           seed=st.integers(0, 2 ** 31 - 1))
+    def test_period_tensor_is_the_channel(self, q, chi, seed):
+        # N (x) vec(I_q) is the boundary channel's sum_mu K_mu (x) K_mu^*,
+        # regrouped to [B_out, S_out, B_in, S_in]
+        mps = random_left_canonical(q, chi, make_rng(seed))
+        sup = superoperator(kraus_from_mps(mps)).reshape((chi, q) * 4)
+        sup = sup.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(chi * chi, q * q, chi * chi, q * q)
+        n = influence_period_tensor(mps)
+        assert max_abs(np.multiply.outer(n, np.eye(q).reshape(-1)) - sup) < 1e-14
+
+    @pytest.mark.parametrize("q,chi,tsteps", [(2, 2, 4), (2, 4, 3), (4, 2, 2)])
+    def test_build_holds_at_most_twice_the_result(self, q, chi, tsteps):
+        # the period MPS is contracted from the closed end, so no array
+        # exceeds the influence matrix (4, 1 and 4 MiB here)
+        mps = random_left_canonical(q, chi, make_rng(17))
+        nbytes = 16 * chi ** 2 * q ** (4 * tsteps)
+        assert traced_peak(lambda: build_influence_matrix_open(mps, tsteps)) <= 2 * nbytes + 2 ** 20
 
 
 class TestFixedPoint:
