@@ -25,7 +25,7 @@ from . import renyi as ry
 from . import serialize as ser
 from .errors import CapacityError, DominanceError, NumericalDriftError, PositivityError
 from .gates import EXPLICIT_FAMILIES, TwoSiteGate, random_gate
-from .linalg import PAULI, make_rng, trace_distance, von_neumann_entropy
+from .linalg import PAULI, make_rng, renyi_trace, trace_distance, von_neumann_entropy
 from .mps import MpsTensor, ghz_cluster_family, product_state_mps
 from .serialize import json_float, json_int
 from .solvable import check_solvable_left, solvability_report, verify_im_fixed_point
@@ -370,6 +370,7 @@ def cmd_renyi(args) -> int:
     rows = []
     failed = False
     cap = _capacity_cap(orc.DEFAULT_AMPLITUDE_CAP)
+    rhos = {}  # the oracle's rho_R(t), evolved once per t for every n
     for n in n_list:
         try:
             lam = ry.dominant_eigenvalue(ry.transfer_matrix(mps, n))
@@ -386,10 +387,9 @@ def cmd_renyi(args) -> int:
                       file=sys.stderr)
                 tv = "nan"
                 failed = True
-            if args.oracle:
-                ov = _fmt(orc.renyi_trace_chain(gate, mps, n, t, cap=cap))
-            else:
-                ov = ""
+            if args.oracle and t not in rhos:
+                rhos[t] = orc.renyi_chain_density(gate, mps, t, cap=cap)
+            ov = _fmt(renyi_trace(rhos[t], n)) if args.oracle else ""
             rows.append([str(n), str(t), tv, ov, lam_s, v_s])
     _write_csv(args.out, header, rows)
     return EXIT_FAIL if failed else EXIT_OK

@@ -16,16 +16,6 @@ from .errors import CapacityError, PositivityError
 # per-axis cap for kron results (entries per axis)
 DEFAULT_DIM_CAP = 2 ** 18
 
-# Rows of d1 d2 after amplitudes shorter than this turn the batched matmul of
-# apply_two_site into a loop of tiny gemms, slower than a gemm against
-# kron(u, I_after)^T despite its after-fold flops (measured at 2^20
-# amplitudes for q = 2, 3, 4).
-_KRON_ROW_LIMIT = 128
-# The kron gemm runs over blocks of rows holding this many amplitudes (4 MiB):
-# one gemm over a whole 2^20-amplitude state has multithreaded OpenBLAS pack
-# panels that stay resident (+16 MB peak RSS at 64-amplitude rows), and the
-# blocks take the same time.
-_GEMM_BLOCK = 2 ** 18
 # Entries per row block of hermiticity_residual (512 KiB of complex128).
 # With 4 MiB blocks the allocator hands the freed temporaries back to the OS,
 # and a D=512 evolve row took about 1000 minor page faults (median); at this
@@ -228,49 +218,29 @@ def apply_two_site(psi: np.ndarray, u: np.ndarray, dims: Sequence[int],
     """Apply the two-site gate ``u`` to tensor factors p1 < p2 of ``psi``.
 
     ``psi`` is a statevector whose C-order factors have dimensions ``dims``;
-    ``u`` is (d1 d2) x (d1 d2) with factor p1 as its slower index.  The gate
-    works on a no-copy view of ``psi`` and returns a new flat array, leaving
-    ``psi`` as it is.  Adjacent factors with rows of d1 d2 after >=
-    ``_KRON_ROW_LIMIT`` amplitudes are one batched matmul on the
-    (before, d1 d2, after) view; shorter rows are a gemm of the
-    (before, d1 d2 after) view against kron(u, I_after)^T, taken
-    ``_GEMM_BLOCK`` amplitudes at a time, or one gemm against u^T when
-    after == 1.  Non-adjacent factors are an einsum on the
-    (before, d1, mid, d2, after) view.
+    ``u`` is (d1 d2) x (d1 d2) with factor p1 as its slower index.  One einsum
+    on the (before, d1, mid, d2, after) view of psi writes a new flat array.
     """
     if not 0 <= p1 < p2 < len(dims):
         raise ValueError(f"need 0 <= p1 < p2 < {len(dims)}, got p1={p1}, p2={p2}")
     d1, d2 = dims[p1], dims[p2]
-    before, mid, after = prod(dims[:p1]), prod(dims[p1 + 1:p2]), prod(dims[p2 + 1:])
-    row = d1 * d2 * after
-    if mid > 1:
-        view = psi.reshape(before, d1, mid, d2, after)
-        out = np.einsum('ijkl,akmlc->aimjc', u.reshape(d1, d2, d1, d2), view)
-    elif after == 1:
-        out = psi.reshape(before, row) @ u.T
-    elif row < _KRON_ROW_LIMIT:
-        k = np.kron(u, np.eye(after)).T
-        rows = psi.reshape(before, row)
-        out = np.empty_like(rows, dtype=np.result_type(psi, u))
-        step = _GEMM_BLOCK // row
-        for s in range(0, before, step):
-            np.matmul(rows[s:s + step], k, out=out[s:s + step])
-    else:
-        out = np.matmul(u, psi.reshape(before, d1 * d2, after))
-    return out.reshape(-1)
+    view = psi.reshape(prod(dims[:p1]), d1, prod(dims[p1 + 1:p2]), d2, prod(dims[p2 + 1:]))
+    return np.einsum('ijkl,akmlc->aimjc', u.reshape(d1, d2, d1, d2), view).reshape(-1)
 
 
-def reduced_density(psi: np.ndarray, dr: int) -> np.ndarray:
+def reduced_density(psi: np.ndarray, dr: int, work: np.ndarray | None = None) -> np.ndarray:
     """Tr_left |psi><psi| for a pure state ``psi`` whose last factor has
     dimension ``dr``: sum over rows l of m[l]^T conj(m[l]) for m = psi as
-    (rest, dr), one gemm per block of ``_ROW_BLOCK`` amplitudes, so only a
-    block is ever conjugated."""
+    (rest, dr), one gemm per block of ``_ROW_BLOCK`` amplitudes, each block
+    conjugated into the head of ``work`` (a C-contiguous complex128 array of
+    at least one block, apart from psi) when given, else into a new array."""
     m = psi.reshape(-1, dr)
     out = np.zeros((dr, dr), dtype=complex)
     step = max(1, _ROW_BLOCK // dr)
     for s in range(0, m.shape[0], step):
         b = m[s:s + step]
-        out += b.T @ b.conj()
+        c = None if work is None else work.reshape(-1)[:b.size].reshape(b.shape)
+        out += b.T @ np.conjugate(b, out=c)
     return out
 
 

@@ -11,14 +11,13 @@ the chi left-block states exactly orthonormal via the left-canonical identity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
+from typing import Iterator
 
 import numpy as np
 
 from .errors import CapacityError
 from .gates import TwoSiteGate
-# Gates go through the module-level name _apply_pair: benchmarks/spans.py
-# counts oracle gate applications by wrapping it.
-from .linalg import apply_two_site as _apply_pair
 from .linalg import reduced_density, renyi_trace, unit_vector
 from .mps import MpsTensor, left_block
 
@@ -88,37 +87,62 @@ def _period_sites(l_left: int, l_r: int, layer_order: str = "even_first") -> lis
     return [1 + x + l_left for x in first + second]
 
 
-def _chain_dims(spec: ChainSpec) -> list[int]:
-    bond = spec.chi if spec.purify else 1
-    return [bond] + [spec.q] * (spec.l_left + spec.l_r)
+# Gates go through the module-level name _apply_pair, the whole state first:
+# benchmarks/spans.py counts oracle gate applications by wrapping it.
+def _apply_pair(psi: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The gate u on the two leading legs of psi (their dimensions multiply
+    to u's order) as one gemm into ``out``, the pair as its trailing legs."""
+    d2 = u.shape[0]
+    np.matmul(psi.reshape(d2, -1).T, u.T, out=out.reshape(-1, d2))
+    return out
+
+
+def _periods(psi: np.ndarray, u: np.ndarray, dims: list[int], sites: list[int],
+             t: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """t brickwork periods of the gate u on legs (p, p + 1), p in ``sites``
+    in order, on psi with legs ``dims``: yields (state, idle) before the
+    first period and after each.
+
+    The state is held in a cyclic leg frame, the canonical legs rotated left
+    by an offset r, so the gate on legs (r, r + 1) is one gemm that writes
+    the pair to the back (r -> r + 2).  A sublayer of consecutive pairs costs
+    one rotation (a 2-D transposing copy) and a gemm a gate; a period ends
+    rotated back to offset 0.  psi (overwritten) and one idle buffer swap
+    roles at each step, so the loop holds two states.
+    """
+    n, idle = len(dims), np.empty_like(psi)
+    yield psi, idle
+    for _ in range(t):
+        r = 0
+        for p in sites + [n]:  # offset n = 0 ends the period
+            lead = prod((dims + dims)[r:r + (p - r) % n])  # legs r .. p - 1, cyclically
+            if lead > 1:
+                np.copyto(idle.reshape(-1, lead), psi.reshape(lead, -1).T)
+                psi, idle = idle, psi
+            if p < n:
+                psi, idle = _apply_pair(psi, u, idle), psi
+                r = (p + 2) % n
+        yield psi, idle
 
 
 def evolve_chain(spec: ChainSpec) -> list[np.ndarray]:
     """rho_R(t) for t = 0..tmax from exact statevector evolution."""
     psi = build_initial_chain(spec)
-    dims = _chain_dims(spec)
+    dims = [spec.chi if spec.purify else 1] + [spec.q] * (spec.l_left + spec.l_r)
     sites = _period_sites(spec.l_left, spec.l_r, spec.layer_order)
     dr = spec.q ** spec.l_r
-    out = [reduced_density(psi, dr)]
-    for _ in range(spec.tmax):
-        for p in sites:  # one reference, rebound: a gate holds its input and output
-            psi = _apply_pair(psi, spec.gate.matrix, dims, p, p + 1)
-        out.append(reduced_density(psi, dr))
-    return out
+    return [reduced_density(state, dr, work=idle)
+            for state, idle in _periods(psi, spec.gate.matrix, dims, sites, spec.tmax)]
 
 
-def renyi_trace_chain(gate: TwoSiteGate, mps: MpsTensor, n: int, t: int,
-                      l_left: int | None = None, l_r: int | None = None,
-                      cap: int = DEFAULT_AMPLITUDE_CAP) -> float:
-    """Tr[rho_R(t)^n] on the homogeneous chain with both bonds dangling.
-
-    The chain state is used unnormalized (squared norm chi, the Gram-
-    orthonormal block convention), matching the replica transfer-matrix
-    boundary pairing normalization.  Both regions need a margin of at least
-    2t + 2 sites.
+def renyi_chain_density(gate: TwoSiteGate, mps: MpsTensor, t: int,
+                        l_left: int | None = None, l_r: int | None = None,
+                        cap: int = DEFAULT_AMPLITUDE_CAP) -> np.ndarray:
+    """rho_R(t) (R with its far bond leg) on the homogeneous chain with both
+    bonds dangling, its state unnormalized (squared norm chi, the Gram-
+    orthonormal block convention) to match the replica transfer matrix's
+    boundary pairing.  Both regions need a margin of at least 2t + 2 sites.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
     q, chi = mps.q, mps.chi
     l_left = 2 * t + 2 if l_left is None else l_left
     l_r = 2 * t + 2 if l_r is None else l_r
@@ -129,8 +153,14 @@ def renyi_trace_chain(gate: TwoSiteGate, mps: MpsTensor, n: int, t: int,
         raise CapacityError(f"chain would hold {amps} amplitudes (cap {cap})")
     psi = left_block(mps, l_left + l_r).reshape(-1)  # both bond legs dangle
     dims = [chi] + [q] * (l_left + l_r) + [chi]
-    sites = _period_sites(l_left, l_r)
-    for _ in range(t):
-        for p in sites:
-            psi = _apply_pair(psi, gate.matrix, dims, p, p + 1)
-    return renyi_trace(reduced_density(psi, q ** l_r * chi), n)
+    *_, (psi, idle) = _periods(psi, gate.matrix, dims, _period_sites(l_left, l_r), t)
+    return reduced_density(psi, q ** l_r * chi, work=idle)
+
+
+def renyi_trace_chain(gate: TwoSiteGate, mps: MpsTensor, n: int, t: int,
+                      l_left: int | None = None, l_r: int | None = None,
+                      cap: int = DEFAULT_AMPLITUDE_CAP) -> float:
+    """Tr[rho_R(t)^n] of ``renyi_chain_density``."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    return renyi_trace(renyi_chain_density(gate, mps, t, l_left, l_r, cap), n)

@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 from solvcirc.errors import CapacityError
 from solvcirc.evolve import EvolutionConfig, states, subsystem_density
 from solvcirc.gates import TwoSiteGate, random_gate, swap_matrix
-from solvcirc.linalg import _ROW_BLOCK, make_rng, max_abs, trace_distance
-from solvcirc.mps import ghz_cluster_family, left_block, product_state_mps
+from solvcirc.linalg import (_ROW_BLOCK, haar_unitary, make_rng, max_abs, reduced_density,
+                             renyi_trace, trace_distance)
+from solvcirc.mps import (ghz_cluster_family, left_block, product_state_mps,
+                          random_left_canonical)
 from solvcirc.oracle import (ChainSpec, build_initial_chain, evolve_chain,
-                             renyi_trace_chain)
+                             renyi_chain_density, renyi_trace_chain)
+from test_linalg import reference_apply_pair
 
 
 def random_right_kets(chi, dim, rng):
@@ -236,6 +239,89 @@ class TestRenyiChain:
             renyi_trace_chain(gate, mps, 2, 2, l_left=4)
 
 
+def reference_periods(psi, u, dims, l_left, l_r, t, dr, layer_order="even_first"):
+    """rho_R after 0..t periods of the brickwork on legs 1.. (leg 0 is the
+    far bond), each gate applied by ``reference_apply_pair`` in canonical
+    leg order.  rho_R is ``reduced_density`` without a buffer, whose
+    summation order the frame does not change: an einsum sums the rows in
+    another order and differed from it by 1.5e-14 on one q = 4, chi = 1
+    state of 4^7 amplitudes."""
+    bonds = [1 + x + l_left for x in range(-l_left, l_r - 1)]
+    evens = [p for p in bonds if (p - 1 - l_left) % 2 == 0]
+    odds = [p for p in bonds if (p - 1 - l_left) % 2 != 0]
+    sites = evens + odds if layer_order == "even_first" else odds + evens
+    out = [reduced_density(psi, dr)]
+    for _ in range(t):
+        for p in sites:
+            psi = reference_apply_pair(psi, u, dims, p, p + 1)
+        out.append(reduced_density(psi, dr))
+    return out
+
+
+# the sweep's chains hold at most this many amplitudes
+SWEEP_CAP = 2 ** 15
+
+
+def chain_tensor(q, chi, rng):
+    return (random_left_canonical(q, chi, rng) if chi > 1
+            else product_state_mps(haar_unitary(q, rng)[0]))
+
+
+class TestCyclicFrame:
+    """evolve_chain and renyi_trace_chain hold the chain in a rotated leg
+    frame; a per-gate loop in canonical order is the reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(q=st.sampled_from([2, 3, 4]), chi=st.sampled_from([1, 2]),
+           purify=st.booleans(), layer_order=st.sampled_from(["even_first", "odd_first"]),
+           odd_left=st.booleans(), seed=st.integers(0, 2 ** 31 - 1), data=st.data())
+    def test_evolve_chain_matches_the_gate_loop(self, q, chi, purify, layer_order,
+                                                odd_left, seed, data):
+        bond = chi if purify else 1
+
+        def left(t):  # the smallest l_left the lightcone admits, of the drawn parity
+            return 2 * t + (0 if purify else 2) + odd_left
+
+        tmax = data.draw(st.sampled_from(
+            [t for t in range(4) if bond * q ** (left(t) + 1) <= SWEEP_CAP]), label="tmax")
+        l_left = left(tmax)
+        l_r = data.draw(st.sampled_from(
+            [l for l in range(1, 5) if bond * q ** (l_left + l) <= SWEEP_CAP]), label="l_r")
+        rng = make_rng(seed)
+        gate = TwoSiteGate(q, haar_unitary(q * q, rng))
+        spec = ChainSpec(gate, chain_tensor(q, chi, rng),
+                         random_right_kets(chi, q ** l_r, rng), l_left, l_r, tmax,
+                         layer_order=layer_order, purify=purify)
+        dims = [bond] + [q] * (l_left + l_r)
+        ref = reference_periods(build_initial_chain(spec), gate.matrix, dims, l_left, l_r,
+                                tmax, q ** l_r, layer_order)
+        got = evolve_chain(spec)
+        assert len(got) == tmax + 1
+        for a, b in zip(got, ref):
+            assert max_abs(a - b) < 1e-14
+
+    @settings(max_examples=30, deadline=None)
+    @given(q=st.sampled_from([2, 3, 4]), chi=st.sampled_from([1, 2]),
+           n=st.integers(2, 4), seed=st.integers(0, 2 ** 31 - 1), data=st.data())
+    def test_renyi_trace_chain_matches_the_gate_loop(self, q, chi, n, seed, data):
+        t = data.draw(st.sampled_from(
+            [t for t in range(3) if chi * chi * q ** (4 * t + 4) <= SWEEP_CAP]), label="t")
+        sizes = [2 * t + 2, 2 * t + 3]
+        l_left = data.draw(st.sampled_from(
+            [l for l in sizes if chi * chi * q ** (l + 2 * t + 2) <= SWEEP_CAP]), label="l_left")
+        l_r = data.draw(st.sampled_from(
+            [l for l in sizes if chi * chi * q ** (l_left + l) <= SWEEP_CAP]), label="l_r")
+        rng = make_rng(seed)
+        gate = TwoSiteGate(q, haar_unitary(q * q, rng))
+        mps = chain_tensor(q, chi, rng)
+        dims = [chi] + [q] * (l_left + l_r) + [chi]
+        ref = reference_periods(left_block(mps, l_left + l_r).reshape(-1), gate.matrix, dims,
+                                l_left, l_r, t, chi * q ** l_r)[-1]
+        assert max_abs(renyi_chain_density(gate, mps, t, l_left, l_r) - ref) < 1e-14
+        assert abs(renyi_trace_chain(gate, mps, n, t, l_left, l_r)
+                   - renyi_trace(ref, n)) < 1e-14
+
+
 def traced_peak(fn) -> int:
     """Peak bytes that numpy and Python allocate during ``fn()``, above what
     was allocated before."""
@@ -251,8 +337,8 @@ def traced_peak(fn) -> int:
 
 class TestChainMemory:
     """On a 2^18-amplitude chain (4 MiB, larger than a 1 MiB row block of
-    ``reduced_density``) each loop holds at most the two states of one gate,
-    its input and its output, plus one row block."""
+    ``reduced_density``) each loop holds at most two states, the state and
+    the idle buffer a gate writes into, plus one row block."""
 
     STATE = 16 * 2 ** 18
     BUDGET = 2 * STATE + 16 * _ROW_BLOCK
@@ -279,3 +365,13 @@ class TestChainMemory:
         # 2 bond legs x 2^16 sites = 2^18 amplitudes
         assert traced_peak(lambda: renyi_trace_chain(gate, mps, 2, 1, l_left=12, l_r=4)) \
             <= self.BUDGET
+
+    def test_evolve_chain_q4(self):
+        # gates of d^2 = 16 on a closed chain of 4^9 amplitudes.  (A q = 4
+        # Renyi chain has rho_R of chi^2 q^8 >= 2^18 entries from t = 1 on,
+        # a state's size, so it cannot fit this budget.)
+        rng = make_rng(43)
+        spec = ChainSpec(random_gate("general", rng, q=4, qt=2), ghz_cluster_family(0.5, 4),
+                         random_right_kets(2, 4 ** 3, rng), 6, 3, 2, purify=False)
+        assert 4 ** (spec.l_left + spec.l_r) * 16 == self.STATE
+        assert traced_peak(lambda: evolve_chain(spec)) <= self.BUDGET
