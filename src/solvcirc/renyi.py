@@ -85,10 +85,12 @@ def transfer_matrix(a: MpsTensor, n: int) -> ReplicaTransferMatrix:
     M_diamond is G = E* on each leg pair (a'_m, a_{m+1}), cyclically.  G on
     the wrap pair (a'_n, a_1) folds into F = G_wrap (E_1 (x) E_n), rows
     (a_1 a'_1 a_n a'_n), columns (c_1, c_n) (G_wrap E at n = 1), and G on the
-    pairs inside replicas 2..n-1 into the middle E^(x)(n-2); T is written
-    once as their broadcast product, and G on the first and last adjacent
-    pairs is one batched matmul each.  ``matrix`` is float64 for a real
-    tensor and complex128 otherwise.
+    pairs inside replicas 2..n-1 into the middle E^(x)(n-2).  T is their
+    outer product, moved into its final layout by one transposing copy, and
+    G on the first and last adjacent pairs is one batched matmul each,
+    written with ``out=`` into the two buffers in turn, so no third T-sized
+    array is made.  ``matrix`` is float64 for a real tensor and complex128
+    otherwise.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -106,9 +108,13 @@ def transfer_matrix(a: MpsTensor, n: int) -> ReplicaTransferMatrix:
     mid = reduce(np.kron, [e] * (n - 2), np.ones((1, 1), dtype=e.dtype))
     for k in range(n - 3):
         mid = np.matmul(g, mid.reshape(chi ** (2 * k + 1), d2, -1))
-    x = f.reshape(d2, 1, rim, d2, 1, rim) * mid.reshape(1, side, 1, 1, side, 1)
+    spare = np.multiply.outer(f.reshape(d2, rim, d2, rim), mid.reshape(side, side))
+    x = np.empty_like(spare)
+    x.reshape(d2, side, rim, d2, side, rim)[...] = spare.transpose(0, 4, 1, 2, 5, 3)
     for m in range(1, n, max(n - 2, 1)):  # m = 1 and m = n - 1
-        x = np.matmul(g, x.reshape(chi ** (2 * m - 1), d2, -1))
+        batch = chi ** (2 * m - 1)
+        np.matmul(g, x.reshape(batch, d2, -1), out=spare.reshape(batch, d2, -1))
+        x, spare = spare, x
     return ReplicaTransferMatrix(n, chi, a.q, x.reshape(dim, dim))
 
 
@@ -128,15 +134,37 @@ def renyi_trace_via_transfer(a: MpsTensor, n: int, t: int) -> float:
     return float(val.real)
 
 
+def _live_block(m: np.ndarray) -> np.ndarray:
+    """The principal submatrix of m left after repeatedly dropping every
+    index whose row or column is zero on the indices still kept.
+
+    Each pass drops only zero eigenvalues.  With C the kept indices whose
+    columns are zero and R the others whose rows are zero, order the kept
+    set as (C, rest, R): the C columns and the R rows vanish, so the matrix
+    is block upper triangular with diagonal blocks 0, the rest, 0, and its
+    spectrum is the rest's plus zeros.  Only exact zeros count.  A matrix
+    with no zero row or column is returned as it is, uncopied.
+    """
+    while m.size:
+        nonzero = m != 0
+        live = nonzero.any(axis=0) & nonzero.any(axis=1)
+        if live.all():
+            break
+        m = m[np.ix_(live, live)]
+    return m
+
+
 def dominant_eigenvalue(tm: ReplicaTransferMatrix) -> float:
     """Largest-modulus eigenvalue of T, required real-positive.
 
     Eigenvalues tied in modulus with distinct values (complex pairs, sign
     splits) make the asymptotics ambiguous and raise DominanceError;
-    a repeated real-positive eigenvalue is fine.
+    a repeated real-positive eigenvalue is fine.  The eigensolve runs on
+    T's live block (``_live_block``), which drops only zero eigenvalues:
+    at chi=2 the GHZ-cluster T keeps 2^n of its 4^n indices.
     """
-    w = np.linalg.eigvals(tm.matrix)
-    radius = float(np.abs(w).max())
+    w = np.linalg.eigvals(_live_block(tm.matrix))
+    radius = float(np.abs(w).max(initial=0.0))
     if radius == 0.0:
         raise DominanceError("transfer matrix is nilpotent; no dominant eigenvalue")
     top = w[np.abs(w) >= radius * (1 - DOMINANCE_RTOL)]
@@ -211,6 +239,8 @@ def temporal_state_entropy(a: MpsTensor, t: int, n: int | None = None) -> float:
     n >= 2 the Renyi entropy ln(Tr[rho_O^n])/(1-n) of the normalized state is
     returned.  t=0 is the empty chain (entropy 0).
     """
+    if n is not None and n < 2:
+        raise ValueError("n must be >= 2 (or None for von Neumann)")
     if t < 0:
         raise ValueError("t must be >= 0")
     if t == 0:
@@ -220,6 +250,4 @@ def temporal_state_entropy(a: MpsTensor, t: int, n: int | None = None) -> float:
     rho = rho / np.trace(rho).real
     if n is None:
         return von_neumann_entropy(rho)
-    if n < 2:
-        raise ValueError("n must be >= 2 (or None for von Neumann)")
     return float(np.log(renyi_trace(rho, n)) / (1 - n))

@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -9,10 +10,11 @@ from solvcirc.errors import CapacityError, DominanceError
 from solvcirc.evolve import EvolutionConfig, entanglement_entropy, mps_continuation_kets, states
 from solvcirc.gates import TwoSiteGate, random_gate, swap_matrix
 from solvcirc.linalg import haar_unitary, make_rng, max_abs
-from solvcirc.mps import MpsTensor, ghz_cluster_family, product_state_mps
+from solvcirc import renyi
+from solvcirc.mps import MpsTensor, folded_site, ghz_cluster_family, product_state_mps
 from solvcirc.oracle import renyi_trace_chain
-from solvcirc.renyi import (TEMPORAL_AMPLITUDE_CAP, TRANSFER_DIM_CAP,
-                            _temporal_rho_odd, dominant_eigenvalue,
+from solvcirc.renyi import (DOMINANCE_RTOL, TEMPORAL_AMPLITUDE_CAP, TRANSFER_DIM_CAP,
+                            _live_block, _temporal_rho_odd, dominant_eigenvalue,
                             entanglement_velocity, pairing_vector,
                             renyi_trace_via_transfer, temporal_renyi_trace,
                             temporal_state_entropy, transfer_matrix,
@@ -80,12 +82,47 @@ def reference_dressed_site(a, n, kind):
     return out
 
 
-def reference_transfer_matrix(a, n):
+def termwise_transfer_matrix(a, n):
     return reference_dressed_site(a, n, "diamond") @ reference_dressed_site(a, n, "dot")
 
 
+def reference_transfer_matrix(a, n):
+    """The factorised build with T written as the broadcast product of F and
+    the middle factor, then one new T per batched G matmul: the same
+    arithmetic as ``transfer_matrix``, so the two agree bit for bit."""
+    chi, dim = a.chi, a.chi ** (2 * n)
+    d2 = chi * chi
+    e = folded_site(a.mats if a.mats.imag.any() else a.mats.real)
+    g = e.conj()
+    edge = reduce(np.kron, [e] * min(n, 2)).reshape(chi, -1, chi, d2 ** min(n, 2))
+    f = np.einsum('pqrs,smrc->qmpc', g.reshape((chi,) * 4), edge)
+    rim, side = d2 ** (min(n, 2) - 1), chi ** max(2 * n - 4, 0)
+    mid = reduce(np.kron, [e] * (n - 2), np.ones((1, 1), dtype=e.dtype))
+    for k in range(n - 3):
+        mid = np.matmul(g, mid.reshape(chi ** (2 * k + 1), d2, -1))
+    x = f.reshape(d2, 1, rim, d2, 1, rim) * mid.reshape(1, side, 1, 1, side, 1)
+    for m in range(1, n, max(n - 2, 1)):
+        x = np.matmul(g, x.reshape(chi ** (2 * m - 1), d2, -1))
+    return x.reshape(dim, dim)
+
+
+def dense_dominant_eigenvalue(m):
+    """dominant_eigenvalue with the eigensolve on the whole of m."""
+    w = np.linalg.eigvals(m)
+    radius = float(np.abs(w).max())
+    if radius == 0.0:
+        raise DominanceError("transfer matrix is nilpotent; no dominant eigenvalue")
+    top = w[np.abs(w) >= radius * (1 - DOMINANCE_RTOL)]
+    lam = top[np.argmax(np.abs(top))]
+    if abs(lam.imag) > DOMINANCE_RTOL * radius or lam.real <= 0:
+        raise DominanceError(f"dominant eigenvalue {lam:.6g} is not real-positive")
+    if max_abs(top - lam) > DOMINANCE_RTOL * radius:
+        raise DominanceError(f"dominant modulus is shared by distinct eigenvalues {top}")
+    return float(lam.real)
+
+
 def assert_matches_reference(a, n):
-    ref = reference_transfer_matrix(a, n)
+    ref = termwise_transfer_matrix(a, n)
     got = transfer_matrix(a, n).matrix
     assert got.shape == ref.shape
     assert got.dtype == field_dtype(a)
@@ -224,11 +261,22 @@ class TestFactorisedBuild:
         assert_matches_reference(gauge_phased(mps, phi), n)
         assert_matches_reference(haar_site(2, q, seed), n)
 
+    @pytest.mark.parametrize("mps", [cluster(), gauge_phased(cluster(), 0.9),
+                                     ghz_cluster_family(0.6, 3)],
+                             ids=["real_q2", "phased_q2", "real_q3"])
+    def test_bit_identical_to_broadcast_build(self, mps):
+        for n in range(1, 6):
+            got = transfer_matrix(mps, n).matrix
+            ref = reference_transfer_matrix(mps, n)
+            assert got.dtype == ref.dtype
+            assert np.array_equal(got, ref)
+
     @pytest.mark.parametrize("phi", [0.0, 0.9])
     def test_peak_memory(self, phi):
-        # T is written once and each of the two G matmuls on the first and
-        # last adjacent pairs makes one new T: the peak is two T-sized
-        # arrays, for a real (float64) and a complex T
+        # T is the outer product of F and the middle factor, copied once
+        # into its layout, and the two G matmuls on the first and last
+        # adjacent pairs write into those two buffers in turn: the peak is
+        # two T-sized arrays, for a real (float64) and a complex T
         mps = gauge_phased(cluster(), phi)
         tracemalloc.start()
         try:
@@ -354,9 +402,150 @@ class TestVelocity:
         assert abs(lam - 0.5) < 1e-10
 
 
+def planted_block(rng, core, dtype, positive):
+    """A matrix whose live block is a dense core x core block, under a random
+    permutation.  Ordered as (C, core, R): the C columns are zero on all
+    rows and the R rows on all columns, except strictly upper-triangular
+    chains inside C and inside R, so most of C and R is found zero only
+    after an earlier pass has dropped its partner.  One core row holds only
+    its diagonal entry.  Returns the matrix and the core's indices in it.
+    With ``positive`` the core is a positive matrix (a Perron root) in a
+    diagonal phase gauge when complex; else it is Gaussian."""
+    nc, nr = rng.integers(0, 5, size=2)
+    dim = nc + core + nr
+
+    def draw(shape):
+        x = rng.standard_normal(shape)
+        if dtype == complex:
+            x = x + 1j * rng.standard_normal(shape)
+        return x
+
+    m = draw((dim, dim))
+    m[:, :nc] = 0.0
+    m[nc + core:, :] = 0.0
+    m[:nc, :nc] = np.triu(draw((nc, nc)), 1)
+    m[nc + core:, nc + core:] = np.triu(draw((nr, nr)), 1)
+    mid = slice(nc, nc + core)
+    if positive:
+        block = rng.uniform(0.1, 1.0, (core, core))
+        if dtype == complex:
+            d = np.exp(1j * rng.uniform(0, 2 * np.pi, core))
+            block = d[:, None] * block * d.conj()
+        m[mid, mid] = block
+    only = nc + rng.integers(core)
+    m[only, nc:] = 0.0
+    m[only, only] = rng.uniform(0.1, 1.0)
+    perm = rng.permutation(dim)
+    inverse = np.argsort(perm)
+    return m[np.ix_(perm, perm)], np.sort(inverse[nc:nc + core])
+
+
+def match_spectra(a, b):
+    """Largest distance between the members of two spectra paired by
+    nearest neighbour."""
+    b = list(b)
+    worst = 0.0
+    for x in a:
+        k = int(np.argmin(np.abs(np.array(b) - x)))
+        worst = max(worst, abs(b.pop(k) - x))
+    assert not b
+    return worst
+
+
+def dominance_outcome(f, m):
+    """The value f(m), or which DominanceError it raised."""
+    try:
+        return f(m)
+    except DominanceError as e:
+        return next(kind for kind in ("nilpotent", "not real-positive", "distinct")
+                    if kind in str(e))
+
+
+class TestLiveBlock:
+    """The eigensolve of dominant_eigenvalue runs on T's live block: every
+    index with a zero row or column on the indices kept is dropped, again
+    and again, which removes only zero eigenvalues."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 31 - 1), core=st.integers(1, 6),
+           dtype=st.sampled_from([float, complex]), positive=st.booleans())
+    def test_planted_zero_rows_and_columns(self, seed, core, dtype, positive):
+        m, kept = planted_block(make_rng(seed), core, dtype, positive)
+        live = _live_block(m)
+        assert live.dtype == m.dtype
+        assert np.array_equal(live, m[np.ix_(kept, kept)])
+        w_live = np.linalg.eigvals(live)
+        w_dense = np.linalg.eigvals(m)
+        nonzero = w_dense[np.argsort(np.abs(w_dense))[len(w_dense) - core:]]
+        assert match_spectra(w_live, nonzero) <= 1e-12 * max(1.0, np.abs(w_live).max())
+        assert max_abs(np.sort(np.abs(w_dense))[:len(w_dense) - core]) <= 1e-12
+        tm = transfer_matrix(cluster(), 1)
+        tm.matrix = m
+        got = dominance_outcome(lambda x: dominant_eigenvalue(tm), m)
+        want = dominance_outcome(dense_dominant_eigenvalue, m)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert not isinstance(got, str)
+            assert abs(got - want) <= 1e-12 * want
+        if positive:
+            assert not isinstance(got, str)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_dense_matrix_passes_uncopied(self, dtype):
+        m = make_rng(3).standard_normal((8, 8)).astype(dtype)
+        assert _live_block(m) is m
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_only_exact_zeros_count(self, dtype):
+        # the smallest subnormal is a live entry: no tolerance
+        m = np.diag([1.0, 5e-324, 0.0]).astype(dtype)
+        m[1, 2] = 5e-324
+        live = _live_block(m)
+        assert np.array_equal(live, m[:2, :2])
+
+    @pytest.mark.parametrize("mps", [haar_site(2, 2, seed=3), cluster()],
+                             ids=["haar", "cluster"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_transfer_eigenvalue_matches_dense_path(self, mps, n):
+        tm = transfer_matrix(mps, n)
+        want = dense_dominant_eigenvalue(tm.matrix)
+        got = dominant_eigenvalue(tm)
+        if _live_block(tm.matrix) is tm.matrix:
+            assert got == want
+        else:
+            assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("kind", ["strictly_upper", "zero"])
+    def test_nilpotent(self, dtype, kind):
+        m = np.zeros((16, 16), dtype=dtype)
+        if kind == "strictly_upper":
+            m = np.triu(make_rng(5).standard_normal((16, 16)), 1).astype(dtype)
+        tm = transfer_matrix(cluster(), 2)
+        tm.matrix = m
+        assert _live_block(m).size == 0
+        with pytest.raises(DominanceError, match="nilpotent"):
+            dominant_eigenvalue(tm)
+
+
 class TestTemporalState:
     def test_t0(self):
         assert temporal_state_entropy(cluster(), 0) == 0.0
+
+    @pytest.mark.parametrize("n", [1, 0, -2])
+    def test_bad_n_rejected_at_t0(self, n):
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            temporal_state_entropy(cluster(), 0, n)
+
+    @pytest.mark.parametrize("n", [1, 0])
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_bad_n_rejected_before_the_state_is_built(self, monkeypatch, n, t):
+        def unreachable(a, t):
+            raise AssertionError("rho_O built for an invalid n")
+        monkeypatch.setattr(renyi, "_temporal_rho_odd", unreachable)
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            temporal_state_entropy(cluster(), t, n)
 
     @pytest.mark.parametrize("t", [1, 2, 3])
     def test_von_neumann_matches_engine(self, t):
