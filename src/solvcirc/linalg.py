@@ -24,16 +24,22 @@ _HERM_BLOCK = 2 ** 15
 # reduced_density sums its gemm over row blocks of this many amplitudes
 # (1 MiB of complex128), in place of one conjugate copy of the whole state.
 _ROW_BLOCK = 2 ** 16
-# range_sketch: width of the Gaussian range probe and the smallest dimension
-# that takes it (4 probe widths: on a 2-core host eigvalsh of a rank-16
-# matrix took 1.1, 2.1 and 12.7 ms at n = 96, 128 and 256, the probe 0.6, 0.7
-# and 2.5 ms).  PROBE_RESIDUAL_TOL is the residual norm below which a sketch
-# certifies the range (well under the 1e-10 positivity check):
-# min_eig_lower_bound then returns the probe's bound, and
-# evolve.entanglement_entropy reads the spectrum of rho_R from the sketch's
-# factor when sqrt(chi) (1 + delta) resid is within it.
-_PROBE_WIDTH = 32
-_PROBE_MIN_DIM = 4 * _PROBE_WIDTH
+# range_sketch: the probe's first width, the divisor of the dimension n
+# that gives its widest width, and the smallest n that takes a probe.  On a
+# 2-core host (BENCH_rank_sketch.json) a start of 8 certified the benchmark's
+# rows (rank 1-2 at n = 1024, 8-16 at n = 128) for less than a start of 4
+# or 16 did on one of the two; a widest width of n/4 kept a full-rank row's
+# failed sweep at 0.4-0.6 of the eigvalsh of sigma that follows it
+# (n = 128..1024), where n/2 cost as much as that eigvalsh; and at n = 128
+# eigvalsh of a rank-16 matrix took 2.1 ms, a 32-wide probe 0.7 ms.
+# PROBE_RESIDUAL_TOL is the residual norm below which a sketch certifies the
+# range (well under the 1e-10 positivity check): min_eig_lower_bound then
+# returns the probe's bound, and evolve.entanglement_entropy reads the
+# spectrum of rho_R from the sketch's factor when sqrt(chi) (1 + delta) resid
+# is within it.
+_PROBE_START = 8
+_PROBE_CUTOFF_DIV = 4
+_PROBE_MIN_DIM = 128
 PROBE_RESIDUAL_TOL = 1e-12
 
 PAULI = (
@@ -107,16 +113,33 @@ def sandwich(w: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def range_sketch(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, float] | None:
-    """Randomized range sketch (Q, A, resid) of a square matrix h.
+    """Randomized range sketch (Q, A, resid) of a square matrix h, widened
+    until it certifies h's range.
 
     Randomized range finder (Halko, Martinsson and Tropp, SIAM Rev. 53, 217
-    (2011)): Q is an orthonormal basis of h Omega for a fixed-seed D x k
-    Gaussian probe Omega (k = ``_PROBE_WIDTH``), A = herm(Q^dag h Q) and
-    resid = ||h - Q A Q^dag||_F, the residual formed in one D x D array.
-    A residual at round-off certifies that h has numerical rank <= k and
-    that Q spans its range.  None when D < ``_PROBE_MIN_DIM``, where a dense
-    eigensolve costs less than the probe.  Deterministic: the same h gives
-    the same bytes.
+    (2011)): Q (D x k) is an orthonormal basis of h [Omega_1 ... Omega_m]
+    for fixed-seed real Gaussian blocks Omega_i, A = herm(Q^dag h Q) and
+    resid = ||h - Q A Q^dag||_F, formed in one D x D array.  A residual
+    within ``PROBE_RESIDUAL_TOL`` certifies that h has numerical rank <= k
+    and that Q spans its range.
+
+    The width starts at ``_PROBE_START`` and doubles while the sketch is
+    uncertified, up to D / ``_PROBE_CUTOFF_DIV``.  Each doubling draws the
+    next block Omega' (D x k) from the same stream and extends Q by block
+    Gram-Schmidt: h Omega' is projected off Q and orthonormalised, then
+    projected and orthonormalised again, which restores the orthogonality
+    that a rank-deficient block loses.
+
+    Two lower bounds reject a width without the D x D residual.  With
+    P = I - Q Q^dag, P Q = 0 gives resid >= ||P (h - Q A Q^dag)||_F =
+    ||P h||_F, and ||P h X||_F <= ||P h||_F ||X||_2 for any X.  So resid
+    exceeds the tolerance when ||P h Omega'||_F > tol ||Omega'||_2 (the
+    next block, formed anyway to widen) or when ||P h Q||_F > tol (h Q is
+    formed anyway for A), and an uncertified sketch may carry that bound as
+    its resid.  At the widest width the sketch is returned as it stands, so
+    an uncertified one sends the callers to their dense paths.  None when
+    D < ``_PROBE_MIN_DIM``, where a dense eigensolve costs less than the
+    probe.  Deterministic: the same h gives the same bytes.
     """
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -124,13 +147,38 @@ def range_sketch(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, float] | None:
     d = h.shape[0]
     if d < _PROBE_MIN_DIM:
         return None
-    omega = make_rng(0).standard_normal((d, _PROBE_WIDTH))
-    q, _ = np.linalg.qr(h @ omega)
-    a = dagger(q) @ (h @ q)
-    a = (a + dagger(a)) / 2
-    buf = (q @ a) @ dagger(q)
-    np.subtract(h, buf, out=buf)
-    return q, a, float(np.linalg.norm(buf))
+    rng = make_rng(0)
+    q, _ = np.linalg.qr(h @ rng.standard_normal((d, _PROBE_START)))
+    while True:
+        grow = 2 * q.shape[1] <= d // _PROBE_CUTOFF_DIV
+        if grow:
+            omega = rng.standard_normal((d, q.shape[1]))
+            y = h @ omega
+            y -= q @ (dagger(q) @ y)
+            omega_norm = np.sqrt(np.linalg.eigvalsh(omega.T @ omega)[-1])  # ||Omega'||_2
+            if np.linalg.norm(y) > PROBE_RESIDUAL_TOL * omega_norm:
+                q = _extend_basis(q, y)
+                continue
+        hq = h @ q
+        a = dagger(q) @ hq
+        hq -= q @ a
+        resid = float(np.linalg.norm(hq))  # ||P h Q||_F, a lower bound
+        a = (a + dagger(a)) / 2
+        if resid <= PROBE_RESIDUAL_TOL:
+            buf = (q @ a) @ dagger(q)
+            np.subtract(h, buf, out=buf)
+            resid = float(np.linalg.norm(buf))
+        if resid <= PROBE_RESIDUAL_TOL or not grow:
+            return q, a, resid
+        q = _extend_basis(q, y)
+
+
+def _extend_basis(q: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """[Q, Q'] for y already projected once off the orthonormal Q: Q' is
+    y orthonormalised, projected off Q again and orthonormalised again."""
+    y, _ = np.linalg.qr(y)
+    y -= q @ (dagger(q) @ y)
+    return np.hstack([q, np.linalg.qr(y)[0]])
 
 
 def min_eig_lower_bound(h: np.ndarray,
@@ -140,9 +188,10 @@ def min_eig_lower_bound(h: np.ndarray,
     With the ``range_sketch`` (Q, A, resid) of h, Q A Q^dag has the
     eigenvalues of A and D - k zeros, so Weyl's inequality gives
     lambda_min >= min(lambda_min(A), 0) - resid whatever Q is; the probe
-    sets only how tight the bound is.  On a state of rank below k this costs
-    O(D^2 k) instead of O(D^3).  When resid exceeds ``PROBE_RESIDUAL_TOL``
-    (rank near or above k) or D < ``_PROBE_MIN_DIM``, the result is the dense
+    sets only how tight the bound is.  On a state of rank r within the
+    widest probe this costs O(D^2 r) instead of O(D^3).  When resid exceeds
+    ``PROBE_RESIDUAL_TOL`` (rank above D / ``_PROBE_CUTOFF_DIV``) or
+    D < ``_PROBE_MIN_DIM``, the result is the dense
     ``eigvalsh((h + h^dag)/2).min()``, bit for bit.  ``sketch``, when given,
     must be ``range_sketch(h)``; it is computed here otherwise.
     """

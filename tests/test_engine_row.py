@@ -198,12 +198,24 @@ class TestSharedSketch:
 
     @pytest.mark.parametrize("chi", [1, 2])
     def test_rank_40_takes_the_dense_path_bit_for_bit(self, chi):
+        # D = 128: the sketch widens to D / 4 = 32 columns and no further
         rng = make_rng(41)
-        rho = random_state(512, 40, rng)
-        s = dense_state(chi, 2, {1: 9, 2: 8}[chi], rho)
+        rho = random_state(128, 40, rng)
+        s = dense_state(chi, 2, {1: 7, 2: 6}[chi], rho)
         assert s.range_sketch()[2] > PROBE_RESIDUAL_TOL
         assert entanglement_entropy(s) == dense_entropy(s)
         assert s.invariant_residuals()["min_eig"] == range_min_eig(rho)
+
+    @pytest.mark.parametrize("chi", [1, 2])
+    def test_rank_40_widens_the_sketch(self, chi):
+        # D = 512: the sketch doubles to 64 columns and certifies rank 40
+        rng = make_rng(41)
+        rho = random_state(512, 40, rng)
+        s = dense_state(chi, 2, {1: 9, 2: 8}[chi], rho)
+        assert s.range_sketch()[0].shape[1] == 64 and factor_certified(s)
+        assert abs(entanglement_entropy(s) - dense_entropy(s)) <= 1e-12
+        exact = dense_min_eig(rho)
+        assert exact - 1e-12 <= s.invariant_residuals()["min_eig"] <= exact + 1e-14
 
     def test_uncertified_sketch_takes_the_dense_path(self, monkeypatch):
         # the certificate is sqrt(chi) (1 + delta) resid: a sketch residual

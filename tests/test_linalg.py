@@ -4,12 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from solvcirc.errors import CapacityError, PositivityError
-from solvcirc.linalg import (_PROBE_WIDTH, PAULI, apply_two_site, dagger,
-                             expm_hermitian_generator, haar_unitary,
-                             hermiticity_residual, isometry_residual, kron,
-                             make_rng, max_abs, min_eig_lower_bound,
-                             reduced_density, renyi_trace, require_finite,
-                             reshuffle, trace_distance, von_neumann_entropy)
+from solvcirc.linalg import (_PROBE_CUTOFF_DIV, _PROBE_START, PAULI, PROBE_RESIDUAL_TOL,
+                             apply_two_site, dagger, expm_hermitian_generator,
+                             haar_unitary, hermiticity_residual, isometry_residual,
+                             kron, make_rng, max_abs, min_eig_lower_bound,
+                             range_sketch, reduced_density, renyi_trace,
+                             require_finite, reshuffle, trace_distance,
+                             von_neumann_entropy)
 
 def partial_trace(rho, dims, keep):
     """Trace out all tensor factors except those in ``keep``: the dense
@@ -393,15 +394,33 @@ class TestMinEigLowerBound:
         bound = min_eig_lower_bound(h)
         assert exact - 1e-12 <= bound <= exact + 1e-14
 
-    @pytest.mark.parametrize("rank", [_PROBE_WIDTH - 1, _PROBE_WIDTH, _PROBE_WIDTH + 1])
+    @pytest.mark.parametrize("rank", [4 * _PROBE_START - 1, 4 * _PROBE_START,
+                                      4 * _PROBE_START + 1])
     def test_rank_at_the_probe_width(self, rank):
-        # at rank = probe width, A is positive definite while rho is singular:
-        # the bound must still report the zero eigenvalues
+        # around a width the sketch doubles through (rank + 1 widens it once
+        # more): at rank = width, A is positive definite while rho is
+        # singular, and the bound must still report the zero eigenvalues
         rng = make_rng(rank)
         h = spectral_state(512, rng.uniform(1e-3, 1.0, rank), rng)
         exact = np.linalg.eigvalsh(h).min()
         bound = min_eig_lower_bound(h)
         assert exact - 1e-12 <= bound <= exact + 1e-14
+        assert range_sketch(h)[0].shape[1] == 4 * _PROBE_START * (1 + (rank > 4 * _PROBE_START))
+
+    @pytest.mark.parametrize("rank", [127, 128, 129])
+    def test_rank_at_the_widest_probe(self, rank):
+        # D = 512: the widest probe is 128 columns, so rank 129 is the first
+        # that takes the dense eigensolve, bit for bit
+        rng = make_rng(rank)
+        h = spectral_state(512, rng.uniform(1e-3, 1.0, rank), rng)
+        exact = np.linalg.eigvalsh(h).min()
+        bound = min_eig_lower_bound(h)
+        assert exact - 1e-12 <= bound <= exact + 1e-14
+        q, _, resid = range_sketch(h)
+        assert q.shape[1] == widest_probe(512) == 128
+        assert (resid <= PROBE_RESIDUAL_TOL) == (rank <= 128)
+        if rank > 128:
+            assert bound == np.linalg.eigvalsh((h + dagger(h)) / 2).min()
 
     @pytest.mark.parametrize("d", [64, 256, 512])
     def test_full_rank_falls_back_to_dense(self, d):
@@ -426,6 +445,86 @@ class TestMinEigLowerBound:
     def test_rejects_non_square(self, shape):
         with pytest.raises(ValueError):
             min_eig_lower_bound(np.zeros(shape, dtype=complex))
+
+
+def widest_probe(d):
+    """The widest width ``range_sketch`` doubles to at dimension d."""
+    k = _PROBE_START
+    while 2 * k <= d // _PROBE_CUTOFF_DIV:
+        k *= 2
+    return k
+
+
+def orthonormality(q):
+    return max_abs(dagger(q) @ q - np.eye(q.shape[1]))
+
+
+class TestRangeSketch:
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.sampled_from([128, 256, 512]), data=st.data(),
+           seed=st.integers(0, 2 ** 31 - 1))
+    def test_planted_rank_sweep(self, d, data, seed):
+        # rank 1 to past the widest probe, and full rank
+        widest = widest_probe(d)
+        rank = data.draw(st.integers(1, widest + 8) | st.just(d), label="rank")
+        rng = make_rng(seed)
+        w = rng.uniform(0.1, 1.0, rank)
+        h = spectral_state(d, w / w.sum(), rng)
+        sketch = range_sketch(h)
+        q, a, resid = sketch
+        certified = resid <= PROBE_RESIDUAL_TOL
+        assert certified == (rank <= widest)
+        assert orthonormality(q) <= 1e-14
+        assert a.shape == (q.shape[1],) * 2 and np.array_equal(a, dagger(a))
+        again = range_sketch(h.copy())
+        assert all(np.asarray(x).tobytes() == np.asarray(y).tobytes()
+                   for x, y in zip(sketch, again))
+        if certified:
+            assert q.shape[1] < 2 * max(rank, _PROBE_START)
+            assert resid == np.linalg.norm(h - (q @ a) @ dagger(q))
+        else:
+            assert q.shape[1] == widest
+            assert min_eig_lower_bound(h, sketch) == np.linalg.eigvalsh(hermitian(h)).min()
+
+    def test_first_round_is_the_basis_prefix(self):
+        # widening extends Q: its first columns are the first round's basis,
+        # bit for bit, and every later block is orthogonal to them
+        rng = make_rng(70)
+        h = spectral_state(256, rng.uniform(0.1, 1.0, 20), rng)
+        q, _, resid = range_sketch(h)
+        first, _ = np.linalg.qr(h @ make_rng(0).standard_normal((256, _PROBE_START)))
+        assert resid <= PROBE_RESIDUAL_TOL and q.shape[1] == 4 * _PROBE_START
+        assert np.array_equal(q[:, :_PROBE_START], first)
+        assert max_abs(dagger(first) @ q[:, _PROBE_START:]) <= 1e-15
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_noise_floor_does_not_widen(self, seed):
+        # a floor of 0.3 tol: ||P h Omega'||_F is above tol, but over
+        # ||Omega'||_2 it is not, so the failure test keeps the first width,
+        # where the residual certifies
+        rng = make_rng(seed)
+        w = rng.uniform(0.1, 1.0, 4)
+        h = spectral_state(256, w / w.sum(), rng) + noise_floor(256, 0.3 * PROBE_RESIDUAL_TOL, rng)
+        q, _, resid = range_sketch(h)
+        assert resid <= PROBE_RESIDUAL_TOL and q.shape[1] == _PROBE_START
+
+    @pytest.mark.parametrize("rank", [_PROBE_START + 1, 2 * _PROBE_START + 2])
+    def test_rank_deficient_block_keeps_the_basis_orthonormal(self, rank):
+        # rank just past a width: the next block has only rank - k live
+        # directions, and its round-off columns must still be orthogonal
+        rng = make_rng(rank)
+        h = spectral_state(512, rng.uniform(0.1, 1.0, rank), rng)
+        q, _, resid = range_sketch(h)
+        assert resid <= PROBE_RESIDUAL_TOL and orthonormality(q) <= 1e-14
+
+    def test_small_dimension_has_no_sketch(self):
+        h = spectral_state(127, [0.5, 0.5], make_rng(71))
+        assert range_sketch(h) is None
+
+    @pytest.mark.parametrize("shape", [(3, 4), (1, 3), (4,)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValueError):
+            range_sketch(np.zeros(shape, dtype=complex))
 
 
 class TestHermiticityResidual:

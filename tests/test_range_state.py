@@ -3,6 +3,8 @@ channel's output range, rho = (W (x) I) sigma (W (x) I)^dag.  A period of
 a range state forms Z = Tr_0(Y sigma Y^dag), Y = (I_chi (x) U_R)(W (x) I),
 by one route whatever the shape: the site-0 step of the gate on bond
 (0, 1), then the rest of the brickwork, which never touches site 0."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -13,13 +15,14 @@ from solvcirc.evolve import (SOLVABLE_GATE_TOL, EvolutionConfig, JointState,
                              entanglement_entropy, initial_joint_state,
                              local_expectation, states, step, subsystem_density)
 from solvcirc.gates import random_gate
-from solvcirc.linalg import (PROBE_RESIDUAL_TOL, dagger, make_rng, max_abs,
+from solvcirc.linalg import (_PROBE_START, PROBE_RESIDUAL_TOL, dagger, make_rng, max_abs,
                              trace_distance, von_neumann_entropy)
 from solvcirc.mps import (MpsTensor, ghz_cluster_family, product_state_mps,
                           random_lpdo, two_site_from_pair)
 from solvcirc.oracle import ChainSpec, evolve_chain
 from solvcirc.solvable import check_solvable_left
 from test_evolve import dense_state, reference_period, reference_step_rho
+from test_linalg import widest_probe
 
 # gate family -> the local dimensions it is drawn at
 FAMILIES = {"swap": (2, 3, 4), "general": (2, 3, 4), "q2_qt2": (2,),
@@ -286,7 +289,8 @@ class TestRangeDiagnostics:
         assert sketches == [(128, 128)] and eighs == []
 
     def test_rank_40_sigma_takes_the_dense_fallback(self, monkeypatch):
-        # an uncertified sketch of sigma: min_eig is the dense eigensolve of
+        # n = 128: the sketch widens to n / 4 = 32 columns and no further, so
+        # rank 40 leaves it uncertified: min_eig is the dense eigensolve of
         # herm(sigma) less delta ||sigma||_F, and S_ent the dense eigensolve
         # of rho_R (256 x 256), bit for bit
         rng = make_rng(68)
@@ -304,8 +308,8 @@ class TestRangeDiagnostics:
         assert shapes == [(256, 256)]
 
     def test_low_rank_row_takes_the_sketch_factor(self, monkeypatch):
-        # l_r = 4 (rho_R is 256 x 256), sigma of rank 3: no eigensolve larger
-        # than chi k = 64 and no rho_R
+        # l_r = 4 (rho_R is 256 x 256), sigma of rank 3: the sketch keeps its
+        # first width k, so no eigensolve larger than chi k = 16 and no rho_R
         rng = make_rng(66)
         n = 2 * 4 ** 3
         v, _ = np.linalg.qr(rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3)))
@@ -316,4 +320,61 @@ class TestRangeDiagnostics:
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: sizes.append(h.shape[0]) or real(h))
         monkeypatch.setattr(evolve, "subsystem_density", None)
         assert abs(entanglement_entropy(s) - want) <= 1e-12
-        assert 0 < max(sizes) <= 2 * s.range_sketch()[0].shape[1] == 64
+        assert 0 < max(sizes) <= 2 * s.range_sketch()[0].shape[1] == 2 * _PROBE_START
+
+    def test_rank_40_sigma_widens_the_sketch(self, monkeypatch):
+        # n = 512 (l_r = 5): the sketch doubles to 64 columns and certifies
+        # rank 40, so S_ent reads the factor (chi k = 128) and forms no rho_R
+        rng = make_rng(68)
+        lam = rng.uniform(0.5, 1.5, 40)
+        s = range_state(planted_sigma(lam / lam.sum(), rng, 512), l_r=5)
+        q, _, resid = s.range_sketch()
+        assert resid <= PROBE_RESIDUAL_TOL and q.shape[1] == 64
+        want = von_neumann_entropy(subsystem_density(s))
+        exact = exact_min_eig(s.rho)
+        assert exact - 1e-12 <= s.invariant_residuals()["min_eig"] <= exact + 1e-14
+        monkeypatch.setattr(evolve, "subsystem_density", None)
+        assert abs(entanglement_entropy(s) - want) <= 1e-12
+
+    def test_certified_rank_128_row_forms_no_rho_r(self):
+        # q = 4, chi = 2, l_r = 5: D = 2048, rho_R would be 1024 x 1024
+        # (16 MiB); a rank-128 sigma (n = 512) is certified at the widest
+        # probe, and both diagnostics together peak below one such array
+        rng = make_rng(72)
+        lam = rng.uniform(0.5, 1.5, 128)
+        s = range_state(planted_sigma(lam / lam.sum(), rng, 512), l_r=5)
+        rho_r_bytes = (s.q ** s.l_r) ** 2 * 16
+        tracemalloc.start()
+        try:
+            s.invariant_residuals()
+            entanglement_entropy(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert s.range_sketch()[2] <= PROBE_RESIDUAL_TOL
+        assert s.range_sketch()[0].shape[1] == 128
+        assert peak < rho_r_bytes
+
+    @settings(max_examples=12, deadline=None)
+    @given(n=st.sampled_from([128, 256, 512]), data=st.data(), seed=st.integers(0, 2 ** 31 - 1))
+    def test_planted_rank_sweep(self, n, data, seed):
+        # sigma of rank 1 to past the widest probe (n / 4): certified exactly
+        # when the rank fits, and above it min_eig and S_ent are the dense
+        # paths bit for bit
+        widest = widest_probe(n)
+        rank = data.draw(st.integers(1, widest + 8), label="rank")
+        rng = make_rng(seed)
+        r, l_r = {128: (2, 4), 256: (4, 4), 512: (2, 5)}[n]
+        w, _ = np.linalg.qr(rng.standard_normal((8, r)) + 1j * rng.standard_normal((8, r)))
+        lam = rng.uniform(0.5, 1.5, rank)
+        s = range_state(planted_sigma(lam / lam.sum(), rng, n), w=w, l_r=l_r)
+        q, _, resid = s.range_sketch()
+        assert (resid <= PROBE_RESIDUAL_TOL) == (rank <= widest)
+        if rank <= widest:
+            assert q.shape[1] < 2 * max(rank, _PROBE_START)
+            return
+        sigma = s._held
+        delta = np.linalg.norm(dagger(w) @ w - np.eye(r), 2)
+        want = min(exact_min_eig(sigma), 0.0) - delta * np.linalg.norm(sigma)
+        assert s.invariant_residuals()["min_eig"] == want
+        assert entanglement_entropy(s) == von_neumann_entropy(subsystem_density(s))
