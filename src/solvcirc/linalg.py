@@ -25,7 +25,8 @@ _HERM_BLOCK = 2 ** 15
 # (1 MiB of complex128), in place of one conjugate copy of the whole state.
 _ROW_BLOCK = 2 ** 16
 # range_sketch: the probe's first width, the divisor of the dimension n
-# that gives its widest width, and the smallest n that takes a probe.  On a
+# that bounds its widest width (the largest _PROBE_START * 2^j not above
+# n / _PROBE_CUTOFF_DIV), and the smallest n that takes a probe.  On a
 # 2-core host (BENCH_rank_sketch.json) a start of 8 certified the benchmark's
 # rows (rank 1-2 at n = 1024, 8-16 at n = 128) for less than a start of 4
 # or 16 did on one of the two; a widest width of n/4 kept a full-rank row's
@@ -124,11 +125,13 @@ def range_sketch(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, float] | None:
     and that Q spans its range.
 
     The width starts at ``_PROBE_START`` and doubles while the sketch is
-    uncertified, up to D / ``_PROBE_CUTOFF_DIV``.  Each doubling draws the
-    next block Omega' (D x k) from the same stream and extends Q by block
-    Gram-Schmidt: h Omega' is projected off Q and orthonormalised, then
-    projected and orthonormalised again, which restores the orthogonality
-    that a rank-deficient block loses.
+    uncertified, up to the widest width: the largest ``_PROBE_START`` 2^j
+    not above D / ``_PROBE_CUTOFF_DIV`` (D/4 when D is a power of two; 32
+    at D = 162, where D/4 is 40).  Each doubling draws the next block
+    Omega' (D x k) from the same stream and extends Q by block Gram-Schmidt:
+    h Omega' is projected off Q and orthonormalised, then projected and
+    orthonormalised again, which restores the orthogonality that a
+    rank-deficient block loses.
 
     Two lower bounds reject a width without the D x D residual.  With
     P = I - Q Q^dag, P Q = 0 gives resid >= ||P (h - Q A Q^dag)||_F =
@@ -190,7 +193,7 @@ def min_eig_lower_bound(h: np.ndarray,
     lambda_min >= min(lambda_min(A), 0) - resid whatever Q is; the probe
     sets only how tight the bound is.  On a state of rank r within the
     widest probe this costs O(D^2 r) instead of O(D^3).  When resid exceeds
-    ``PROBE_RESIDUAL_TOL`` (rank above D / ``_PROBE_CUTOFF_DIV``) or
+    ``PROBE_RESIDUAL_TOL`` (rank above ``range_sketch``'s widest width) or
     D < ``_PROBE_MIN_DIM``, the result is the dense
     ``eigvalsh((h + h^dag)/2).min()``, bit for bit.  ``sketch``, when given,
     must be ``range_sketch(h)``; it is computed here otherwise.

@@ -89,7 +89,7 @@ def _period_sites(l_left: int, l_r: int, layer_order: str = "even_first") -> lis
 
 # Gates go through the module-level name _apply_pair, the whole state first:
 # benchmarks/spans.py counts oracle gate applications by wrapping it.
-def _apply_pair(psi: np.ndarray, u: np.ndarray, out: np.ndarray, lead: int = 1) -> np.ndarray:
+def _apply_pair(psi: np.ndarray, u: np.ndarray, out: np.ndarray, lead: int) -> np.ndarray:
     """The gate u on the two legs of psi after its ``lead`` leading amplitudes
     (the pair's dimensions multiply to u's order), as one batched gemm into
     ``out``: the rest first, then the lead legs, then the pair.  With lead 1

@@ -143,12 +143,12 @@ def _live_block(m: np.ndarray) -> np.ndarray:
     set as (C, rest, R): the C columns and the R rows vanish, so the matrix
     is block upper triangular with diagonal blocks 0, the rest, 0, and its
     spectrum is the rest's plus zeros.  Only exact zeros count.  A matrix
-    with no zero row or column is returned as it is, uncopied.  A complex
-    m is scanned on its float64 view, each column's two parts reduced after
-    the scan: an entry is nonzero when either part is.
+    with no zero row or column is returned as it is, uncopied.  m is
+    scanned on its real view (a complex column as its two parts, reduced
+    after the scan): an entry is nonzero when either part is.
     """
     while m.size:
-        nonzero = np.ascontiguousarray(m).view(m.real.dtype) != 0 if np.iscomplexobj(m) else m != 0
+        nonzero = np.ascontiguousarray(m).view(m.real.dtype) != 0
         cols = nonzero.any(axis=0).reshape(m.shape[1], -1).any(axis=1)
         live = cols & nonzero.any(axis=1)
         if live.all():

@@ -504,6 +504,11 @@ class TestLiveBlock:
         live = _live_block(m)
         assert np.array_equal(live, m[:2, :2])
 
+    def test_either_part_keeps_an_entry(self):
+        # index 0 lives on an imaginary part alone, 1 and 3 on real parts
+        m = np.diag([1j, 2.0, 0.0, 3.0])
+        assert np.array_equal(_live_block(m), m[np.ix_([0, 1, 3], [0, 1, 3])])
+
     @pytest.mark.parametrize("mps", [haar_site(2, 2, seed=3), cluster()],
                              ids=["haar", "cluster"])
     @pytest.mark.parametrize("n", [1, 2, 3])
