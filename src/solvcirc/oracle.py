@@ -89,14 +89,11 @@ def _period_sites(l_left: int, l_r: int, layer_order: str = "even_first") -> lis
 
 # Gates go through the module-level name _apply_pair, the whole state first:
 # benchmarks/spans.py counts oracle gate applications by wrapping it.
-def _apply_pair(psi: np.ndarray, u: np.ndarray, out: np.ndarray, lead: int) -> np.ndarray:
-    """The gate u on the two legs of psi after its ``lead`` leading amplitudes
-    (the pair's dimensions multiply to u's order), as one batched gemm into
-    ``out``: the rest first, then the lead legs, then the pair.  With lead 1
-    the pair is psi's two leading legs and moves to the back."""
+def _apply_pair(psi: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The gate u on the two leading legs of psi (their dimensions multiply
+    to u's order) as one gemm into ``out``, the pair as its trailing legs."""
     d2 = u.shape[0]
-    np.matmul(psi.reshape(lead, d2, -1).transpose(0, 2, 1), u.T,
-              out=out.reshape(-1, lead, d2).transpose(1, 0, 2))
+    np.matmul(psi.reshape(d2, -1).T, u.T, out=out.reshape(-1, d2))
     return out
 
 
@@ -109,25 +106,21 @@ def _periods(psi: np.ndarray, u: np.ndarray, dims: list[int], sites: list[int],
     The state is held in a cyclic leg frame, the canonical legs rotated left
     by an offset r, so the gate on legs (r, r + 1) is one gemm that writes
     the pair to the back (r -> r + 2).  A sublayer of consecutive pairs costs
-    a gemm a gate: its first gate, on legs (p, p + 1) with p != r, also
-    moves legs r .. p - 1 behind the rest (one batched gemm, p -> p + 2).
-    A rotation is a 2-D transposing copy: one ends the period at offset 0,
-    and one comes before a gate whose pair wraps round the frame's end.
-    psi (overwritten) and one idle buffer swap roles at each step, so the
-    loop holds two states.
+    one rotation (a 2-D transposing copy) and a gemm a gate; a period ends
+    rotated back to offset 0.  psi (overwritten) and one idle buffer swap
+    roles at each step, so the loop holds two states.
     """
     n, idle = len(dims), np.empty_like(psi)
     yield psi, idle
     for _ in range(t):
         r = 0
         for p in sites + [n]:  # offset n = 0 ends the period
-            span = (p - r) % n
-            lead = prod((dims + dims)[r:r + span])  # legs r .. p - 1, cyclically
-            if lead > 1 and (p == n or span + 2 > n):
+            lead = prod((dims + dims)[r:r + (p - r) % n])  # legs r .. p - 1, cyclically
+            if lead > 1:
                 np.copyto(idle.reshape(-1, lead), psi.reshape(lead, -1).T)
-                psi, idle, lead = idle, psi, 1
+                psi, idle = idle, psi
             if p < n:
-                psi, idle = _apply_pair(psi, u, idle, lead), psi
+                psi, idle = _apply_pair(psi, u, idle), psi
                 r = (p + 2) % n
         yield psi, idle
 
