@@ -25,14 +25,14 @@ from .mps import (Lpdo, MpsTensor, TwoSiteMps, check_left_canonical,
                   ghz_cluster_family, left_block, lpdo_check_canonical,
                   product_state_mps, random_left_canonical, random_lpdo,
                   subspace_dimension, two_site_from_pair)
-from .oracle import ChainSpec, build_initial_chain, evolve_chain, renyi_trace_chain
+from .oracle import (ChainSpec, build_initial_chain, evolve_chain,
+                     influence_matrix_bruteforce, renyi_trace_chain)
 from .renyi import (PairingVector, ReplicaTransferMatrix, entanglement_velocity,
                     pairing_vector, renyi_trace_via_transfer, temporal_renyi_trace,
                     temporal_state_entropy, transfer_matrix)
 from .solvable import (SolvabilityReport, build_influence_matrix_dense,
                        build_influence_matrix_open, check_solvable_left,
-                       check_solvable_right, check_soliton,
-                       influence_matrix_bruteforce, solvability_report,
+                       check_solvable_right, check_soliton, solvability_report,
                        spatial_transfer_apply, verify_im_fixed_point)
 
 __version__ = "0.1.0"

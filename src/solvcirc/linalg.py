@@ -6,9 +6,6 @@ sampling takes an explicit ``numpy.random.Generator``.
 """
 from __future__ import annotations
 
-from math import prod
-from typing import Sequence
-
 import numpy as np
 
 from .errors import CapacityError, PositivityError
@@ -263,21 +260,6 @@ def kron(*mats: np.ndarray) -> np.ndarray:
     for m in mats[1:]:
         out = np.kron(out, m)
     return out
-
-
-def apply_two_site(psi: np.ndarray, u: np.ndarray, dims: Sequence[int],
-                   p1: int, p2: int) -> np.ndarray:
-    """Apply the two-site gate ``u`` to tensor factors p1 < p2 of ``psi``.
-
-    ``psi`` is a statevector whose C-order factors have dimensions ``dims``;
-    ``u`` is (d1 d2) x (d1 d2) with factor p1 as its slower index.  One einsum
-    on the (before, d1, mid, d2, after) view of psi writes a new flat array.
-    """
-    if not 0 <= p1 < p2 < len(dims):
-        raise ValueError(f"need 0 <= p1 < p2 < {len(dims)}, got p1={p1}, p2={p2}")
-    d1, d2 = dims[p1], dims[p2]
-    view = psi.reshape(prod(dims[:p1]), d1, prod(dims[p1 + 1:p2]), d2, prod(dims[p2 + 1:]))
-    return np.einsum('ijkl,akmlc->aimjc', u.reshape(d1, d2, d1, d2), view).reshape(-1)
 
 
 def reduced_density(psi: np.ndarray, dr: int, work: np.ndarray | None = None) -> np.ndarray:

@@ -126,6 +126,28 @@ def folded_site(mats: np.ndarray) -> np.ndarray:
     return np.einsum('aij,akl->ikjl', mats, mats.conj()).reshape(chi * chi, -1)
 
 
+def folded_period(mats: np.ndarray) -> np.ndarray:
+    """N[B_out, S_out, B_in] = sum_K F[B_out, K, S_out] E[K, B_in]: a site
+    kept folded, then a site traced, with doubled bond (chi^2) and site
+    (q^2) legs.  N (x) vec(I_q) is the boundary channel's
+    sum_mu K_mu (x) K_mu^* regrouped: the input site enters only through
+    its trace."""
+    return np.tensordot(folded_tensor(mats), folded_site(mats), axes=([1], [0]))
+
+
+def folded_chain(mats: np.ndarray, tsteps: int) -> np.ndarray:
+    """X[B, S_1, ..., S_T], the MPS of T periods of ``folded_period``
+    contracted from vec(I_chi) on the B_out of period T, one period
+    prepended a step (one gemm), in the stack's dtype: B is period 1's B_in
+    and S_t period t's S_out, so no array exceeds X."""
+    q, chi = mats.shape[:2]
+    n = folded_period(mats).transpose(2, 1, 0).reshape(-1, chi * chi)
+    x = np.eye(chi, dtype=mats.dtype).reshape(-1)
+    for _ in range(tsteps):
+        x = n @ x.reshape(chi * chi, -1)  # [B_in, S_out, later periods]
+    return x.reshape((chi * chi,) + (q * q,) * tsteps)
+
+
 def ghz_cluster_family(theta: float, q: int) -> MpsTensor:
     """chi=2 family interpolating between the GHZ and cluster states on the
     first two levels; A^(a) = 0 for a >= 2.

@@ -1,6 +1,7 @@
 """Brute-force full-chain simulation: materialize a finite left region plus
 the right subsystem, evolve the global brickwork exactly, trace the left, and
-certify the hidden-Markov engine.
+certify the hidden-Markov engine; the same period loop on the left region
+alone, with probe pairs on the crossing legs, gives the influence matrix.
 
 Global coordinates put the leftmost right-region site at x = 0; bond (0,1) is
 even and the boundary-crossing bond (-1,0) is odd, so the crossing gate sits
@@ -164,3 +165,38 @@ def renyi_trace_chain(gate: TwoSiteGate, mps: MpsTensor, n: int, t: int,
     if n < 2:
         raise ValueError("n must be >= 2")
     return renyi_trace(renyi_chain_density(gate, mps, t, l_left, l_r, cap), n)
+
+
+def influence_matrix_bruteforce(u: TwoSiteGate, a: MpsTensor, tsteps: int,
+                                l_left: int | None = None) -> np.ndarray:
+    """The open-bond influence matrix (axes of
+    ``solvable.build_influence_matrix_open``) from a finite left chain, with
+    no use of the closed form.  The chain [far, sites -l_left..-1, cut] runs
+    ``_periods`` a period at a time, each after inserting an unnormalized
+    probe pair sum_s |ss> right after site -1, whose first leg the crossing
+    gate takes as site 0; the IM is the reduced density of the probes and
+    the cut bond, legs reversed.  l_left (default 2 tsteps + 2) must cover
+    the light cone, 2 tsteps, and the chain's chi^2 q^(l_left + 2 tsteps)
+    amplitudes (no fewer than the IM's entries) fit DEFAULT_AMPLITUDE_CAP."""
+    q, chi = a.q, a.chi
+    if u.q != q:
+        raise ValueError(f"gate q={u.q} does not match tensor q={q}")
+    if tsteps < 0:
+        raise ValueError(f"tsteps must be >= 0, got {tsteps}")
+    l_left = 2 * tsteps + 2 if l_left is None else l_left
+    if l_left < 2 * tsteps:
+        raise ValueError(f"l_left={l_left} is inside the lightcone of {tsteps} steps")
+    amps = chi * chi * q ** (l_left + 2 * tsteps)
+    if amps > DEFAULT_AMPLITUDE_CAP:
+        raise CapacityError(f"chain would hold {amps} amplitudes (cap {DEFAULT_AMPLITUDE_CAP})")
+    psi, pair = left_block(a, l_left), np.eye(q).reshape(1, -1, 1)
+    sites = _period_sites(l_left, 1)
+    for k in range(tsteps):
+        psi = psi.reshape(chi * q ** l_left, 1, -1) * pair
+        dims = [chi] + [q] * (l_left + 2 * k + 2) + [chi]
+        *_, (psi, _) = _periods(psi.reshape(-1), u.matrix, dims, sites, 1)
+    # legs [period T's pair (site 0, partner), ..., period 1's pair, cut]
+    nleg = 2 * tsteps + 1
+    rho = reduced_density(psi, chi * q ** (2 * tsteps)).reshape(([q] * (nleg - 1) + [chi]) * 2)
+    rho = rho.transpose([j for i in reversed(range(nleg)) for j in (i, nleg + i)])
+    return rho.reshape((chi * chi,) + (q * q,) * (2 * tsteps))

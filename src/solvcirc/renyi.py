@@ -19,7 +19,7 @@ import numpy as np
 from .errors import CapacityError, DominanceError
 from .linalg import max_abs, renyi_trace, von_neumann_entropy
 from .mps import (CANONICAL_ATOL, MpsTensor, check_left_canonical, check_right_canonical,
-                  folded_site)
+                  folded_chain, folded_site)
 
 TRANSFER_DIM_CAP = 4096
 TEMPORAL_AMPLITUDE_CAP = 2 ** 20
@@ -201,24 +201,21 @@ def _temporal_rho_odd(a: MpsTensor, t: int) -> np.ndarray:
     |phi> carries 4t physical legs plus bond legs at both ends; the left bond
     joins the even (traced) part E, the right bond the odd part O.  Built
     unnormalized, in the tensor's field (float64 for a real tensor):
-    <phi|phi> = chi, so Tr[rho_O] = chi.  Contracted site by
-    site on x[(ket odd legs), (bra odd legs), (b, b')] from the traced left
-    bond x = I: each odd site appends A to the ket and A* to the bra, and the
-    even site after it is traced by E = sum_a A^(a) (x) A^(a)*, one matmul by
-    f for the pair.  Neither phi nor any 4t-leg transpose is formed.
+    <phi|phi> = chi, so Tr[rho_O] = chi.  By the temporal-state duality
+    rho_O is the influence matrix's MPS, ``mps.folded_chain`` at T = 2t:
+    each period keeps an odd site folded and traces the even site after it,
+    the traced left bond is its closed end and the right bond its open one.
+    One transpose takes X's legs (the right bond, then the odd sites right
+    to left) to ket and bra legs, odd sites left to right, then the bond.
+    Neither phi nor its 4t-site legs are formed.
     """
     q, chi = a.q, a.chi
     amps = chi * chi * q ** (4 * t)
     if amps > TEMPORAL_AMPLITUDE_CAP:
         raise CapacityError(f"temporal state would hold {amps} amplitudes")
-    mats = _field_mats(a)
-    e = folded_site(mats).reshape(chi, chi, -1)
-    f = np.einsum('aij,bkl,jlm->ikabm', mats, mats.conj(), e).reshape(chi * chi, -1)
-    x, o = np.eye(chi, dtype=mats.dtype).reshape(1, -1), 1
-    for _ in range(2 * t):
-        x = (x @ f).reshape(o, o, q, q, -1).transpose(0, 2, 1, 3, 4).reshape(-1, chi * chi)
-        o *= q
-    return x.reshape(o, o, chi, chi).transpose(0, 2, 1, 3).reshape(o * chi, o * chi)
+    x = folded_chain(_field_mats(a), 2 * t).reshape((chi, chi) + (q, q) * (2 * t))
+    x = x.transpose(list(range(4 * t, -1, -2)) + list(range(4 * t + 1, 0, -2)))
+    return x.reshape(chi * q ** (2 * t), -1)
 
 
 def temporal_renyi_trace(a: MpsTensor, n: int, t: int) -> float:

@@ -18,9 +18,8 @@ import numpy as np
 
 from .errors import CapacityError
 from .gates import TwoSiteGate, is_dual_unitary, swap_conjugate
-from .linalg import (PAULI, apply_two_site, dagger, kron, max_abs, reduced_density,
-                     reshuffle)
-from .mps import (Lpdo, MpsTensor, TwoSiteMps, folded_site, folded_tensor, left_block,
+from .linalg import PAULI, dagger, kron, max_abs, reshuffle
+from .mps import (Lpdo, MpsTensor, TwoSiteMps, folded_chain, folded_tensor,
                   physical_matrices)
 
 IM_ENTRY_CAP = 2 ** 24
@@ -115,43 +114,24 @@ def solvability_report(u: TwoSiteGate, a: MpsTensor | TwoSiteMps | Lpdo) -> Solv
 # influence matrix
 # ---------------------------------------------------------------------------
 
-def influence_period_tensor(a: MpsTensor) -> np.ndarray:
-    """One period of the influence matrix, N[B_out, S_out, B_in] =
-    sum_K F[B_out, K, S_out] E[K, B_in] (``folded_tensor``, ``folded_site``),
-    with doubled bond (chi^2) and site (q^2) legs.  N (x) vec(I_q) is the
-    boundary channel's sum_mu K_mu (x) K_mu^* regrouped: the input site
-    enters only through its trace."""
-    return np.tensordot(folded_tensor(a.mats), folded_site(a.mats), axes=([1], [0]))
-
-
-def _im_horizon_check(a: MpsTensor, tsteps: int):
-    """tsteps >= 0 (ValueError) and an influence matrix within the cap
-    (CapacityError)."""
-    if tsteps < 0:
-        raise ValueError(f"tsteps must be >= 0, got {tsteps}")
-    entries = (a.chi ** 2) * (a.q ** (4 * tsteps))
-    if entries > IM_ENTRY_CAP:
-        raise CapacityError(f"influence matrix would hold {entries} entries (cap {IM_ENTRY_CAP})")
-
-
 def build_influence_matrix_open(a: MpsTensor, tsteps: int) -> np.ndarray:
     """Influence matrix with the t=0 bond left open.
 
     Axes: [bond(chi^2), s_1_in, s_1_out, ..., s_T_in, s_T_out] with q^2 legs;
     s_t_in enters the boundary channel at period t, s_t_out returns to the
-    subsystem.  The MPS of ``influence_period_tensor`` is contracted from
-    the bond trace at t=T, one period prepended per step, so no array
-    exceeds the result.
+    subsystem.  It is the folded MPS X of ``mps.folded_chain`` with vec(I_q)
+    broadcast on each in leg, as every gate cancels for a solvable pair.
     """
-    _im_horizon_check(a, tsteps)
-    chi, q = a.chi, a.q
-    n = influence_period_tensor(a).transpose(2, 1, 0).reshape(-1, chi * chi)
-    trq = np.eye(q).reshape(-1, 1, 1)
-    x = np.eye(chi, dtype=complex).reshape(-1)
-    for _ in range(tsteps):
-        y = (n @ x.reshape(chi * chi, -1)).reshape(chi * chi, 1, q * q, -1)
-        x = y * trq  # [B_in, S_in, S_out, later periods]
-    return x.reshape((chi * chi,) + (q * q,) * (2 * tsteps))
+    if tsteps < 0:
+        raise ValueError(f"tsteps must be >= 0, got {tsteps}")
+    entries = (a.chi ** 2) * (a.q ** (4 * tsteps))
+    if entries > IM_ENTRY_CAP:
+        raise CapacityError(f"influence matrix would hold {entries} entries (cap {IM_ENTRY_CAP})")
+    qq, trq = a.q * a.q, np.eye(a.q).reshape(-1)
+    x = folded_chain(a.mats, tsteps).reshape((a.chi ** 2,) + (1, qq) * tsteps)
+    for t in range(tsteps):
+        x = x * trq.reshape((qq,) + (1,) * (2 * (tsteps - t) - 1))
+    return x
 
 
 def build_influence_matrix_dense(a: MpsTensor, tsteps: int) -> np.ndarray:
@@ -215,44 +195,3 @@ def verify_im_fixed_point(u: TwoSiteGate, a: MpsTensor, tsteps: int) -> float:
     im = build_influence_matrix_open(a, tsteps)
     out = spatial_transfer_apply(im, u, a, tsteps)
     return max_abs(out - im)
-
-
-def influence_matrix_bruteforce(u: TwoSiteGate, a: MpsTensor, tsteps: int,
-                                l_left: int | None = None) -> np.ndarray:
-    """Open-bond influence matrix contracted directly from a finite left chain.
-
-    Materializes l_left sites of the left region (far bond purified), applies
-    the left-region brickwork including the boundary-crossing gates with
-    maximally entangled probe pairs on the crossing legs, and traces the far
-    region.  Independent of the closed-form construction; agreement validates
-    the channel tensor.
-    """
-    q, chi = a.q, a.chi
-    if l_left is None:
-        l_left = 2 * tsteps + 2
-    _im_horizon_check(a, tsteps)
-    # state factors: [far(chi)] [sites -L..-1] [cut(chi)]; probes appended per period
-    psi = left_block(a, l_left).reshape(-1)
-    dims = [chi] + [q] * l_left + [chi]
-    pos = lambda x: 1 + x + l_left
-    even_bonds = [x for x in range(-l_left, -1) if x % 2 == 0]
-    odd_bonds = [x for x in range(-l_left, -2) if x % 2 != 0]
-    pair = np.eye(q, dtype=complex).reshape(-1)  # unnormalized sum_s |ss>
-    for _ in range(tsteps):
-        for x in even_bonds:
-            psi = apply_two_site(psi, u.matrix, dims, pos(x), pos(x) + 1)
-        psi = np.kron(psi, pair)
-        dims += [q, q]
-        psi = apply_two_site(psi, u.matrix, dims, pos(-1), len(dims) - 1)
-        for x in odd_bonds:
-            psi = apply_two_site(psi, u.matrix, dims, pos(x), pos(x) + 1)
-    # the cut bond and the probes are the last factors
-    rho = reduced_density(psi, chi * q ** (2 * tsteps))
-    nleg = 1 + 2 * tsteps
-    shape = [chi] + [q] * (2 * tsteps)
-    r = rho.reshape(*shape, *shape)
-    perm: list[int] = []
-    for i in range(nleg):
-        perm += [i, nleg + i]
-    r = np.transpose(r, perm)
-    return r.reshape((chi * chi,) + (q * q,) * (2 * tsteps))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from solvcirc.errors import CapacityError, PositivityError
 from solvcirc.linalg import (_PROBE_CUTOFF_DIV, _PROBE_START, PAULI, PROBE_RESIDUAL_TOL,
-                             apply_two_site, dagger, expm_hermitian_generator,
+                             dagger, expm_hermitian_generator,
                              haar_unitary, hermiticity_residual, isometry_residual,
                              kron, make_rng, max_abs, min_eig_lower_bound,
                              range_sketch, reduced_density, renyi_trace,
@@ -300,36 +300,6 @@ def reference_apply_pair(psi, u, dims, p1, p2):
     lead = t.shape[:-2]
     t = (t.reshape(-1, dims[p1] * dims[p2]) @ u.T).reshape(*lead, dims[p1], dims[p2])
     return np.moveaxis(t, [n - 2, n - 1], [p1, p2]).reshape(-1)
-
-
-# site legs per q, between two edge legs of dimension 1..3
-SITES = {2: 8, 3: 5, 4: 4}
-
-
-class TestApplyTwoSite:
-    @settings(max_examples=40, deadline=None)
-    @given(q=st.sampled_from(sorted(SITES)), lead=st.integers(1, 3),
-           trail=st.integers(1, 3), seed=st.integers(0, 2 ** 31 - 1), data=st.data())
-    def test_matches_moveaxis_reference(self, q, lead, trail, seed, data):
-        dims = [lead] + [q] * SITES[q] + [trail]
-        rng = make_rng(seed)
-        n = int(np.prod(dims))
-        psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        before = psi.copy()
-        p1 = data.draw(st.integers(0, len(dims) - 3), label="p1")
-        p2 = data.draw(st.integers(p1 + 2, len(dims) - 1), label="p2")
-        pairs = [(p, p + 1) for p in range(len(dims) - 1)] + [(p1, p2)]
-        for a, b in pairs:
-            u = haar_unitary(dims[a] * dims[b], rng)
-            out = apply_two_site(psi, u, dims, a, b)
-            assert out.shape == (n,)
-            assert max_abs(out - reference_apply_pair(psi, u, dims, a, b)) < 1e-14
-            assert np.array_equal(psi, before)
-
-    @pytest.mark.parametrize("p1,p2", [(1, 1), (2, 1), (-1, 1), (0, 3)])
-    def test_rejects_bad_positions(self, p1, p2):
-        with pytest.raises(ValueError):
-            apply_two_site(np.zeros(8, dtype=complex), np.eye(4), [2, 2, 2], p1, p2)
 
 
 def hermitian(m):

@@ -12,8 +12,11 @@ from solvcirc.linalg import (_ROW_BLOCK, haar_unitary, make_rng, max_abs, reduce
                              renyi_trace, trace_distance)
 from solvcirc.mps import (ghz_cluster_family, left_block, product_state_mps,
                           random_left_canonical)
-from solvcirc.oracle import (ChainSpec, build_initial_chain, evolve_chain,
+from solvcirc import oracle
+from solvcirc.oracle import (DEFAULT_AMPLITUDE_CAP, ChainSpec, build_initial_chain,
+                             evolve_chain, influence_matrix_bruteforce,
                              renyi_chain_density, renyi_trace_chain)
+from solvcirc.solvable import build_influence_matrix_open
 from test_linalg import reference_apply_pair
 
 
@@ -320,6 +323,91 @@ class TestCyclicFrame:
         assert max_abs(renyi_chain_density(gate, mps, t, l_left, l_r) - ref) < 1e-14
         assert abs(renyi_trace_chain(gate, mps, n, t, l_left, l_r)
                    - renyi_trace(ref, n)) < 1e-14
+
+
+def reference_influence_matrix(u, a, tsteps, l_left):
+    """The brute-force IM by a per-gate loop: each period the even bonds,
+    then a probe pair sum_s |ss> appended after the cut bond and the
+    crossing gate on site -1 and the pair's second leg (``reference_apply_pair``
+    on non-adjacent legs), then the other odd bonds; the IM is the reduced
+    density of the cut bond and the probes, ket and bra legs interleaved."""
+    q, chi = a.q, a.chi
+    psi = left_block(a, l_left).reshape(-1)
+    dims = [chi] + [q] * l_left + [chi]
+    pos = lambda x: 1 + x + l_left
+    pair = np.eye(q, dtype=complex).reshape(-1)
+    for _ in range(tsteps):
+        for x in range(-l_left, -1):
+            if x % 2 == 0:
+                psi = reference_apply_pair(psi, u.matrix, dims, pos(x), pos(x) + 1)
+        psi, dims = np.kron(psi, pair), dims + [q, q]
+        psi = reference_apply_pair(psi, u.matrix, dims, pos(-1), len(dims) - 1)
+        for x in range(-l_left, -2):
+            if x % 2 != 0:
+                psi = reference_apply_pair(psi, u.matrix, dims, pos(x), pos(x) + 1)
+    nleg = 1 + 2 * tsteps
+    shape = [chi] + [q] * (2 * tsteps)
+    rho = reduced_density(psi, chi * q ** (2 * tsteps)).reshape(shape + shape)
+    rho = rho.transpose([j for i in range(nleg) for j in (i, nleg + i)])
+    return rho.reshape((chi * chi,) + (q * q,) * (2 * tsteps))
+
+
+class TestInfluenceMatrixBruteforce:
+    """The brute-force IM runs the oracle's period loop on the left region
+    with probe pairs; the per-gate loop is its reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(family=st.sampled_from(["q2_qt2", "swap", "haar"]), q=st.sampled_from([2, 3]),
+           chi=st.sampled_from([1, 2, 3]), tsteps=st.sampled_from([1, 2]),
+           extra=st.sampled_from([0, 1, 3]), seed=st.integers(0, 2 ** 31 - 1))
+    def test_matches_the_gate_loop(self, family, q, chi, tsteps, extra, seed):
+        rng = make_rng(seed)
+        q = 2 if family == "q2_qt2" else q
+        gate = (TwoSiteGate(q, swap_matrix(q), "swap") if family == "swap"
+                else random_gate(family, rng, q=q))
+        mps, l_left = chain_tensor(q, chi, rng), 2 * tsteps + extra
+        if chi * chi * q ** (l_left + 2 * tsteps) > DEFAULT_AMPLITUDE_CAP:
+            with pytest.raises(CapacityError):
+                influence_matrix_bruteforce(gate, mps, tsteps, l_left)
+            return
+        got = influence_matrix_bruteforce(gate, mps, tsteps, l_left)
+        ref = reference_influence_matrix(gate, mps, tsteps, l_left)
+        assert got.shape == ref.shape == (chi * chi,) + (q * q,) * (2 * tsteps)
+        assert max_abs(got - ref) <= 1e-13
+
+    @pytest.mark.parametrize("family,l_left", [("haar", 2), ("haar", 3), ("q2_qt2", 1),
+                                               ("q2_qt2", 2)])
+    def test_light_cone_refused(self, family, l_left):
+        # inside the light cone the far boundary reaches the crossing legs:
+        # unchecked, these T = 2 IMs were 0.22-0.28 (Haar) away from the
+        # l_left = 8 one and 0.38-0.46 (q2_qt2) from the closed form
+        gate, mps = random_gate(family, make_rng(30)), ghz_cluster_family(np.pi / 4, 2)
+        with pytest.raises(ValueError, match="inside the lightcone"):
+            influence_matrix_bruteforce(gate, mps, 2, l_left)
+        closed = build_influence_matrix_open(mps, 2)
+        far = influence_matrix_bruteforce(gate, mps, 2, 8)
+        assert max_abs(influence_matrix_bruteforce(gate, mps, 2, 4) - far) < 1e-14
+        if family == "q2_qt2":
+            assert max_abs(far - closed) < 1e-12
+        else:
+            assert max_abs(far - closed) > 1e-3
+
+    @pytest.mark.parametrize("gate_q,mps_q", [(3, 2), (2, 4)])
+    def test_gate_and_tensor_q_must_agree(self, gate_q, mps_q):
+        # a q = 2 gate on q = 4 legs would act on one leg as if it were two
+        gate = random_gate("haar", make_rng(32), q=gate_q)
+        with pytest.raises(ValueError, match="does not match tensor q"):
+            influence_matrix_bruteforce(gate, ghz_cluster_family(0.5, mps_q), 1)
+
+    def test_capacity_before_the_chain(self, monkeypatch):
+        # T = 5 at q = chi = 2 passes the IM cap (2^22 entries) but its
+        # chain holds 2^24 amplitudes (256 MiB)
+        def unreachable(a, n):
+            raise AssertionError("left block built past the cap")
+        monkeypatch.setattr(oracle, "left_block", unreachable)
+        gate, mps = random_gate("q2_qt2", make_rng(31)), ghz_cluster_family(np.pi / 4, 2)
+        with pytest.raises(CapacityError, match="16777216 amplitudes"):
+            influence_matrix_bruteforce(gate, mps, 5)
 
 
 def traced_peak(fn) -> int:

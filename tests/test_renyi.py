@@ -13,6 +13,7 @@ from solvcirc.linalg import haar_unitary, make_rng, max_abs
 from solvcirc import renyi
 from solvcirc.mps import MpsTensor, folded_site, ghz_cluster_family, product_state_mps
 from solvcirc.oracle import renyi_trace_chain
+from solvcirc.solvable import build_influence_matrix_open
 from solvcirc.renyi import (DOMINANCE_RTOL, TEMPORAL_AMPLITUDE_CAP, TRANSFER_DIM_CAP,
                             _live_block, _temporal_rho_odd, dominant_eigenvalue,
                             entanglement_velocity, pairing_vector,
@@ -612,6 +613,35 @@ class TestTemporalBuilder:
                 ref = reference_temporal_rho_odd(mps, t)
                 assert got.shape == ref.shape == (chi * q ** (2 * t),) * 2
                 assert max_abs(got - ref) <= 1e-14
+
+    # every (q, chi, t) whose IM, chi^2 q^(8t) entries, IM_ENTRY_CAP admits,
+    # but q = 2, chi = 1, t = 3, whose IM of 2^24 entries takes 256 MiB
+    @pytest.mark.parametrize("q,chi,t", [(2, 1, 1), (2, 1, 2), (2, 2, 1), (2, 2, 2),
+                                         (3, 1, 1), (3, 2, 1), (4, 1, 1), (4, 2, 1)])
+    def test_is_the_influence_matrix(self, q, chi, t):
+        # the temporal-state duality: rho_O is the IM at T = 2t with each in
+        # leg closed by vec(I_q)/q, its out legs the odd sites right to left
+        # and its open bond the right bond
+        ket = np.linspace(1.0, 2.0, q) / np.linalg.norm(np.linspace(1.0, 2.0, q))
+        tensors = ([product_state_mps(ket), haar_site(1, q, seed=q)] if chi == 1 else
+                   [ghz_cluster_family(0.6, q), gauge_phased(ghz_cluster_family(0.6, q), 0.9),
+                    haar_site(2, q, seed=q)])
+        for mps in tensors:
+            im = build_influence_matrix_open(mps, 2 * t)
+            for _ in range(2 * t):  # close the leading in leg; the out leg moves last
+                im = np.moveaxis(np.tensordot(im, np.eye(q).reshape(-1) / q, axes=([1], [0])),
+                                 1, -1)
+            sites = 2 * t  # labels: ket of odd site s is s, its bra sites + 1 + s
+            in_sub = [0, sites + 1]
+            for s in range(sites, 0, -1):
+                in_sub += [s, sites + 1 + s]
+            out_sub = list(range(1, sites + 1)) + [0] + list(range(sites + 2, 2 * sites + 2)) \
+                + [sites + 1]
+            x = im.reshape((chi, chi) + (q, q) * sites)
+            ref = np.einsum(x, in_sub, out_sub).reshape(chi * q ** sites, -1)
+            got = _temporal_rho_odd(mps, t)
+            assert got.dtype == field_dtype(mps)
+            assert max_abs(got - ref) <= 1e-14
 
     @settings(max_examples=30, deadline=None)
     @given(theta=st.floats(0.05, np.pi / 4), q=st.sampled_from([2, 3, 4]),

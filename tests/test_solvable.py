@@ -7,13 +7,14 @@ from solvcirc.channel import kraus_from_mps
 from solvcirc.errors import CapacityError
 from solvcirc.gates import TwoSiteGate, random_gate, swap_conjugate, swap_matrix
 from solvcirc.linalg import dagger, kron, make_rng, max_abs, reshuffle
-from solvcirc.mps import (ghz_cluster_family, physical_matrices, product_state_mps,
-                          random_left_canonical, random_lpdo, two_site_from_pair, MpsTensor)
+from solvcirc.mps import (folded_period, ghz_cluster_family, physical_matrices,
+                          product_state_mps, random_left_canonical, random_lpdo,
+                          two_site_from_pair, MpsTensor)
+from solvcirc.oracle import influence_matrix_bruteforce
 from solvcirc.solvable import (_solvable_left_detail, build_influence_matrix_dense,
                                build_influence_matrix_open,
                                check_solvable_left, check_solvable_right,
-                               check_soliton, influence_matrix_bruteforce,
-                               influence_period_tensor, solvability_report,
+                               check_soliton, solvability_report,
                                spatial_transfer_apply, verify_im_fixed_point)
 from test_channel import superoperator
 from test_oracle import traced_peak
@@ -293,7 +294,7 @@ class TestInfluenceMatrix:
         mps = random_left_canonical(q, chi, make_rng(seed))
         sup = superoperator(kraus_from_mps(mps)).reshape((chi, q) * 4)
         sup = sup.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(chi * chi, q * q, chi * chi, q * q)
-        n = influence_period_tensor(mps)
+        n = folded_period(mps.mats)
         assert max_abs(np.multiply.outer(n, np.eye(q).reshape(-1)) - sup) < 1e-14
 
     @pytest.mark.parametrize("q,chi,tsteps", [(2, 2, 4), (2, 4, 3), (4, 2, 2)])
