@@ -53,6 +53,8 @@ class TwoSiteMps:
             raise ValueError("mats_a shape mismatch")
         if self.mats_b.shape != (self.q, self.chip, self.chi):
             raise ValueError("mats_b shape mismatch")
+        if not (np.all(np.isfinite(self.mats_a)) and np.all(np.isfinite(self.mats_b))):
+            raise ValueError("tensor has non-finite entries")
 
 
 @dataclass
@@ -68,6 +70,8 @@ class Lpdo:
         self.mats = np.asarray(self.mats, dtype=complex)
         if self.mats.shape != (self.q, self.d, self.chi, self.chi):
             raise ValueError(f"mats shape {self.mats.shape} != ({self.q},{self.d},{self.chi},{self.chi})")
+        if not np.all(np.isfinite(self.mats)):
+            raise ValueError("tensor has non-finite entries")
 
 
 def check_left_canonical(t: MpsTensor) -> float:

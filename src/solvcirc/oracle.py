@@ -145,6 +145,8 @@ def renyi_chain_density(gate: TwoSiteGate, mps: MpsTensor, t: int,
     boundary pairing.  Both regions need a margin of at least 2t + 2 sites.
     """
     q, chi = mps.q, mps.chi
+    if gate.q != q:
+        raise ValueError(f"gate q={gate.q} does not match tensor q={q}")
     l_left = 2 * t + 2 if l_left is None else l_left
     l_r = 2 * t + 2 if l_r is None else l_r
     if l_left < 2 * t + 2 or l_r < 2 * t + 2:

@@ -4,11 +4,12 @@ soliton condition, and the influence-matrix fixed-point property.
 The left condition states that the reshuffled gate transports the one-site
 kets |A_jk> = sum_a A^(a)_jk |a> like a spatial SWAP:
 
-    U^R (|A_jk><A_j'k'| (x) I_q) (U^R)^dag = I_q (x) |A_jk><A_j'k'|
+    L(X) = U^R (X (x) I_q) (U^R)^dag - I_q (x) X = 0,   X = |A_jk><A_j'k'|,
 
-for every bond index pair.  It is checked over all chi^4 pairs directly;
-O(chi^4) small-matrix comparisons are cheap at desk scale and avoid rank
-decisions.
+for every bond index pair.  L is linear, so the condition depends on the
+tensor only through span{|A_jk>}: the residual over all pairs is computed
+exactly on at most q principal kets (``check_solvable_left``), with no rank
+decision.
 """
 from __future__ import annotations
 
@@ -23,7 +24,6 @@ from .mps import (Lpdo, MpsTensor, TwoSiteMps, folded_chain, folded_tensor,
                   physical_matrices)
 
 IM_ENTRY_CAP = 2 ** 24
-_PAIR_BLOCK_ENTRIES = 2 ** 15  # see _solvable_left_detail
 
 
 @dataclass
@@ -34,48 +34,32 @@ class SolvabilityReport:
     right_residual: float
     dual_unitarity_residual: float
     soliton_residual: float | None
-    worst_pair: tuple[int, int, int, int]
-    left_frobenius: float
-    right_frobenius: float
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["worst_pair"] = list(self.worst_pair)
-        return d
-
-
-def _solvable_left_detail(gate: TwoSiteGate, state: MpsTensor | TwoSiteMps | Lpdo):
-    """(max-norm residual, worst pair (j, j', k, k'), largest Frobenius norm)
-    of the left condition, in batched products over blocks of pairs (rows of
-    x) whose arrays hold about ``_PAIR_BLOCK_ENTRIES`` entries each, and two
-    floats per pair; the worst pair is the first maximum in (j, k, j', k')
-    order, and NaN propagates."""
-    q = gate.q
-    stack = physical_matrices(state)  # (q, chi, chip)
-    if stack.shape[0] != q:
-        raise ValueError(f"gate q={q} does not match tensor q={stack.shape[0]}")
-    ur = reshuffle(gate.matrix, q)
-    chi, chip = stack.shape[1], stack.shape[2]
-    kets = stack.reshape(q, -1).T  # row j chip + k is |A_jk>
-    iq, rows = np.eye(q), max(1, _PAIR_BLOCK_ENTRIES // (q ** 4 * len(kets)))
-    resid, fro = np.empty(len(kets) ** 2), np.empty(len(kets) ** 2)
-    for m0 in range(0, len(kets), rows):
-        # x[m, n, a, c] = <a|A_m><A_n|c>, and the krons as broadcast products
-        x = kets[m0:m0 + rows, None, :, None] * kets.conj()[None, :, None, :]
-        x_i = (x[:, :, :, None, :, None] * iq[:, None, :]).reshape(-1, q * q, q * q)
-        i_x = (iq[:, None, :, None] * x[:, :, None, :, None, :]).reshape(x_i.shape)
-        diff = ur @ x_i @ dagger(ur) - i_x
-        pairs = slice(m0 * len(kets), m0 * len(kets) + len(diff))
-        resid[pairs] = np.abs(diff).reshape(len(diff), -1).max(axis=1)
-        fro[pairs] = np.linalg.norm(diff, axis=(1, 2))
-    i = int(np.argmax(resid))  # the first maximum, or the first NaN
-    (j, k), (jp, kp) = (divmod(m, chip) for m in divmod(i, chi * chip))
-    return float(resid[i]), (j, jp, k, kp), float(fro.max())
+        return asdict(self)
 
 
 def check_solvable_left(u: TwoSiteGate, a: MpsTensor | TwoSiteMps | Lpdo) -> float:
-    """Max-norm residual of the left-chirality solvable condition."""
-    return _solvable_left_detail(u, a)[0]
+    """Residual of the left-chirality solvable condition: the root-sum-square
+    over all bond-index pairs (m, n) of ||L(|A_m><A_n|)||_F, which bounds
+    every pair's Frobenius and max-norm residual.  NaN propagates.
+
+    With the kets as columns of K (q x chi chip) and K^T = Q R (Q's columns
+    orthonormal), |A_m> = sum_i Q_mi p_i over the rows p_i of R, so by
+    linearity and Q^dag Q = I the sum over pairs equals
+    sum_{i,j} ||L(p_i p_j^dag)||_F^2: at most q^2 products, whatever chi.
+    """
+    q = u.q
+    stack = physical_matrices(a)  # (q, chi, chip)
+    if stack.shape[0] != q:
+        raise ValueError(f"gate q={q} does not match tensor q={stack.shape[0]}")
+    ur, iq = reshuffle(u.matrix, q), np.eye(q)
+    p = np.linalg.qr(stack.reshape(q, -1).T, mode="r")  # rows p_i, at most q
+    # x[i, j, a, c] = <a|p_i><p_j|c>, and the krons as broadcast products
+    x = p[:, None, :, None] * p.conj()[None, :, None, :]
+    x_i = (x[:, :, :, None, :, None] * iq[:, None, :]).reshape(-1, q * q, q * q)
+    i_x = (iq[:, None, :, None] * x[:, :, None, :, None, :]).reshape(x_i.shape)
+    return float(np.linalg.norm(ur @ x_i @ dagger(ur) - i_x))
 
 
 def check_solvable_right(u: TwoSiteGate, a: MpsTensor | TwoSiteMps | Lpdo) -> float:
@@ -97,16 +81,11 @@ def check_soliton(u: TwoSiteGate) -> float:
 
 
 def solvability_report(u: TwoSiteGate, a: MpsTensor | TwoSiteMps | Lpdo) -> SolvabilityReport:
-    left, pair, left_fro = _solvable_left_detail(u, a)
-    right, _, right_fro = _solvable_left_detail(swap_conjugate(u), a)
     return SolvabilityReport(
-        left_residual=left,
-        right_residual=right,
+        left_residual=check_solvable_left(u, a),
+        right_residual=check_solvable_right(u, a),
         dual_unitarity_residual=is_dual_unitary(u),
         soliton_residual=check_soliton(u) if u.q == 2 else None,
-        worst_pair=pair,
-        left_frobenius=left_fro,
-        right_frobenius=right_fro,
     )
 
 

@@ -329,6 +329,25 @@ def test_negative_horizon_refused(tmp_path, capsys):
         assert err == "configuration error: tsteps must be >= 0, got -1\n"
 
 
+def test_gate_q_must_match_the_left_state(tmp_path, capsys):
+    # `renyi --oracle` used to run a q = 2 gate on q = 4 legs, write
+    # trace_via_oracle 0.799 next to trace_via_transfer 0.774 and exit 0
+    gate, mps = {"family": "haar", "q": 2, "seed": 1}, {"family": "ghz_cluster", "q": 4, "theta": 0.5}
+    cases = [("entropy_saturation.json", ["check"]), ("entropy_saturation.json", ["evolve"]),
+             ("oracle_q4_general.json", ["oracle"]), ("fixed_point_q2.json", ["fixed-point"]),
+             ("renyi_cluster.json", ["renyi", "--oracle"])]
+    cfg_path, out = tmp_path / "c.json", tmp_path / "out"
+    for name, command in cases:
+        cfg_path.write_text(json.dumps(dict(base_config(name), gate=gate, mps=mps)))
+        argv = command + ["--config", str(cfg_path)]
+        if command[0] in ("evolve", "oracle", "renyi"):
+            argv += ["--out", str(out)]
+        code, err = run_cli(argv, capsys)
+        assert code == 2 and err.startswith("configuration error: ") and err.count("\n") == 1, \
+            (command, code, err)
+        assert not out.exists()
+
+
 # The strict fields of a {"file": ...} input: a gate or left-state file's
 # integer fields, each matrix's rows and cols, and each [re, im] entry.
 FILE_INT_FIELDS = {"q", "chi", "chip", "d", "rows", "cols"}

@@ -6,7 +6,8 @@ from solvcirc.mps import (Lpdo, MpsTensor, check_left_canonical,
                           check_right_canonical, check_two_site_canonical,
                           ghz_cluster_family, left_block, lpdo_check_canonical,
                           product_state_mps, random_left_canonical,
-                          random_lpdo, subspace_dimension, two_site_from_pair)
+                          random_lpdo, subspace_dimension, two_site_from_pair,
+                          TwoSiteMps)
 
 
 def cluster_q2():
@@ -140,6 +141,16 @@ class TestTwoSite:
             two_site_from_pair(random_left_canonical(2, 2, rng),
                                random_left_canonical(2, 3, rng))
 
+    @pytest.mark.parametrize("part", ["mats_a", "mats_b"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entries_refused(self, part, value):
+        # a NaN passed the channel's canonical check (resid > CANONICAL_ATOL)
+        cell = two_site_from_pair(cluster_q2(), cluster_q2())
+        mats = {"mats_a": cell.mats_a, "mats_b": cell.mats_b}
+        mats[part][1, 0, 1] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            TwoSiteMps(2, 2, 2, **mats)
+
 
 class TestLpdo:
     def test_d1_matches_pure(self):
@@ -161,3 +172,12 @@ class TestLpdo:
     def test_random_lpdo_canonical(self):
         l = random_lpdo(2, 3, 2, make_rng(5))
         assert lpdo_check_canonical(l) < 1e-12
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_non_finite_entries_refused(self, value):
+        mats = random_lpdo(2, 3, 2, make_rng(6)).mats
+        mats[0, 1, 2, 0] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            Lpdo(2, 3, 2, mats)
+        with pytest.raises(ValueError, match="non-finite"):
+            Lpdo(2, 3, 2, np.full_like(mats, value))

@@ -241,6 +241,15 @@ class TestRenyiChain:
         with pytest.raises(ValueError):
             renyi_trace_chain(gate, mps, 2, 2, l_left=4)
 
+    @pytest.mark.parametrize("gate_q,mps_q", [(3, 2), (2, 4)])
+    def test_gate_and_tensor_q_must_agree(self, gate_q, mps_q, monkeypatch):
+        # a q = 2 gate on q = 4 legs acted on one leg as if it were two, and
+        # the trace read 0.799 against the transfer matrix's 0.774
+        monkeypatch.setattr(oracle, "left_block", lambda *a: pytest.fail("chain built"))
+        gate = random_gate("haar", make_rng(1), q=gate_q)
+        with pytest.raises(ValueError, match="does not match tensor q"):
+            renyi_trace_chain(gate, ghz_cluster_family(0.5, mps_q), 2, 1, l_left=4, l_r=4)
+
 
 def reference_periods(psi, u, dims, l_left, l_r, t, dr, layer_order="even_first"):
     """rho_R after 0..t periods of the brickwork on legs 1.. (leg 0 is the
