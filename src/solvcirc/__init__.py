@@ -30,9 +30,8 @@ from .oracle import (ChainSpec, build_initial_chain, evolve_chain,
 from .renyi import (PairingVector, ReplicaTransferMatrix, entanglement_velocity,
                     pairing_vector, renyi_trace_via_transfer, temporal_renyi_trace,
                     temporal_state_entropy, transfer_matrix)
-from .solvable import (SolvabilityReport, build_influence_matrix_dense,
-                       build_influence_matrix_open, check_solvable_left,
-                       check_solvable_right, check_soliton, solvability_report,
-                       spatial_transfer_apply, verify_im_fixed_point)
+from .solvable import (SolvabilityReport, build_influence_matrix_open,
+                       check_solvable_left, check_solvable_right, check_soliton,
+                       solvability_report, verify_im_fixed_point)
 
 __version__ = "0.1.0"

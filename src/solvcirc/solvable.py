@@ -20,8 +20,8 @@ import numpy as np
 from .errors import CapacityError
 from .gates import TwoSiteGate, is_dual_unitary, swap_conjugate
 from .linalg import PAULI, dagger, kron, max_abs, reshuffle
-from .mps import (Lpdo, MpsTensor, TwoSiteMps, folded_chain, folded_tensor,
-                  physical_matrices)
+from .mps import (Lpdo, MpsTensor, TwoSiteMps, folded_chain, folded_site,
+                  folded_tensor, physical_matrices)
 
 IM_ENTRY_CAP = 2 ** 24
 
@@ -113,18 +113,6 @@ def build_influence_matrix_open(a: MpsTensor, tsteps: int) -> np.ndarray:
     return x
 
 
-def build_influence_matrix_dense(a: MpsTensor, tsteps: int) -> np.ndarray:
-    """Dense vectorized influence matrix over the 2T doubled multitime legs.
-
-    The t=0 bond is contracted with the maximally correlated ancilla pair of
-    the joint-state convention (weight 1/chi on every doubled bond index);
-    T=0 yields the scalar 1.
-    """
-    im = build_influence_matrix_open(a, tsteps)
-    boundary = np.full(a.chi * a.chi, 1.0 / a.chi, dtype=complex)
-    return np.tensordot(boundary, im, axes=([0], [0]))
-
-
 def _folded_gate(u: np.ndarray, q: int) -> np.ndarray:
     """G4[s0_out, s1_out, s0_in, s1_in] with doubled q^2 legs."""
     g = np.kron(u, u.conj()).reshape(q, q, q, q, q, q, q, q)
@@ -132,36 +120,43 @@ def _folded_gate(u: np.ndarray, q: int) -> np.ndarray:
     return g.reshape(q * q, q * q, q * q, q * q)
 
 
-def spatial_transfer_apply(im: np.ndarray, u: TwoSiteGate, a: MpsTensor,
-                           tsteps: int) -> np.ndarray:
-    """Apply the two-column spatial transfer slab to an open-bond IM.
-
-    The slab absorbs one two-site period of the left region: two folded MPS
-    tensors, a column of T folded even-bond gates, a column of T folded
-    odd-bond (boundary-crossing) gates, and the two top traces.  For an
-    exactly solvable pair the open-bond IM is its fixed point.
+def _spatial_transfer(u: TwoSiteGate, a: MpsTensor, tsteps: int) -> np.ndarray:
+    """The spatial transfer slab applied to the closed-form open-bond IM, in
+    its axes: two folded MPS tensors, then per period a folded even gate
+    whose site-0 output meets the IM's in leg, vec(I_q), and a folded
+    crossing gate.  Contracted like ``mps.folded_chain``, a period at a time
+    from the closed end over x[B, w0, w1, later] (w0, w1: the even gate's
+    inputs), each period the IM's F and E on (B, w0), then the two gates.
+    Period 1 takes the slab's tensors onto B one value of w0 at a time, so
+    no array of the chain exceeds the IM.
     """
     q, chi = a.q, a.chi
-    g4 = _folded_gate(u.matrix, q)
-    f = folded_tensor(a.mats)
+    qq, bb = q * q, chi * chi
+    g = _folded_gate(u.matrix, q)
     trq = np.eye(q, dtype=complex).reshape(-1)
-    x = im.reshape((chi * chi,) + (q * q,) * (2 * tsteps))
-    x = np.tensordot(f, x, axes=([0], [0]))   # site 0 tensor: [bR, p0, old...]
-    x = np.tensordot(f, x, axes=([0], [0]))   # site 1 tensor: [b_new, p1, p0, old...]
-    for _ in range(tsteps):
-        # canonical axes: [b, w1, w0, o_in, o_out, rest_old..., new...]
-        x = np.tensordot(x, g4, axes=([2, 1], [2, 3]))      # even gate eats (w0, w1)
-        x = np.trace(x, axis1=1, axis2=x.ndim - 2)          # E site-0 out -> old in-leg
-        x = np.tensordot(x, g4, axes=([x.ndim - 1], [2]))   # crossing gate eats E site-1 out
-        n = x.ndim
-        # appended [O_s1out, O_s2out, O_s2in]; exposed legs in (in, out) order
-        x = np.moveaxis(x, [n - 1, n - 2], [n - 2, n - 1])
-        n = x.ndim
-        # next period wires: w1 = O_s1out, w0 = old out-leg (axis 1)
-        x = np.moveaxis(x, [n - 3, 1], [1, 2])
-    x = np.tensordot(x, trq, axes=([1], [0]))
-    x = np.tensordot(x, trq, axes=([1], [0]))
-    return x
+    top = np.kron(trq, trq)
+    ge = np.tensordot(trq, g, axes=([0], [0]))  # [e, w0, w1]
+    cross = g.transpose(2, 3, 1, 0).reshape(-1, qq)  # [(e, in, out), w1]
+    f = folded_tensor(a.mats)  # [left, right, phys]
+    fin = f.transpose(1, 0, 2).reshape(bb, -1)  # [right, (left, phys)]
+    f = f.transpose(1, 2, 0).reshape(-1, bb)  # [(right, phys), left]
+    e = folded_site(a.mats).T  # [right, left]
+    x = np.kron(np.eye(chi, dtype=complex).reshape(-1), top if tsteps else 1)  # top traces
+    for t in range(tsteps, 0, -1):
+        x = e @ (fin @ x.reshape(bb * qq, -1))  # [B_in, w1, later]
+        if t > 1:
+            x = cross @ x.reshape(bb, qq, -1)  # [B_in, e, in, out, later]
+            x = ge.reshape(qq, -1).T @ x.reshape(bb, qq, -1)  # [B_in, w0, w1, in, out, later]
+    # the two sites onto x[B, w1, later] (x[B] at T=0), site 0's leg = k
+    close = ge if tsteps else top.reshape(1, qq, qq)  # [e, w0, w1]
+    acc = 0
+    for k in range(qq):
+        z = f @ (f.reshape(bb, qq, bb)[:, k] @ x.reshape(bb, -1))  # [b_new, s1, w1, later]
+        acc += close[:, k] @ z.reshape(bb, qq, -1)  # [b_new, e, w1, later]
+    if not tsteps:
+        return acc.reshape(bb)
+    x = g.transpose(3, 1, 2, 0).reshape(qq * qq, -1) @ acc.reshape(bb, qq * qq, -1)
+    return x.reshape((bb,) + (qq,) * (2 * tsteps))
 
 
 def verify_im_fixed_point(u: TwoSiteGate, a: MpsTensor, tsteps: int) -> float:
@@ -169,8 +164,13 @@ def verify_im_fixed_point(u: TwoSiteGate, a: MpsTensor, tsteps: int) -> float:
 
     Runs for any gate so that non-solvable controls report a large residual;
     callers wanting a hard precondition should gate on check_solvable_left
-    first.
+    first.  Peak: at most 4.5 chi^2 q^(4T) + 3.25 (q^8 + chi^4 q^2) complex
+    entries: the IM, and in period 1 a slice, its product with the even
+    gate's slice and their sum; three copies of the folded gate; the folded
+    MPS tensors (3 chi^4 q^2 + chi^4 while the IM's period is formed).
     """
+    if u.q != a.q:
+        raise ValueError(f"gate q={u.q} does not match tensor q={a.q}")
     im = build_influence_matrix_open(a, tsteps)
-    out = spatial_transfer_apply(im, u, a, tsteps)
-    return max_abs(out - im)
+    out = _spatial_transfer(u, a, tsteps)
+    return max_abs(np.subtract(out, im, out=out))

@@ -1,21 +1,20 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from solvcirc.channel import kraus_from_mps
 from solvcirc.errors import CapacityError
 from solvcirc.gates import TwoSiteGate, random_gate, swap_conjugate, swap_matrix
-from solvcirc.linalg import dagger, make_rng, max_abs, reshuffle
-from solvcirc.mps import (folded_period, ghz_cluster_family, physical_matrices,
-                          product_state_mps, random_left_canonical, random_lpdo,
-                          two_site_from_pair, MpsTensor)
+from solvcirc.linalg import dagger, haar_unitary, make_rng, max_abs, reshuffle
+from solvcirc.mps import (folded_period, folded_tensor, ghz_cluster_family,
+                          physical_matrices, product_state_mps, random_left_canonical,
+                          random_lpdo, two_site_from_pair, MpsTensor)
 from solvcirc.oracle import influence_matrix_bruteforce
-from solvcirc.solvable import (build_influence_matrix_dense,
-                               build_influence_matrix_open,
-                               check_solvable_left, check_solvable_right,
-                               check_soliton, solvability_report,
-                               spatial_transfer_apply, verify_im_fixed_point)
+from solvcirc.solvable import (_folded_gate, _spatial_transfer,
+                               build_influence_matrix_open, check_solvable_left,
+                               check_solvable_right, check_soliton,
+                               solvability_report, verify_im_fixed_point)
 from test_channel import superoperator
 from test_oracle import traced_peak
 
@@ -50,7 +49,6 @@ class TestSolvableLeft:
         # bond space of an exactly solvable pair
         rng = make_rng(2)
         t = ghz_cluster_family(0.6, 2)
-        from solvcirc.linalg import haar_unitary
         w = haar_unitary(2, rng)
         rotated = MpsTensor(2, 2, np.einsum('ij,ajk,kl->ail', w, t.mats, w.conj().T))
         g = random_gate("q2_qt2", rng)
@@ -231,7 +229,10 @@ class TestReport:
 
 class TestInfluenceMatrix:
     def test_t0_scalar(self):
-        im = build_influence_matrix_dense(ghz_cluster_family(np.pi / 4, 2), 0)
+        # the t=0 bond closed with the joint-state convention's maximally
+        # correlated ancilla pair: weight 1/chi on every doubled bond index
+        im = np.tensordot(np.full(4, 0.5), build_influence_matrix_open(
+            ghz_cluster_family(np.pi / 4, 2), 0), axes=([0], [0]))
         assert im.shape == ()
         assert abs(complex(im) - 1.0) < 1e-14
 
@@ -239,7 +240,7 @@ class TestInfluenceMatrix:
         # product |0> left state: per period |0><0| on the out leg, trace on the in leg
         prod = product_state_mps([1, 0])
         t = 2
-        im = build_influence_matrix_dense(prod, t)
+        im = np.tensordot(np.ones(1), build_influence_matrix_open(prod, t), axes=([0], [0]))
         proj0 = np.zeros(4)
         proj0[0] = 1.0  # vec(|0><0|)
         tr = np.eye(2).reshape(-1)  # vec(trace)
@@ -306,7 +307,8 @@ class TestInfluenceMatrix:
         assert (max(got) <= chi ** 2) == (family != "haar")
 
     def test_norm_finite(self):
-        im = build_influence_matrix_dense(ghz_cluster_family(np.pi / 4, 2), 2)
+        im = np.tensordot(np.full(4, 0.5), build_influence_matrix_open(
+            ghz_cluster_family(np.pi / 4, 2), 2), axes=([0], [0]))
         assert np.isfinite(np.linalg.norm(im))
 
     @settings(max_examples=30, deadline=None)
@@ -328,6 +330,46 @@ class TestInfluenceMatrix:
         mps = random_left_canonical(q, chi, make_rng(17))
         nbytes = 16 * chi ** 2 * q ** (4 * tsteps)
         assert traced_peak(lambda: build_influence_matrix_open(mps, tsteps)) <= 2 * nbytes + 2 ** 20
+
+
+def reference_spatial_transfer(im: np.ndarray, u: TwoSiteGate, a: MpsTensor,
+                               tsteps: int) -> np.ndarray:
+    """Apply the two-column spatial transfer slab to an open-bond IM.
+
+    The slab absorbs one two-site period of the left region: two folded MPS
+    tensors, a column of T folded even-bond gates, a column of T folded
+    odd-bond (boundary-crossing) gates, and the two top traces.  For an
+    exactly solvable pair the open-bond IM is its fixed point.
+    """
+    q, chi = a.q, a.chi
+    g4 = _folded_gate(u.matrix, q)
+    f = folded_tensor(a.mats)
+    trq = np.eye(q, dtype=complex).reshape(-1)
+    x = im.reshape((chi * chi,) + (q * q,) * (2 * tsteps))
+    x = np.tensordot(f, x, axes=([0], [0]))   # site 0 tensor: [bR, p0, old...]
+    x = np.tensordot(f, x, axes=([0], [0]))   # site 1 tensor: [b_new, p1, p0, old...]
+    for _ in range(tsteps):
+        # canonical axes: [b, w1, w0, o_in, o_out, rest_old..., new...]
+        x = np.tensordot(x, g4, axes=([2, 1], [2, 3]))      # even gate eats (w0, w1)
+        x = np.trace(x, axis1=1, axis2=x.ndim - 2)          # E site-0 out -> old in-leg
+        x = np.tensordot(x, g4, axes=([x.ndim - 1], [2]))   # crossing gate eats E site-1 out
+        n = x.ndim
+        # appended [O_s1out, O_s2out, O_s2in]; exposed legs in (in, out) order
+        x = np.moveaxis(x, [n - 1, n - 2], [n - 2, n - 1])
+        n = x.ndim
+        # next period wires: w1 = O_s1out, w0 = old out-leg (axis 1)
+        x = np.moveaxis(x, [n - 3, 1], [1, 2])
+    x = np.tensordot(x, trq, axes=([1], [0]))
+    x = np.tensordot(x, trq, axes=([1], [0]))
+    return x
+
+
+def chi2_solved_by(family, rng):
+    """A chi=2 left-canonical tensor that the q=2 family solves: span{|0>}
+    (A^(0) unitary, A^(1) = 0) for q2_qt1, else the GHZ-cluster tensor."""
+    if family == "q2_qt1":
+        return MpsTensor(2, 2, np.stack([haar_unitary(2, rng), np.zeros((2, 2))]))
+    return ghz_cluster_family(np.pi / 4, 2)
 
 
 class TestFixedPoint:
@@ -354,5 +396,59 @@ class TestFixedPoint:
         gate = random_gate("q2_qt2", rng)
         mps = ghz_cluster_family(np.pi / 4, 2)
         brute = influence_matrix_bruteforce(gate, mps, 2)
-        out = spatial_transfer_apply(brute, gate, mps, 2)
+        out = reference_spatial_transfer(brute, gate, mps, 2)
         assert max_abs(out - brute) < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(family_q=st.sampled_from([("swap", 2), ("swap", 3), ("q2_qt1", 2), ("q2_qt2", 2),
+                                     ("general", 2), ("general", 3), ("general", 4),
+                                     ("both_chirality_q2", 2), ("both_chirality_q4plus", 4),
+                                     ("haar", 2), ("haar", 3), ("haar", 4)]),
+           chi=st.integers(1, 3), tsteps=st.integers(0, 3), seed=st.integers(0, 2 ** 31 - 1))
+    @example(family_q=("haar", 2), chi=16, tsteps=0, seed=20)
+    @example(family_q=("haar", 2), chi=16, tsteps=1, seed=20)
+    @example(family_q=("q2_qt2", 2), chi=8, tsteps=2, seed=20)
+    def test_matches_the_dense_slab(self, family_q, chi, tsteps, seed):
+        # on the closed-form IM, for any gate, and at a wide bond; the
+        # reference holds about 3 q^4 x the IM, so q = 3 stops at T = 2 and
+        # q = 4 at T = 1
+        family, q = family_q
+        tsteps = min(tsteps, {2: 3, 3: 2, 4: 1}[q])
+        rng = make_rng(seed)
+        gate = random_gate(family, rng, q=q, qt=2)
+        mps = random_left_canonical(q, chi, rng)
+        ref = reference_spatial_transfer(build_influence_matrix_open(mps, tsteps), gate, mps, tsteps)
+        got = _spatial_transfer(gate, mps, tsteps)
+        assert got.shape == ref.shape
+        assert max_abs(got - ref) <= 1e-13 * max(1.0, max_abs(ref))
+
+    @pytest.mark.parametrize("tsteps", [1, 2, 3, 4, 5])
+    def test_haar_control_fails_at_every_depth(self, tsteps):
+        rng = make_rng(30 + tsteps)
+        for family in ("q2_qt1", "q2_qt2", "swap"):
+            gate, mps = random_gate(family, rng), chi2_solved_by(family, rng)
+            assert check_solvable_left(gate, mps) < 1e-10
+            assert verify_im_fixed_point(gate, mps, tsteps) < 1e-10
+        haar = random_gate("haar", rng)
+        assert verify_im_fixed_point(haar, ghz_cluster_family(np.pi / 4, 2), tsteps) > 1e-3
+
+    @pytest.mark.parametrize("q,chi,tsteps", [(2, 2, 4), (3, 2, 2), (2, 4, 3), (4, 2, 2),
+                                              (2, 16, 1), (2, 16, 2)])
+    def test_peak_within_the_docstring_formula(self, q, chi, tsteps):
+        # 4.5 chi^2 q^(4T) + 3.25 (q^8 + chi^4 q^2) complex entries: 18.0,
+        # 2.1, 4.6, 21.3, 13.3 and 17.5 MiB here; the dense slab peaked at
+        # 196, 98, 49, 3077, 13.0 and 53 MiB (at chi = 16, T = 1 in the
+        # IM's own folded period, which both build alike)
+        rng = make_rng(18)
+        gate, mps = random_gate("haar", rng, q=q), random_left_canonical(q, chi, rng)
+        bound = 16 * (4.5 * chi ** 2 * q ** (4 * tsteps) + 3.25 * (q ** 8 + chi ** 4 * q ** 2))
+        assert traced_peak(lambda: verify_im_fixed_point(gate, mps, tsteps)) <= bound + 2 ** 20
+
+    def test_gate_tensor_q_mismatch_refused(self):
+        # refused before the IM (4 MiB here) or the folded gate is formed
+        gate, mps = random_gate("haar", make_rng(19), q=2), ghz_cluster_family(0.5, 4)
+
+        def call():
+            with pytest.raises(ValueError, match="gate q=2 does not match tensor q=4"):
+                verify_im_fixed_point(gate, mps, 2)
+        assert traced_peak(call) < 2 ** 16
